@@ -108,7 +108,8 @@ class PartialPermutation:
 
     def restrict(self, points: Iterable[int]) -> Union["PartialPermutation", None]:
         """Restriction to ``points``; None when the restriction is empty."""
-        sub = tuple((x, y) for x, y in self.pairs if x in set(points))
+        keep = set(points)
+        sub = tuple((x, y) for x, y in self.pairs if x in keep)
         if not sub:
             return None
         return PartialPermutation(self.ground_size, sub)
@@ -420,23 +421,78 @@ def canonical_form(P: Permutoid, cap: int = CANONICAL_CAP) -> bytes:
 
 # -- quotient enumeration ------------------------------------------------------
 
-def _set_partitions(n: int):
-    """All partitions of range(n) as class-index lists, in restricted
-    growth string order (the one-class partition first, singletons last)."""
-    a = [0] * n
+def _admissible_partitions(P: Permutoid) -> list[tuple[int, ...]]:
+    """Every partition on which each element and its inverse descend to
+    well-defined maps of classes, as sorted restricted growth strings.
 
-    def rec(i: int, maxi: int):
-        if i == n:
-            yield list(a)
-            return
-        for c in range(maxi + 2):
-            a[i] = c
-            yield from rec(i + 1, max(maxi, c))
+    These partitions are closed under intersection, so each is the closure
+    of the discrete partition joined with some pairs of points.  Starting
+    from the discrete partition, each found partition has every pair of its
+    classes joined and closed by union-find propagation.
+    """
+    n = P.ground_size
+    ops: list[list[int]] = []
+    for el in P.elements:
+        if el.is_identity():
+            continue
+        fwd, inv = [-1] * n, [-1] * n
+        for x, y in el.pairs:
+            fwd[x] = y
+            inv[y] = x
+        ops.extend((fwd, inv))
 
-    if n == 0:
-        yield []
-        return
-    yield from rec(1, 0) if n > 1 else iter([[0]])
+    def close(parent: list[int], image: dict[int, list[int]], a: int, b: int) -> tuple[int, ...]:
+        """Join a and b in the union-find forest ``parent``, whose roots
+        carry one image per map in ``image``, and propagate; both are
+        updated in place."""
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        # Merging two classes must join the images of one domain member of
+        # each under every map, since the maps are partial.
+        queue = [(a, b)]
+        while queue:
+            x, y = queue.pop()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            if y < x:
+                x, y = y, x
+            parent[y] = x
+            keep = image[x]
+            for i, v in enumerate(image.pop(y)):
+                if v == -1:
+                    continue
+                if keep[i] == -1:
+                    keep[i] = v
+                else:
+                    queue.append((keep[i], v))
+        # restricted growth string: classes numbered by first occurrence
+        label: dict[int, int] = {}
+        return tuple(label.setdefault(find(x), len(label)) for x in range(n))
+
+    discrete = tuple(range(n))
+    found = {discrete}
+    stack = [discrete]
+    while stack:
+        class_of = stack.pop()
+        reps = [class_of.index(c) for c in range(max(class_of) + 1)]
+        parent = [reps[c] for c in class_of]
+        image = {r: [-1] * len(ops) for r in reps}
+        for x, root in enumerate(parent):
+            row = image[root]
+            for i, op in enumerate(ops):
+                if row[i] == -1:
+                    row[i] = op[x]
+        for a, b in itertools.combinations(reps, 2):
+            joined = close(parent[:], {r: row[:] for r, row in image.items()}, a, b)
+            if joined not in found:
+                found.add(joined)
+                stack.append(joined)
+    return sorted(found)
 
 
 def quotient_by_partition(P: Permutoid, class_of: Sequence[int]):
@@ -478,7 +534,12 @@ def quotient_by_partition(P: Permutoid, class_of: Sequence[int]):
         return None
     for i, p in enumerate(P.elements):
         image = quotient.elements[element_map[i]]
-        assert image.domain == frozenset(class_of[x] for x in p.domain)
+        if image.domain != frozenset(class_of[x] for x in p.domain):
+            raise MorphismError(
+                "DomainNotPreserved",
+                f"element {i}: the induced map's domain is not the image of its domain",
+                element=i,
+            )
     return quotient, morphism
 
 
@@ -487,29 +548,44 @@ def enumerate_quotients(
 ) -> list[tuple[Permutoid, Morphism]]:
     """One representative per isomorphism class of partition-induced quotient.
 
-    Every equivalence relation on the ground set is tried; a relation
-    survives when each element descends to a well-defined injective map on
-    classes and the induced data validates as a permutoid and a quotient
-    morphism.  The identity relation (P itself) is included.  With
-    ``nontrivial_only`` the quotients whose element set is just the identity
-    are dropped.
+    Only the admissible partitions are visited: those on which each element
+    descends to a well-defined injective map on classes, found by closure
+    (see :func:`_admissible_partitions`).  They are taken in the order of
+    their restricted growth strings, and one survives when the induced data
+    validates as a permutoid and a quotient morphism.  The identity relation
+    (P itself) is included.  With ``nontrivial_only`` the quotients whose
+    element set is just the identity are dropped.  Survivors are bucketed by
+    an isomorphism invariant, and canonical forms are computed only inside
+    buckets holding more than one quotient.
     """
     if P.ground_size > cap:
         raise GroundSetTooLarge(
             f"ground size {P.ground_size} exceeds canonicalization cap {cap}"
         )
     out: list[tuple[Permutoid, Morphism]] = []
-    seen_keys: set[bytes] = set()
-    for class_of in _set_partitions(P.ground_size):
+    # invariant -> [quotient, canonical key or None until first needed]
+    buckets: dict[tuple, list[list]] = {}
+    for class_of in _admissible_partitions(P):
         result = quotient_by_partition(P, class_of)
         if result is None:
             continue
         quotient, morphism = result
         if nontrivial_only and quotient.is_trivial:
             continue
-        key = canonical_form(quotient, cap=cap)
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
+        invariant = (
+            quotient.ground_size,
+            len(quotient.elements),
+            tuple(sorted(_point_signatures(quotient))),
+        )
+        bucket = buckets.setdefault(invariant, [])
+        key = None
+        if bucket:
+            key = canonical_form(quotient, cap=cap)
+            for entry in bucket:
+                if entry[1] is None:
+                    entry[1] = canonical_form(entry[0], cap=cap)
+            if any(entry[1] == key for entry in bucket):
+                continue
+        bucket.append([quotient, key])
         out.append((quotient, morphism))
     return out

@@ -197,7 +197,10 @@ class _Csp:
             self.touched[u] = True
             self.trail.append(("t", u))
             var = self._pick_variable()
-            assert var is not None
+            if var is None:
+                raise DevelopmentError(
+                    "NoBranchVariable", "a freshly touched point left no unassigned variable", point=u
+                )
         e, y = var
         candidates = [v for v in range(self.m) if self.touched[v] and self.inv[e][v] == -1]
         if False in self.touched:
@@ -404,7 +407,10 @@ def probe_finite_quotient(
             evidence = _chase_evidence(
                 cameron, presentation, [morphism], verdict.development, closure_cap
             )
-            assert evidence.nontrivial
+            if not evidence.nontrivial:
+                raise DevelopmentError(
+                    "TrivialEvidence", "a development of a non-trivial quotient gave a trivial group"
+                )
             return ProbeReport(
                 verdict="found-quotient",
                 evidence=evidence,

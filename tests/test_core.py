@@ -1,9 +1,12 @@
 """Partial permutations, permutoid validation, witnesses, rigidity."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from permutoid_lab import core, develop
 from permutoid_lab.core import (
     EMPTY_COMPOSITION,
     NO_WITNESS,
@@ -49,6 +52,10 @@ class TestPartialPermutation:
         assert p.inverse().pairs == ((1, 0), (2, 1))
         assert p.restrict([0]).pairs == ((0, 1),)
         assert p.restrict([2]) is None
+
+    def test_restrict_accepts_an_iterator(self):
+        p = pp(3, [(0, 1), (1, 2)])
+        assert p.restrict(iter([0, 1])).pairs == ((0, 1), (1, 2))
 
     def test_extends(self):
         swap = pp(2, [(0, 1), (1, 0)])
@@ -263,3 +270,14 @@ class TestRigidity:
             for j in range(i + 1, len(els)):
                 mi, mj = els[i].mapping, els[j].mapping
                 assert not any(mi.get(x) == mj[x] for x in mj)
+
+
+class TestNoBareAsserts:
+    """``python -O`` strips ``assert``; load-bearing checks must raise."""
+
+    @pytest.mark.parametrize("module", [core, develop], ids=["core", "develop"])
+    def test_module_has_no_assert_statement(self, module):
+        path = Path(module.__file__)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} has assert statements at lines {lines}"
