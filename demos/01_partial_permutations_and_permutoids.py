@@ -7,7 +7,6 @@ from permutoid_lab import (
     EMPTY_COMPOSITION,
     PartialPermutation,
     compose_partial,
-    extension_witness,
     enumerate_quotients,
     is_rigid_permutoid,
     validate_permutoid,
@@ -35,7 +34,7 @@ print("\nvalidated permutoid with", len(remark.elements), "elements,",
 
 # The composition of the two restrictions fixes a point, so its unique
 # extension in the set is the identity: that is a "witness triple".
-print("witness for elements 1,2:", extension_witness(remark, 1, 2))
+print("witness for elements 1,2:", remark.witness(1, 2))
 
 # The unique-extension axiom has teeth.  If one element's composition with
 # itself is extended by two different elements, validation pinpoints them.

@@ -13,7 +13,6 @@ from permutoid_lab import (
     is_rigid_pseudogroup,
     maximal_permutoid,
     parse_presentation,
-    pseudogroup_membership,
     search_rigid_development,
     todd_coxeter,
     validate_morphism,
@@ -27,7 +26,7 @@ from permutoid_lab.errors import NotRigid
 H = generate_pseudogroup(3, [PartialPermutation.from_pairs(3, [(0, 1)])])
 print("maximal elements:", [m.pairs for m in H.maximal_elements])
 print("membership of the one-point restriction of the identity:",
-      pseudogroup_membership(H, PartialPermutation.from_pairs(3, [(1, 1)])))
+      H.member(PartialPermutation.from_pairs(3, [(1, 1)])))
 
 # Rigid: no two maximal elements agree anywhere, so every member has a
 # unique maximal extension and the maximal elements form a permutoid.

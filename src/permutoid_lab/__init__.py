@@ -11,7 +11,6 @@ from .core import (
     canonical_form,
     compose_partial,
     enumerate_quotients,
-    extension_witness,
     identity_map,
     is_rigid_permutoid,
     validate_morphism,
@@ -59,7 +58,6 @@ from .pseudogroup import (
     group_action_pseudogroup,
     is_rigid_pseudogroup,
     maximal_permutoid,
-    pseudogroup_membership,
     search_rigid_development,
 )
 

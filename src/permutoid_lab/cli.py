@@ -93,9 +93,7 @@ def _cmd_cameron(args) -> int:
 
 def _cmd_develop(args) -> int:
     permutoid, names = serialize.permutoid_from_obj(_read_json(args.file))
-    prob = develop.DevelopmentProblem(
-        permutoid, args.max_size, args.budget, args.deterministic
-    )
+    prob = develop.DevelopmentProblem(permutoid, args.max_size, args.budget)
     start = time.monotonic()
     verdict = develop.search_development(prob)
     obj = serialize.verdict_to_obj(verdict, names, start_size=permutoid.ground_size)
@@ -168,7 +166,6 @@ def _cmd_probe(args) -> int:
         max_ground=args.max_size,
         node_budget=args.budget,
         max_cosets=args.max_cosets,
-        deterministic=args.deterministic,
     )
     obj = serialize.probe_report_to_obj(report)
     if not args.deterministic:
@@ -198,9 +195,7 @@ def _cmd_pseudogroup(args) -> int:
         return 0
     # develop
     start = time.monotonic()
-    verdict = pseudogroup.search_rigid_development(
-        H, args.max_size, args.budget, args.group_cap, args.deterministic
-    )
+    verdict = pseudogroup.search_rigid_development(H, args.max_size, args.budget, args.group_cap)
     obj = serialize.verdict_to_obj(verdict, names, start_size=H.ground_size)
     if not args.deterministic:
         obj["wall_time_ms"] = int((time.monotonic() - start) * 1000)

@@ -151,8 +151,9 @@ def compose_partial(p: PartialPermutation, q: PartialPermutation):
 class Permutoid:
     """A validated set of partial permutations with the unique-extension rule.
 
-    Construct through :func:`validate_permutoid`; direct construction skips
-    validation and is for internal use.
+    Construct through :func:`validate_permutoid`, which fills the witness
+    table; reading the table checks the unique-extension clause, so direct
+    construction defers that check to the first read.
     """
 
     ground_size: int
@@ -165,20 +166,39 @@ class Permutoid:
 
     @cached_property
     def witness_table(self) -> dict[tuple[int, int], object]:
-        """(i, j) -> witness index, NO_WITNESS, or UNDEFINED, for all pairs."""
+        """(i, j) -> witness index, NO_WITNESS, or UNDEFINED, for all pairs.
+
+        Computing it checks the unique-extension clause: a composition with
+        two extending elements raises ValidationError.  Candidates for the
+        witness are the elements containing the composition's first pair.
+        """
+        containing: dict[Pair, list[int]] = {}
+        for k, r in enumerate(self.elements):
+            for pair in r.pairs:
+                containing.setdefault(pair, []).append(k)
+        maps = [r.mapping for r in self.elements]
         table: dict[tuple[int, int], object] = {}
-        for i, p in enumerate(self.elements):
+        for i, pm in enumerate(maps):
             for j, q in enumerate(self.elements):
-                comp = compose_partial(p, q)
-                if comp is EMPTY_COMPOSITION:
+                comp = [(x, pm[y]) for x, y in q.pairs if y in pm]
+                if not comp:
                     table[(i, j)] = UNDEFINED
                     continue
-                found = NO_WITNESS
-                for k, r in enumerate(self.elements):
-                    if r.extends(comp):
-                        found = k
-                        break
-                table[(i, j)] = found
+                witnesses = [
+                    k for k in containing.get(comp[0], ())
+                    if all(maps[k].get(x) == z for x, z in comp)
+                ]
+                if len(witnesses) > 1:
+                    raise ValidationError(
+                        "UniqueExtensionViolated",
+                        f"composition of elements {i} and {j} is extended by "
+                        f"both {witnesses[0]} and {witnesses[1]}",
+                        p=i,
+                        q=j,
+                        r1=witnesses[0],
+                        r2=witnesses[1],
+                    )
+                table[(i, j)] = witnesses[0] if witnesses else NO_WITNESS
         return table
 
     def witness(self, i: int, j: int):
@@ -237,45 +257,21 @@ def validate_permutoid(ground_size: int, elements: ElementsInput) -> Permutoid:
             )
         seen[el.pairs] = i
 
-    for i, p in enumerate(parsed):
-        for j, q in enumerate(parsed):
-            comp = compose_partial(p, q)
-            if comp is EMPTY_COMPOSITION:
-                continue
-            witnesses = [k for k, r in enumerate(parsed) if r.extends(comp)]
-            if len(witnesses) > 1:
-                raise ValidationError(
-                    "UniqueExtensionViolated",
-                    f"composition of elements {i} and {j} is extended by "
-                    f"both {witnesses[0]} and {witnesses[1]}",
-                    p=i,
-                    q=j,
-                    r1=witnesses[0],
-                    r2=witnesses[1],
-                )
-
-    return Permutoid(ground_size, tuple(parsed), identity_index)
+    P = Permutoid(ground_size, tuple(parsed), identity_index)
+    P.witness_table  # checks the unique-extension clause and caches the table
+    return P
 
 
-def extension_witness(P: Permutoid, p_index: int, q_index: int):
-    """The unique element index extending elements[p].elements[q].
-
-    Returns NO_WITNESS when the composition is defined but nothing extends
-    it, UNDEFINED when the composition is empty.
-    """
-    return P.witness(p_index, q_index)
+def _graphs_disjoint(elements: Sequence[PartialPermutation]) -> bool:
+    """True iff no (x, y) lies in two graphs, i.e. no two elements agree at
+    a point (each graph holds a pair at most once, being functional)."""
+    pairs = [pair for el in elements for pair in el.pairs]
+    return len(set(pairs)) == len(pairs)
 
 
 def is_rigid_permutoid(P: Permutoid) -> bool:
     """True iff no two distinct elements agree at any point."""
-    els = P.elements
-    for i in range(len(els)):
-        mi = els[i].mapping
-        for j in range(i + 1, len(els)):
-            for x, y in els[j].pairs:
-                if mi.get(x) == y:
-                    return False
-    return True
+    return _graphs_disjoint(P.elements)
 
 
 # -- morphisms ----------------------------------------------------------------

@@ -11,12 +11,11 @@ order.  An exhausted size bound is never a proof that no development exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .core import (
     Morphism,
     Permutoid,
-    validate_permutoid,
     witness_triples,
 )
 from .errors import DevelopmentError, PreconditionRadius, UsageError
@@ -36,7 +35,6 @@ class DevelopmentProblem:
     source: Permutoid
     max_ground: int
     node_budget: int | None = None
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.max_ground < self.source.ground_size:
@@ -207,7 +205,7 @@ class _Csp:
             candidates.append(self.touched.index(False))
         for v in candidates:
             self.counter["nodes"] += 1
-            budget = self.counter.get("budget")
+            budget = self.counter["budget"]
             if budget is not None and self.counter["nodes"] > budget:
                 raise _BudgetExhausted
             checkpoint = len(self.trail)
@@ -221,25 +219,29 @@ class _Csp:
             self._undo(checkpoint)
 
 
-def iter_developments(prob: DevelopmentProblem, counter: dict | None = None) -> Iterator[Development]:
-    """All developments of the source, smallest target size first, in the
-    canonical backtracking order.  Drives both searches."""
+def _first_certified(
+    prob: DevelopmentProblem, certify: Callable[[Development], object]
+) -> SearchVerdict:
+    """Run the search over target sizes, smallest first, in the canonical
+    backtracking order, and report the first development that ``certify``
+    turns into a certificate (it returns None to skip a development)."""
     P = prob.source
-    validate_permutoid(P.ground_size, P.elements)
     triples = witness_triples(P)
-    if counter is None:
-        counter = {"nodes": 0}
-    counter.setdefault("nodes", 0)
-    if prob.node_budget is not None:
-        counter["budget"] = prob.node_budget
-    for m in range(P.ground_size, prob.max_ground + 1):
-        counter["size"] = m
-        try:
-            csp = _Csp(P, triples, m, counter)
-        except _Conflict:
-            continue
-        for maps in csp.solutions():
-            yield Development(m, maps)
+    counter: dict = {"nodes": 0, "budget": prob.node_budget}
+    try:
+        for m in range(P.ground_size, prob.max_ground + 1):
+            counter["size"] = m
+            try:
+                csp = _Csp(P, triples, m, counter)
+            except _Conflict:
+                continue
+            for maps in csp.solutions():
+                certificate = certify(Development(m, maps))
+                if certificate is not None:
+                    return Found(certificate, counter["nodes"])
+    except _BudgetExhausted:
+        return BudgetExceeded(counter["nodes"], counter["size"])
+    return ExhaustedUpTo(prob.max_ground, counter["nodes"])
 
 
 def search_development(prob: DevelopmentProblem) -> SearchVerdict:
@@ -248,14 +250,12 @@ def search_development(prob: DevelopmentProblem) -> SearchVerdict:
     ExhaustedUpTo means no development with at most max_ground points
     exists; BudgetExceeded only means the node budget ran out.
     """
-    counter: dict = {"nodes": 0}
-    try:
-        for dev in iter_developments(prob, counter):
-            verify_development(prob.source, dev)
-            return Found(dev, counter["nodes"])
-    except _BudgetExhausted:
-        return BudgetExceeded(counter["nodes"], counter.get("size", prob.source.ground_size))
-    return ExhaustedUpTo(prob.max_ground, counter["nodes"])
+
+    def verified(dev: Development) -> Development:
+        verify_development(prob.source, dev)
+        return dev
+
+    return _first_certified(prob, verified)
 
 
 def verify_development(P: Permutoid, D: Development) -> None:
@@ -358,7 +358,6 @@ def probe_finite_quotient(
     max_cosets: int = 10_000,
     quotient_cap: int = 10,
     closure_cap: int = 10**6,
-    deterministic: bool = True,
 ) -> ProbeReport:
     """Search for certified evidence that the presented group has a
     non-trivial finite quotient.
@@ -399,7 +398,7 @@ def probe_finite_quotient(
         if quotient.ground_size > max_ground:
             stats["skipped_too_large"] += 1
             continue
-        prob = DevelopmentProblem(quotient, max_ground, node_budget, deterministic)
+        prob = DevelopmentProblem(quotient, max_ground, node_budget)
         verdict = search_development(prob)
         stats["searches_run"] += 1
         stats["nodes_total"] += verdict.nodes_explored

@@ -30,38 +30,30 @@ class UsageError(PermutoidLabError):
     """Bad input: parse errors, schema violations, violated preconditions."""
 
 
+class _Coded:
+    """Mixin for errors whose ``code`` is given per instance."""
+
+    def __init__(self, code: str, message: str = "", **details):
+        self.code = code
+        super().__init__(message or code, **details)
+
+
 # -- negative verdicts -------------------------------------------------------
 
-class ValidationError(NegativeVerdict):
+class ValidationError(_Coded, NegativeVerdict):
     """A candidate permutoid violates one of its defining clauses."""
 
-    def __init__(self, code: str, message: str = "", **details):
-        self.code = code
-        super().__init__(message or code, **details)
 
-
-class MorphismError(NegativeVerdict):
+class MorphismError(_Coded, NegativeVerdict):
     """A candidate morphism violates one of the three morphism clauses."""
 
-    def __init__(self, code: str, message: str = "", **details):
-        self.code = code
-        super().__init__(message or code, **details)
 
-
-class DevelopmentError(NegativeVerdict):
+class DevelopmentError(_Coded, NegativeVerdict):
     """A claimed development fails independent re-verification."""
 
-    def __init__(self, code: str, message: str = "", **details):
-        self.code = code
-        super().__init__(message or code, **details)
 
-
-class PseudogroupError(NegativeVerdict):
+class PseudogroupError(_Coded, NegativeVerdict):
     """A claimed pseudogroup fails its well-formedness checks."""
-
-    def __init__(self, code: str, message: str = "", **details):
-        self.code = code
-        super().__init__(message or code, **details)
 
 
 class NotRigid(NegativeVerdict):
@@ -102,10 +94,8 @@ class GroupClosureCapExceeded(Inconclusive):
 
 # -- usage errors ------------------------------------------------------------
 
-class ParseError(UsageError):
-    def __init__(self, code: str, message: str = "", **details):
-        self.code = code
-        super().__init__(message or code, **details)
+class ParseError(_Coded, UsageError):
+    """A presentation does not parse."""
 
 
 class FormatError(UsageError):

@@ -15,31 +15,29 @@ group action whose transformations extend all maximal elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     EMPTY_COMPOSITION,
     Morphism,
     PartialPermutation,
     Permutoid,
+    _graphs_disjoint,
     compose_partial,
     identity_map,
     validate_morphism,
     validate_permutoid,
 )
 from .develop import (
-    BudgetExceeded,
     DevelopmentProblem,
-    ExhaustedUpTo,
-    Found,
     SearchVerdict,
-    _BudgetExhausted,
-    iter_developments,
+    _first_certified,
     verify_development,
 )
 from .errors import (
     GroundSetMismatch,
     GroupClosureCapExceeded,
+    MorphismError,
     NotAnAction,
     NotFree,
     NotRigid,
@@ -134,21 +132,9 @@ def check_pseudogroup(H: Pseudogroup) -> None:
                 )
 
 
-def pseudogroup_membership(H: Pseudogroup, f: PartialPermutation) -> bool:
-    """True iff f is a restriction of some maximal element."""
-    return H.member(f)
-
-
 def is_rigid_pseudogroup(H: Pseudogroup) -> bool:
     """True iff no two distinct maximal elements agree at any point."""
-    members = H.maximal_elements
-    for i in range(len(members)):
-        mi = members[i].mapping
-        for j in range(i + 1, len(members)):
-            for x, y in members[j].pairs:
-                if mi.get(x) == y:
-                    return False
-    return True
+    return _graphs_disjoint(H.maximal_elements)
 
 
 def maximal_permutoid(H: Pseudogroup) -> Permutoid:
@@ -167,17 +153,18 @@ def extend_to_maximal(pi: Permutoid, H: Pseudogroup | None = None) -> Morphism:
         H = generate_pseudogroup(pi.ground_size, pi.elements)
     target = maximal_permutoid(H)
     element_map = []
-    for p in pi.elements:
+    for i, p in enumerate(pi.elements):
         hits = [k for k, m in enumerate(target.elements) if m.extends(p)]
         if not hits:
             raise PseudogroupError("NotAMember", "an element has no maximal extension in H")
-        assert len(hits) == 1, "rigidity forces a unique maximal extension"
+        if len(hits) > 1:
+            raise NotRigid(f"element {i} has two maximal extensions", element=i)
         element_map.append(hits[0])
     morphism = Morphism(
         pi, target, tuple(range(pi.ground_size)), tuple(element_map)
     )
-    kind = validate_morphism(morphism)
-    assert kind.is_extension
+    if not validate_morphism(morphism).is_extension:
+        raise MorphismError("NotAnExtension", "the map to maximal elements is not an extension")
     return morphism
 
 
@@ -218,7 +205,8 @@ def group_action_pseudogroup(
         )
     )
     H = Pseudogroup(degree, members)
-    assert is_rigid_pseudogroup(H)
+    if not is_rigid_pseudogroup(H):
+        raise NotRigid("two group elements agree at a point")
     return H
 
 
@@ -279,7 +267,6 @@ def search_rigid_development(
     max_ground: int,
     node_budget: int | None = None,
     group_cap: int = 100_000,
-    deterministic: bool = True,
 ) -> SearchVerdict | None:
     """Search for a development whose assigned permutations generate a
     fixed-point-free (on non-identity elements) group.
@@ -289,26 +276,23 @@ def search_rigid_development(
     checking freeness at the leaves.
     """
     target = maximal_permutoid(H)  # NotRigid propagates
-    prob = DevelopmentProblem(target, max_ground, node_budget, deterministic)
-    counter: dict = {"nodes": 0}
-    try:
-        for dev in iter_developments(prob, counter):
-            closure = _closure(dev.maps, dev.ground_size, group_cap)
-            identity = tuple(range(dev.ground_size))
-            if any(
-                perm != identity and any(perm[y] == y for y in range(dev.ground_size))
-                for perm in closure
-            ):
-                continue
-            verify_development(target, dev)
-            rd = RigidDevelopment(
-                ground_size=dev.ground_size,
-                group_permutations=(identity,)
-                + tuple(sorted(p for p in closure if p != identity)),
-                assignment=dev.maps,
-            )
-            verify_rigid_development(H, rd)
-            return Found(rd, counter["nodes"])
-    except _BudgetExhausted:
-        return BudgetExceeded(counter["nodes"], counter.get("size", H.ground_size))
-    return ExhaustedUpTo(max_ground, counter["nodes"])
+
+    def certify(dev) -> RigidDevelopment | None:
+        closure = _closure(dev.maps, dev.ground_size, group_cap)
+        identity = tuple(range(dev.ground_size))
+        if any(
+            perm != identity and any(perm[y] == y for y in range(dev.ground_size))
+            for perm in closure
+        ):
+            return None
+        verify_development(target, dev)
+        rd = RigidDevelopment(
+            ground_size=dev.ground_size,
+            group_permutations=(identity,)
+            + tuple(sorted(p for p in closure if p != identity)),
+            assignment=dev.maps,
+        )
+        verify_rigid_development(H, rd)
+        return rd
+
+    return _first_certified(DevelopmentProblem(target, max_ground, node_budget), certify)

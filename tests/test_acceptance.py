@@ -105,7 +105,7 @@ def test_criterion_2_saturated_balls_develop_at_group_order():
         for name, group in groups.items():
             cam = cameron_permutoid(group, saturating_radius(group))
             verdict = search_development(
-                DevelopmentProblem(cam.permutoid, POOL_ORDERS[name] + 2, deterministic=True)
+                DevelopmentProblem(cam.permutoid, POOL_ORDERS[name] + 2)
             )
             assert isinstance(verdict, Found), name
             assert verdict.development.ground_size == POOL_ORDERS[name], name
@@ -161,7 +161,7 @@ def test_criterion_6_search_oracle_equivalence():
         for P in pool:
             graphs = [el.pairs for el in P.elements]
             expected = brute_force_developable(P.ground_size, graphs, 4)
-            verdict = search_development(DevelopmentProblem(P, 4, deterministic=True))
+            verdict = search_development(DevelopmentProblem(P, 4))
             if expected is None:
                 assert isinstance(verdict, ExhaustedUpTo), graphs
                 exhausted += 1
@@ -259,7 +259,7 @@ def _criterion_2_bytes():
         group = groups[name]
         cam = cameron_permutoid(group, saturating_radius(group))
         verdict = search_development(
-            DevelopmentProblem(cam.permutoid, POOL_ORDERS[name] + 2, deterministic=True)
+            DevelopmentProblem(cam.permutoid, POOL_ORDERS[name] + 2)
         )
         chunks.append(
             serialize.canonical_json(
@@ -283,7 +283,7 @@ def _criterion_5_bytes():
     chunks = []
     for text, rho, max_ground in ((POOL["z6"], 4, 12), ("gens: a", 1, 8)):
         report = probe_finite_quotient(
-            parse_presentation(text), rho=rho, max_ground=max_ground, deterministic=True
+            parse_presentation(text), rho=rho, max_ground=max_ground
         )
         chunks.append(serialize.canonical_json(serialize.probe_report_to_obj(report)))
     return "".join(chunks).encode()

@@ -6,14 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from permutoid_lab import core, develop
+from permutoid_lab import core, develop, pseudogroup
 from permutoid_lab.core import (
     EMPTY_COMPOSITION,
     NO_WITNESS,
     UNDEFINED,
     PartialPermutation,
     compose_partial,
-    extension_witness,
     identity_map,
     is_rigid_permutoid,
     validate_permutoid,
@@ -220,22 +219,22 @@ class TestExtensionWitness:
         # ball order: 1, a, a^-1, a^2, a^-2; left multiplication by a twice
         # is left multiplication by a^2
         a2 = cam.ball.position(cam.ball.group.handle_mul(cam.ball.handles[p_a], cam.ball.handles[p_a]))
-        assert extension_witness(cam.permutoid, p_a, p_a) == a2
+        assert cam.permutoid.witness(p_a, p_a) == a2
         assert cam.labels[a2] == "a0^2"
 
     def test_remark_witness_is_identity(self):
         P = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
-        assert extension_witness(P, 1, 2) == 0
-        assert extension_witness(P, 2, 1) == 0
+        assert P.witness(1, 2) == 0
+        assert P.witness(2, 1) == 0
 
     def test_free_ball_no_witness(self):
         cam = cameron_permutoid(FreeGroup(1), 1)
         p_a = cam.element_for_generator(0)
-        assert extension_witness(cam.permutoid, p_a, p_a) is NO_WITNESS
+        assert cam.permutoid.witness(p_a, p_a) is NO_WITNESS
 
     def test_undefined_composition(self):
         P = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)]])
-        assert extension_witness(P, 1, 1) is UNDEFINED
+        assert P.witness(1, 1) is UNDEFINED
 
     def test_identity_triples_always_present(self):
         P = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
@@ -243,6 +242,72 @@ class TestExtensionWitness:
         for e in range(3):
             assert (0, e, e) in triples
             assert (e, 0, e) in triples
+
+
+def parent_scans(elements):
+    """The two witness scans the package ran before the single indexed one:
+    validation's all-pairs uniqueness check, then the table's first-match
+    scan.  Returns ("error", message, details) or ("table", table)."""
+    for i, p in enumerate(elements):
+        for j, q in enumerate(elements):
+            comp = compose_partial(p, q)
+            if comp is EMPTY_COMPOSITION:
+                continue
+            witnesses = [k for k, r in enumerate(elements) if r.extends(comp)]
+            if len(witnesses) > 1:
+                message = (
+                    f"composition of elements {i} and {j} is extended by "
+                    f"both {witnesses[0]} and {witnesses[1]}"
+                )
+                details = {"p": i, "q": j, "r1": witnesses[0], "r2": witnesses[1]}
+                return ("error", message, details)
+    table = {}
+    for i, p in enumerate(elements):
+        for j, q in enumerate(elements):
+            comp = compose_partial(p, q)
+            if comp is EMPTY_COMPOSITION:
+                table[(i, j)] = UNDEFINED
+                continue
+            found = NO_WITNESS
+            for k, r in enumerate(elements):
+                if r.extends(comp):
+                    found = k
+                    break
+            table[(i, j)] = found
+    return ("table", table)
+
+
+class TestSingleWitnessScan:
+    def test_matches_parent_scans_on_random_element_lists(self):
+        rng = random.Random(314159)
+        kinds = {"error": 0, "table": 0}
+        for _ in range(200):
+            n = rng.randint(3, 7)
+            graphs = {tuple((x, x) for x in range(n))}
+            perms = [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))]
+            k = rng.randint(2, 7)
+            while len(graphs) < k:
+                # restrictions of a few permutations make valid lists common
+                perm = rng.choice(perms) if rng.random() < 0.7 else rng.sample(range(n), n)
+                xs = rng.sample(range(n), rng.randint(1, n))
+                graphs.add(tuple(sorted((x, perm[x]) for x in xs)))
+            graphs = sorted(graphs)
+            rng.shuffle(graphs)
+            elements = [pp(n, g) for g in graphs]
+            expected = parent_scans(elements)
+            kinds[expected[0]] += 1
+            try:
+                P = validate_permutoid(n, graphs)
+                got = ("table", P.witness_table)
+            except ValidationError as exc:
+                assert exc.code == "UniqueExtensionViolated"
+                got = ("error", str(exc), exc.details)
+            assert got == expected, (n, graphs)
+        assert min(kinds.values()) >= 40, kinds
+
+    def test_validated_permutoid_holds_its_table(self):
+        P = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
+        assert "witness_table" in vars(P)
 
 
 class TestRigidity:
@@ -275,7 +340,9 @@ class TestRigidity:
 class TestNoBareAsserts:
     """``python -O`` strips ``assert``; load-bearing checks must raise."""
 
-    @pytest.mark.parametrize("module", [core, develop], ids=["core", "develop"])
+    @pytest.mark.parametrize(
+        "module", [core, develop, pseudogroup], ids=["core", "develop", "pseudogroup"]
+    )
     def test_module_has_no_assert_statement(self, module):
         path = Path(module.__file__)
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

@@ -141,7 +141,7 @@ class TestSearchDevelopment:
 
     def test_deterministic_reruns_identical(self):
         cam = cameron_permutoid(FreeGroup(1), 1)
-        prob = DevelopmentProblem(cam.permutoid, 8, deterministic=True)
+        prob = DevelopmentProblem(cam.permutoid, 8)
         assert search_development(prob) == search_development(prob)
 
     def test_nontrivial_development_generates_nontrivially(self):

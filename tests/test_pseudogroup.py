@@ -29,7 +29,6 @@ from permutoid_lab.pseudogroup import (
     group_action_pseudogroup,
     is_rigid_pseudogroup,
     maximal_permutoid,
-    pseudogroup_membership,
     search_rigid_development,
     verify_rigid_development,
 )
@@ -98,9 +97,9 @@ class TestGeneratePseudogroup:
 class TestMembership:
     def test_restrictions_of_generators(self):
         H = generate_pseudogroup(3, [pp(3, [(0, 1)])])
-        assert pseudogroup_membership(H, pp(3, [(0, 1)]))
-        assert pseudogroup_membership(H, identity_map(3))
-        assert pseudogroup_membership(H, pp(3, [(1, 1)]))
+        assert H.member(pp(3, [(0, 1)]))
+        assert H.member(identity_map(3))
+        assert H.member(pp(3, [(1, 1)]))
 
     def test_mixed_left_multiplications_rejected(self, pool_groups):
         group = pool_groups["z4"]
@@ -110,12 +109,12 @@ class TestMembership:
         # another point along a different one is not a restriction
         m1, m2 = H.maximal_elements[1], H.maximal_elements[2]
         mixed = pp(4, [m1.pairs[0], m2.pairs[1]])
-        assert not pseudogroup_membership(H, mixed)
+        assert not H.member(mixed)
 
     def test_downward_closure(self):
         H = generate_pseudogroup(4, [pp(4, [(0, 1), (1, 2), (2, 3)])])
         for member in all_members(H):
-            assert pseudogroup_membership(H, member)
+            assert H.member(member)
 
 
 class TestRigidity:
