@@ -328,13 +328,19 @@ def validate_morphism(m: Morphism) -> MorphismKind:
                     point=x,
                 )
 
+    # Many source triples share one image triple; each is composed once.
+    preserved: dict[tuple[int, int, int], bool] = {}
     for (i, j), k in src.witness_table.items():
         if not isinstance(k, int):
             continue
-        tp = tgt.elements[m.element_map[i]]
-        tq = tgt.elements[m.element_map[j]]
-        comp = compose_partial(tp, tq)
-        if comp is EMPTY_COMPOSITION or not tgt.elements[m.element_map[k]].extends(comp):
+        triple = (m.element_map[i], m.element_map[j], m.element_map[k])
+        ok = preserved.get(triple)
+        if ok is None:
+            pm = tgt.elements[triple[0]].mapping
+            rm = tgt.elements[triple[2]].mapping
+            comp = [(x, pm[y]) for x, y in tgt.elements[triple[1]].pairs if y in pm]
+            ok = preserved[triple] = bool(comp) and all(rm.get(x) == z for x, z in comp)
+        if not ok:
             raise MorphismError(
                 "CompositionNotPreserved",
                 f"triple ({i},{j},{k}) is not preserved",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import OutOfBounds
+from .errors import OutOfBounds, RelatorNotKilled
 
 
 class _TableFull(Exception):
@@ -181,7 +181,11 @@ class _Enumeration:
                 if beta not in new_of:
                     new_of[beta] = len(new_of)
                     order.append(beta)
-        assert len(new_of) == n
+        if len(new_of) != n:
+            raise OutOfBounds(
+                f"coset table has {n - len(new_of)} cosets unreachable from coset 0",
+                unreachable=n - len(new_of),
+            )
         table = [[None] * self.width for _ in range(n)]
         for gamma in range(n):
             for x in range(self.width):
@@ -189,14 +193,18 @@ class _Enumeration:
         self.table = table
 
     def _verify(self):
-        for row in self.table:
-            assert all(v is not None for v in row)
+        for gamma, row in enumerate(self.table):
+            if None in row:
+                raise OutOfBounds(f"coset {gamma} has an undefined image", coset=gamma)
         for gamma in range(len(self.table)):
-            for rel in self.relators:
+            for r, rel in enumerate(self.relators):
                 delta = gamma
                 for x in rel:
                     delta = self.table[delta][x]
-                assert delta == gamma
+                if delta != gamma:
+                    raise RelatorNotKilled(
+                        f"relator {r} does not close at coset {gamma}", relator=r, coset=gamma
+                    )
 
 
 def enumerate_cosets(

@@ -28,10 +28,12 @@ from .core import (
 )
 from .errors import (
     ClosureCapExceeded,
+    MorphismError,
     ParseError,
     PreconditionRadius,
     RelatorNotKilled,
     UsageError,
+    ValidationError,
 )
 
 Letter = tuple[int, int]  # (generator index, sign)
@@ -374,7 +376,8 @@ class CayleyBall:
 
     def inverse_position(self, i: int) -> int:
         pos = self.position(self.group.handle_inv(self.handles[i]))
-        assert pos is not None, "balls are closed under inverses"
+        if pos is None:
+            raise UsageError(f"the inverse of ball element {i} is not in the ball")
         return pos
 
 
@@ -431,7 +434,8 @@ class CameronPermutoid:
     def element_for_generator(self, g: int) -> int:
         """Index of the element that is left multiplication by generator g."""
         pos = self.ball.position(self.ball.group.generator_handle(g))
-        assert pos is not None and pos < len(self.permutoid.elements)
+        if pos is None or pos >= len(self.permutoid.elements):
+            raise UsageError(f"generator {g} is not an element of the ball permutoid")
         return pos
 
 
@@ -455,13 +459,17 @@ def cameron_permutoid(group: Backend, rho: int) -> CameronPermutoid:
         pairs = []
         for x in range(inner):
             y = ball.product_position(b, x)
-            assert y is not None, "product of two inner-ball elements left the carrier ball"
+            if y is None:
+                raise UsageError(
+                    f"product of inner-ball elements {b} and {x} left the carrier ball"
+                )
             pairs.append((x, y))
         elements.append(tuple(pairs))
         labels.append(render_word(ball.words[b], names))
 
     permutoid = validate_permutoid(ground, elements)
-    assert permutoid.identity_index == 0
+    if permutoid.identity_index != 0:
+        raise ValidationError("MissingIdentity", "element 0 of a ball permutoid must be the identity")
     return CameronPermutoid(permutoid, ball, rho, tuple(labels))
 
 
@@ -476,16 +484,20 @@ def radius_extension(group: Backend, rho_small: int, rho_big: int) -> Morphism:
     point_map = []
     for h in small.ball.handles:
         pos = big.ball.position(h)
-        assert pos is not None
+        if pos is None:
+            raise MorphismError("BadPointMap", "a point of the small ball is missing from the big ball")
         point_map.append(pos)
     element_map = []
     for i in range(len(small.permutoid.elements)):
         pos = big.ball.position(small.ball.handles[i])
-        assert pos is not None and pos < len(big.permutoid.elements)
+        if pos is None or pos >= len(big.permutoid.elements):
+            raise MorphismError(
+                "BadElementMap", f"element {i} of the small ball permutoid has no image", element=i
+            )
         element_map.append(pos)
     morphism = Morphism(small.permutoid, big.permutoid, tuple(point_map), tuple(element_map))
-    kind = validate_morphism(morphism)
-    assert kind.is_extension
+    if not validate_morphism(morphism).is_extension:
+        raise MorphismError("NotAnExtension", "the radius inclusion is not an extension")
     return morphism
 
 

@@ -14,16 +14,16 @@ group action whose transformations extend all maximal elements.
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
-    EMPTY_COMPOSITION,
     Morphism,
     PartialPermutation,
     Permutoid,
     _graphs_disjoint,
-    compose_partial,
     identity_map,
     validate_morphism,
     validate_permutoid,
@@ -62,16 +62,6 @@ class Pseudogroup:
         return any(m.extends(f) for m in self.maximal_elements)
 
 
-def _antichain_insert(chain: list[PartialPermutation], f: PartialPermutation) -> bool:
-    """Insert unless dominated; drop newly dominated members.  True if changed."""
-    for m in chain:
-        if m.extends(f):
-            return False
-    chain[:] = [m for m in chain if not f.extends(m)]
-    chain.append(f)
-    return True
-
-
 def generate_pseudogroup(
     ground_size: int, generators: Iterable[PartialPermutation]
 ) -> Pseudogroup:
@@ -80,34 +70,112 @@ def generate_pseudogroup(
 
     Downward closure then realizes restriction-closure: a restriction of a
     composition is a restriction of the composition of the extensions.
+
+    The closure is a semi-naive worklist.  Each map that enters the
+    antichain is queued once; when it is popped, and only if it is still a
+    member, its inverse and its composites with every current member, on
+    both sides and with itself, are inserted.  A member dropped because a
+    new map extends it needs no further work: the new map is queued, and
+    its inverse and composites extend the dropped member's.  So when the
+    queue is empty every pair of surviving members has been composed.
+
+    Members are bitmasks with bit x*n + y set for each pair (x, y), so "a
+    extends b" is ``b & ~a == 0``; they are indexed by each of their pairs,
+    and a candidate's extenders all contain its lowest pair.  A candidate is tried at most once: once extended, always
+    extended.
     """
-    chain: list[PartialPermutation] = [identity_map(ground_size)]
-    for g in generators:
-        if g.ground_size != ground_size:
+    n = ground_size
+    images: dict[int, list[int]] = {}  # member mask -> image array (f(x) or -1)
+    by_pair: dict[int, set[int]] = {}  # pair bit -> members holding it
+    tried: set[int] = set()
+    queue: deque[int] = deque()
+
+    def pair_bits(mask: int) -> list[int]:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+
+    def insert(mask: int) -> None:
+        """Add a candidate unless it was tried or a member extends it."""
+        if mask in tried:
+            return
+        tried.add(mask)
+        for m in by_pair.get((mask & -mask).bit_length() - 1, ()):
+            if not mask & ~m:
+                return
+        own = pair_bits(mask)
+        for m in {m for b in own for m in by_pair.get(b, ()) if not m & ~mask}:
+            for b in pair_bits(m):
+                by_pair[b].discard(m)
+            del images[m]
+        image = [-1] * n
+        for b in own:
+            image[b // n] = b % n
+            by_pair.setdefault(b, set()).add(mask)
+        images[mask] = image
+        queue.append(mask)
+
+    for f in itertools.chain([identity_map(ground_size)], generators):
+        if f.ground_size != ground_size:
             raise GroundSetMismatch(
-                f"generator has ground size {g.ground_size}, expected {ground_size}"
+                f"generator has ground size {f.ground_size}, expected {ground_size}"
             )
-        _antichain_insert(chain, g)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(chain, key=lambda m: m.pairs)
-        for m in snapshot:
-            if _antichain_insert(chain, m.inverse()):
-                changed = True
-        for m1 in snapshot:
-            for m2 in snapshot:
-                comp = compose_partial(m1, m2)
-                if comp is EMPTY_COMPOSITION:
-                    continue
-                if _antichain_insert(chain, comp):
-                    changed = True
-    return Pseudogroup(ground_size, tuple(sorted(chain, key=lambda m: m.pairs)))
+        mask = 0
+        for x, y in f.pairs:
+            mask |= 1 << (x * n + y)
+        insert(mask)
+    while queue:
+        m = queue.popleft()
+        p = images.get(m)
+        if p is None:
+            continue
+        inverse = 0
+        for x, y in enumerate(p):
+            if y >= 0:
+                inverse |= 1 << (y * n + x)
+        insert(inverse)
+        # p's pairs as (x*n, y), for composites with p applied first
+        p_rows = [(x * n, y) for x, y in enumerate(p) if y >= 0]
+        for m2 in list(images):
+            if m not in images:
+                break
+            q = images.get(m2)
+            if q is None:
+                continue
+            after = 0  # q . p
+            for xn, y in p_rows:
+                z = q[y]
+                if z >= 0:
+                    after |= 1 << (xn + z)
+            if after:
+                insert(after)
+            before = 0  # p . q
+            xn = 0
+            for y in q:
+                if y >= 0:
+                    z = p[y]
+                    if z >= 0:
+                        before |= 1 << (xn + z)
+                xn += n
+            if before:
+                insert(before)
+    maximal = [
+        PartialPermutation(n, tuple((x, y) for x, y in enumerate(image) if y >= 0))
+        for image in images.values()
+    ]
+    return Pseudogroup(ground_size, tuple(sorted(maximal, key=lambda m: m.pairs)))
 
 
 def check_pseudogroup(H: Pseudogroup) -> None:
     """Well-formedness: antichain, identity present, inverse-closed, and
-    every non-empty composition a restriction of some member."""
+    every non-empty composition a restriction of some member.
+
+    Members extending a composition are looked up among those holding its
+    first pair.
+    """
     members = H.maximal_elements
     graphs = {m.pairs for m in members}
     if len(graphs) != len(members):
@@ -119,14 +187,20 @@ def check_pseudogroup(H: Pseudogroup) -> None:
             raise PseudogroupError("GroundSetMismatch", "mixed ground sizes")
         if m.inverse().pairs not in graphs:
             raise PseudogroupError("NotInverseClosed", "maximal elements must include inverses")
+    pair_sets = [frozenset(m.pairs) for m in members]
+    containing: dict[tuple[int, int], list[int]] = {}
+    for k, m in enumerate(members):
+        for pair in m.pairs:
+            containing.setdefault(pair, []).append(k)
     for i, m1 in enumerate(members):
+        pm = m1.mapping
         for j, m2 in enumerate(members):
-            if i != j and m1.extends(m2):
+            if i != j and pair_sets[j] <= pair_sets[i]:
                 raise PseudogroupError("NotAntichain", f"element {j} restricts element {i}")
-            comp = compose_partial(m1, m2)
-            if comp is EMPTY_COMPOSITION:
+            comp = [(x, pm[y]) for x, y in m2.pairs if y in pm]
+            if not comp:
                 continue
-            if not any(m.extends(comp) for m in members):
+            if not any(pair_sets[k].issuperset(comp) for k in containing.get(comp[0], ())):
                 raise PseudogroupError(
                     "NotClosed", f"composition of elements {i} and {j} escapes the antichain"
                 )

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from permutoid_lab import core, develop, pseudogroup
+from permutoid_lab import coset, core, develop, groups, pseudogroup
 from permutoid_lab.core import (
     EMPTY_COMPOSITION,
     NO_WITNESS,
@@ -341,7 +341,9 @@ class TestNoBareAsserts:
     """``python -O`` strips ``assert``; load-bearing checks must raise."""
 
     @pytest.mark.parametrize(
-        "module", [core, develop, pseudogroup], ids=["core", "develop", "pseudogroup"]
+        "module",
+        [core, develop, pseudogroup, coset, groups],
+        ids=["core", "develop", "pseudogroup", "coset", "groups"],
     )
     def test_module_has_no_assert_statement(self, module):
         path = Path(module.__file__)

@@ -1,8 +1,11 @@
 """Words, presentations, coset enumeration, Cayley balls."""
 
+import dataclasses
+
 import pytest
 
-from permutoid_lab.errors import OutOfBounds, ParseError, UsageError
+from permutoid_lab.coset import _Enumeration
+from permutoid_lab.errors import OutOfBounds, ParseError, RelatorNotKilled, UsageError
 from permutoid_lab.groups import (
     FreeGroup,
     Presentation,
@@ -222,3 +225,27 @@ class TestCayleyBall:
         for name, group in pool_groups.items():
             r = saturating_radius(group)
             assert cayley_ball(group, r).size == POOL_ORDERS[name]
+
+
+class TestBrokenInvariantsRaise:
+    """Checks that once were ``assert`` statements raise typed errors."""
+
+    def test_coset_verify_rejects_a_corrupted_table(self):
+        # Z2's complete table, checked against a^3 instead of a^2
+        enum = _Enumeration(1, [[0, 0, 0]], 10, 100)
+        enum.table = [[1, 1], [0, 0]]
+        with pytest.raises(RelatorNotKilled) as ei:
+            enum._verify()
+        assert ei.value.details == {"relator": 0, "coset": 0}
+        enum.table = [[1, None], [0, 0]]
+        with pytest.raises(OutOfBounds):
+            enum._verify()
+
+    def test_ball_missing_an_inverse(self):
+        ball = cayley_ball(FreeGroup(1), 1)  # a^0, a, a^-1
+        cut = dataclasses.replace(
+            ball, handles=ball.handles[:2], words=ball.words[:2], distances=ball.distances[:2]
+        )
+        assert cut.inverse_position(0) == 0
+        with pytest.raises(UsageError, match="inverse of ball element 1"):
+            cut.inverse_position(1)

@@ -1,18 +1,24 @@
 """Morphism validation, canonical forms, quotient enumeration."""
 
 import itertools
+import random
 
 import pytest
 
 from permutoid_lab.core import (
+    EMPTY_COMPOSITION,
     Morphism,
+    MorphismKind,
     PartialPermutation,
+    _admissible_partitions,
     canonical_form,
+    compose_partial,
     enumerate_quotients,
+    quotient_by_partition,
     validate_morphism,
     validate_permutoid,
 )
-from permutoid_lab.errors import GroundSetTooLarge, MorphismError
+from permutoid_lab.errors import GroundSetTooLarge, MorphismError, ValidationError
 from permutoid_lab.groups import (
     FreeGroup,
     cameron_permutoid,
@@ -85,6 +91,140 @@ class TestValidateMorphism:
         m = Morphism(REMARK, relabeled, (1, 0), (0, 1, 2))
         kind = validate_morphism(m)
         assert kind.is_isomorphism and kind.is_quotient and kind.is_extension
+
+
+def parent_validate_morphism(m):
+    """The previous ``validate_morphism``, which builds a PartialPermutation
+    for every source witness triple; kept as the oracle."""
+    src, tgt = m.source, m.target
+    if len(m.point_map) != src.ground_size or any(
+        not (0 <= v < tgt.ground_size) for v in m.point_map
+    ):
+        raise MorphismError("BadPointMap", "point_map is not a total map into the target ground set")
+    if len(m.element_map) != len(src.elements) or any(
+        not (0 <= v < len(tgt.elements)) for v in m.element_map
+    ):
+        raise MorphismError("BadElementMap", "element_map is not a total map into the target elements")
+    if m.element_map[src.identity_index] != tgt.identity_index:
+        raise MorphismError("IdentityNotPreserved", "identity element does not map to the identity")
+    for i, p in enumerate(src.elements):
+        im = tgt.elements[m.element_map[i]].mapping
+        for x, y in p.pairs:
+            fx = m.point_map[x]
+            if fx not in im or im[fx] != m.point_map[y]:
+                raise MorphismError(
+                    "EquivarianceViolated",
+                    f"element {i} at point {x}: images do not commute",
+                    element=i,
+                    point=x,
+                )
+    for (i, j), k in src.witness_table.items():
+        if not isinstance(k, int):
+            continue
+        tp = tgt.elements[m.element_map[i]]
+        tq = tgt.elements[m.element_map[j]]
+        comp = compose_partial(tp, tq)
+        if comp is EMPTY_COMPOSITION or not tgt.elements[m.element_map[k]].extends(comp):
+            raise MorphismError(
+                "CompositionNotPreserved", f"triple ({i},{j},{k}) is not preserved", p=i, q=j, r=k
+            )
+    point_injective = len(set(m.point_map)) == src.ground_size
+    point_surjective = len(set(m.point_map)) == tgt.ground_size
+    elem_surjective = len(set(m.element_map)) == len(tgt.elements)
+    elem_injective = len(set(m.element_map)) == len(src.elements)
+    is_iso = False
+    if point_injective and point_surjective and elem_injective and elem_surjective:
+        is_iso = all(
+            tgt.elements[m.element_map[i]].pairs
+            == tuple(sorted((m.point_map[x], m.point_map[y]) for x, y in p.pairs))
+            for i, p in enumerate(src.elements)
+        )
+    return MorphismKind(
+        is_iso,
+        point_surjective and elem_surjective,
+        point_injective,
+        point_injective and all(e.is_full() for e in tgt.elements),
+    )
+
+
+def morphism_outcome(validate, m):
+    try:
+        return ("kind", validate(m))
+    except MorphismError as exc:
+        return ("error", exc.code, str(exc), exc.details)
+
+
+def random_element_lists(rng, count):
+    """Seeded element lists: the identity plus one to five random maps on
+    two to five points."""
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        graphs = {tuple((x, x) for x in range(n))}
+        for _ in range(rng.randint(1, 5)):
+            xs = rng.sample(range(n), rng.randint(1, n - 1))
+            graphs.add(tuple(sorted(zip(xs, rng.sample(range(n), len(xs))))))
+        yield n, sorted(graphs)
+
+
+def random_extension(rng, n, pairs):
+    """``pairs`` plus, with probability 1/2 each, a pair at every free point."""
+    image = dict(pairs)
+    free_y = [y for y in range(n) if y not in image.values()]
+    rng.shuffle(free_y)
+    for x, y in zip([x for x in range(n) if x not in image], free_y):
+        if rng.random() < 0.5:
+            image[x] = y
+    return tuple(sorted(image.items()))
+
+
+class TestCompositionClauseAgainstParent:
+    def test_random_extensions(self):
+        # each source element maps to a random extension of itself, so
+        # clauses 1-2 hold and clause 3 decides
+        rng = random.Random(2718)
+        outcomes = {"kind": 0, "error": 0}
+        for n, graphs in random_element_lists(rng, 1500):
+            try:
+                src = validate_permutoid(n, graphs)
+            except ValidationError:
+                continue
+            images = [
+                p.pairs if p.is_identity() else random_extension(rng, n, p.pairs)
+                for p in src.elements
+            ]
+            target_graphs = sorted(set(images))
+            try:
+                tgt = validate_permutoid(n, target_graphs)
+            except ValidationError:
+                continue
+            element_map = tuple(target_graphs.index(g) for g in images)
+            m = Morphism(src, tgt, tuple(range(n)), element_map)
+            expected = morphism_outcome(parent_validate_morphism, m)
+            outcomes[expected[0]] += 1
+            assert morphism_outcome(validate_morphism, m) == expected
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_quotient_morphisms_and_their_corruptions(self):
+        rng = random.Random(1618)
+        codes = {}
+        for n, graphs in random_element_lists(rng, 300):
+            try:
+                P = validate_permutoid(n, graphs)
+            except ValidationError:
+                continue
+            for class_of in _admissible_partitions(P):
+                result = quotient_by_partition(P, class_of)
+                if result is None:
+                    continue
+                quotient, m = result
+                corrupt = list(m.element_map)
+                corrupt[rng.randrange(len(corrupt))] = rng.randrange(len(quotient.elements))
+                for cand in (m, Morphism(P, quotient, m.point_map, tuple(corrupt))):
+                    expected = morphism_outcome(parent_validate_morphism, cand)
+                    key = expected[1] if expected[0] == "error" else "pass"
+                    codes[key] = codes.get(key, 0) + 1
+                    assert morphism_outcome(validate_morphism, cand) == expected
+        assert codes.get("pass", 0) >= 100 and codes.get("EquivarianceViolated", 0) >= 20, codes
 
 
 def brute_force_isomorphic(P, Q):
