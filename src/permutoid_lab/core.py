@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
+    GroundSetMismatch,
     GroundSetTooLarge,
     MorphismError,
     ValidationError,
@@ -90,10 +91,6 @@ class PartialPermutation:
     def domain(self) -> frozenset[int]:
         return frozenset(x for x, _ in self.pairs)
 
-    @cached_property
-    def range(self) -> frozenset[int]:
-        return frozenset(y for _, y in self.pairs)
-
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
@@ -121,10 +118,6 @@ class PartialPermutation:
         m = self.mapping
         return all(m.get(x) == y for x, y in other.pairs)
 
-    def extends_graph(self, graph: Graph) -> bool:
-        m = self.mapping
-        return all(m.get(x) == y for x, y in graph)
-
 
 def identity_map(ground_size: int) -> PartialPermutation:
     return PartialPermutation(ground_size, tuple((x, x) for x in range(ground_size)))
@@ -137,14 +130,28 @@ def compose_partial(p: PartialPermutation, q: PartialPermutation):
     when that set is empty.
     """
     if p.ground_size != q.ground_size:
-        from .errors import GroundSetMismatch
-
         raise GroundSetMismatch(f"ground sizes differ: {p.ground_size} vs {q.ground_size}")
     pm = p.mapping
     pairs = tuple((x, pm[y]) for x, y in q.pairs if y in pm)
     if not pairs:
         return EMPTY_COMPOSITION
     return PartialPermutation(p.ground_size, pairs)
+
+
+def _extender_index(elements: Sequence[PartialPermutation]) -> Callable[[Sequence[Pair]], list[int]]:
+    """A lookup from a non-empty graph to the ascending indices of the
+    elements extending it.  Candidates are the elements holding the graph's
+    first pair; each is tested by set inclusion."""
+    containing: dict[Pair, list[int]] = {}
+    for k, el in enumerate(elements):
+        for pair in el.pairs:
+            containing.setdefault(pair, []).append(k)
+    pair_sets = [frozenset(el.pairs) for el in elements]
+
+    def extenders(graph: Sequence[Pair]) -> list[int]:
+        return [k for k in containing.get(graph[0], ()) if pair_sets[k].issuperset(graph)]
+
+    return extenders
 
 
 @dataclass(frozen=True)
@@ -169,25 +176,18 @@ class Permutoid:
         """(i, j) -> witness index, NO_WITNESS, or UNDEFINED, for all pairs.
 
         Computing it checks the unique-extension clause: a composition with
-        two extending elements raises ValidationError.  Candidates for the
-        witness are the elements containing the composition's first pair.
+        two extending elements raises ValidationError.
         """
-        containing: dict[Pair, list[int]] = {}
-        for k, r in enumerate(self.elements):
-            for pair in r.pairs:
-                containing.setdefault(pair, []).append(k)
-        maps = [r.mapping for r in self.elements]
+        extenders = _extender_index(self.elements)
         table: dict[tuple[int, int], object] = {}
-        for i, pm in enumerate(maps):
+        for i, p in enumerate(self.elements):
+            pm = p.mapping
             for j, q in enumerate(self.elements):
                 comp = [(x, pm[y]) for x, y in q.pairs if y in pm]
                 if not comp:
                     table[(i, j)] = UNDEFINED
                     continue
-                witnesses = [
-                    k for k in containing.get(comp[0], ())
-                    if all(maps[k].get(x) == z for x, z in comp)
-                ]
+                witnesses = extenders(comp)
                 if len(witnesses) > 1:
                     raise ValidationError(
                         "UniqueExtensionViolated",

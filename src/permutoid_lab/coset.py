@@ -211,22 +211,19 @@ def enumerate_cosets(
     num_gens: int,
     relators: list[list[tuple[int, int]]],
     max_cosets: int,
-    max_definitions: int | None = None,
 ) -> list[list[int]]:
     """Run the enumeration; returns the completed coset table.
 
     Row gamma, column 2g is the action of generator g, column 2g+1 of its
     inverse.  Raises OutOfBounds when the table cannot be completed within
-    ``max_cosets`` live cosets (or a definition guard that bounds the
-    define/lookahead cycle).
+    ``max_cosets`` live cosets, or after 20 * max_cosets + 1000 coset
+    definitions.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
-    if max_definitions is None:
-        max_definitions = 20 * max_cosets + 1000
     a_relators = [
         [2 * g if s > 0 else 2 * g + 1 for g, s in rel] for rel in relators
     ]
-    enum = _Enumeration(num_gens, a_relators, max_cosets, max_definitions)
+    enum = _Enumeration(num_gens, a_relators, max_cosets, 20 * max_cosets + 1000)
     enum.run()
     return enum.table

@@ -16,11 +16,11 @@ from typing import Callable, Iterator, Mapping, Sequence, Union
 from .core import (
     Morphism,
     Permutoid,
+    enumerate_quotients,
     witness_triples,
 )
 from .errors import DevelopmentError, PreconditionRadius, UsageError
 from .groups import (
-    Backend,
     CameronPermutoid,
     FiniteQuotientEvidence,
     Presentation,
@@ -180,9 +180,6 @@ class _Csp:
                     return e, y
         return None
 
-    def solutions(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        yield from self._solve()
-
     def _solve(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         if self.assigned == self.k * self.m:
             yield tuple(tuple(row) for row in self.fwd)
@@ -235,7 +232,7 @@ def _first_certified(
                 csp = _Csp(P, triples, m, counter)
             except _Conflict:
                 continue
-            for maps in csp.solutions():
+            for maps in csp._solve():
                 certificate = certify(Development(m, maps))
                 if certificate is not None:
                     return Found(certificate, counter["nodes"])
@@ -314,7 +311,6 @@ def _chase_evidence(
     presentation: Presentation,
     chain: Sequence[Morphism],
     development: Development,
-    closure_cap: int,
 ) -> FiniteQuotientEvidence:
     images = {}
     for g, name in enumerate(presentation.generators):
@@ -322,7 +318,7 @@ def _chase_evidence(
         for morphism in chain:
             e = morphism.element_map[e]
         images[name] = development.maps[e]
-    return verify_quotient_hom(presentation, images, closure_cap)
+    return verify_quotient_hom(presentation, images)
 
 
 def quotient_evidence(
@@ -331,7 +327,6 @@ def quotient_evidence(
     quotient_morphisms: Union[Morphism, Sequence[Morphism]],
     development: Development,
     max_cosets: int = 10_000,
-    closure_cap: int = 10**6,
 ) -> FiniteQuotientEvidence:
     """Turn a development of a quotient of the ball permutoid into certified
     finite-quotient evidence for the presented group.
@@ -347,7 +342,7 @@ def quotient_evidence(
     cameron = cameron_permutoid(realize_backend(presentation, max_cosets), rho)
     if chain and chain[0].source != cameron.permutoid:
         raise UsageError("morphism chain does not start at the ball permutoid")
-    return _chase_evidence(cameron, presentation, chain, development, closure_cap)
+    return _chase_evidence(cameron, presentation, chain, development)
 
 
 def probe_finite_quotient(
@@ -356,8 +351,6 @@ def probe_finite_quotient(
     max_ground: int,
     node_budget: int | None = None,
     max_cosets: int = 10_000,
-    quotient_cap: int = 10,
-    closure_cap: int = 10**6,
 ) -> ProbeReport:
     """Search for certified evidence that the presented group has a
     non-trivial finite quotient.
@@ -369,8 +362,6 @@ def probe_finite_quotient(
     quotient through verify_quotient_hom; a trivial ball permutoid proves the
     group trivial; anything else is inconclusive, never a negative.
     """
-    from .core import enumerate_quotients
-
     if 2 * rho <= presentation.max_relator_length:
         raise PreconditionRadius(
             f"need 2*rho > {presentation.max_relator_length}, got rho={rho}"
@@ -389,7 +380,7 @@ def probe_finite_quotient(
     if cameron.permutoid.is_trivial:
         return ProbeReport(verdict="definitively-none", statistics=stats)
 
-    quotients = enumerate_quotients(cameron.permutoid, nontrivial_only=True, cap=quotient_cap)
+    quotients = enumerate_quotients(cameron.permutoid, nontrivial_only=True)
     quotients.sort(key=lambda qm: qm[0].ground_size)
     stats["quotient_classes"] = len(quotients)
     stats["skipped_too_large"] = 0
@@ -403,9 +394,7 @@ def probe_finite_quotient(
         stats["searches_run"] += 1
         stats["nodes_total"] += verdict.nodes_explored
         if isinstance(verdict, Found):
-            evidence = _chase_evidence(
-                cameron, presentation, [morphism], verdict.development, closure_cap
-            )
+            evidence = _chase_evidence(cameron, presentation, [morphism], verdict.development)
             if not evidence.nontrivial:
                 raise DevelopmentError(
                     "TrivialEvidence", "a development of a non-trivial quotient gave a trivial group"

@@ -80,10 +80,6 @@ class OutOfBounds(Inconclusive):
     code = "OutOfBounds"
 
 
-# Word-problem backends surface their resource failures under this name.
-BackendInconclusive = OutOfBounds
-
-
 class ClosureCapExceeded(Inconclusive):
     code = "ClosureCapExceeded"
 

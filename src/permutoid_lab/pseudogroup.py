@@ -17,12 +17,14 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import (
     Morphism,
     PartialPermutation,
     Permutoid,
+    _extender_index,
     _graphs_disjoint,
     identity_map,
     validate_morphism,
@@ -43,6 +45,7 @@ from .errors import (
     NotRigid,
     PseudogroupError,
 )
+from .groups import _generated_group
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,17 @@ class Pseudogroup:
     ground_size: int
     maximal_elements: tuple[PartialPermutation, ...]
 
+    @cached_property
+    def _extenders(self):
+        """Graph -> ascending indices of the maximal elements extending it."""
+        return _extender_index(self.maximal_elements)
+
     def member(self, f: PartialPermutation) -> bool:
         if f.ground_size != self.ground_size:
             raise GroundSetMismatch(
                 f"ground sizes differ: {f.ground_size} vs {self.ground_size}"
             )
-        return any(m.extends(f) for m in self.maximal_elements)
+        return bool(self._extenders(f.pairs))
 
 
 def generate_pseudogroup(
@@ -173,8 +181,8 @@ def check_pseudogroup(H: Pseudogroup) -> None:
     """Well-formedness: antichain, identity present, inverse-closed, and
     every non-empty composition a restriction of some member.
 
-    Members extending a composition are looked up among those holding its
-    first pair.
+    Restrictions and compositions are tested through the pseudogroup's
+    extender lookup.
     """
     members = H.maximal_elements
     graphs = {m.pairs for m in members}
@@ -187,20 +195,17 @@ def check_pseudogroup(H: Pseudogroup) -> None:
             raise PseudogroupError("GroundSetMismatch", "mixed ground sizes")
         if m.inverse().pairs not in graphs:
             raise PseudogroupError("NotInverseClosed", "maximal elements must include inverses")
-    pair_sets = [frozenset(m.pairs) for m in members]
-    containing: dict[tuple[int, int], list[int]] = {}
-    for k, m in enumerate(members):
-        for pair in m.pairs:
-            containing.setdefault(pair, []).append(k)
+    extenders = H._extenders
+    restricted = [set(extenders(m.pairs)) for m in members]  # j -> members j restricts
     for i, m1 in enumerate(members):
         pm = m1.mapping
         for j, m2 in enumerate(members):
-            if i != j and pair_sets[j] <= pair_sets[i]:
+            if i != j and i in restricted[j]:
                 raise PseudogroupError("NotAntichain", f"element {j} restricts element {i}")
             comp = [(x, pm[y]) for x, y in m2.pairs if y in pm]
             if not comp:
                 continue
-            if not any(pair_sets[k].issuperset(comp) for k in containing.get(comp[0], ())):
+            if not extenders(comp):
                 raise PseudogroupError(
                     "NotClosed", f"composition of elements {i} and {j} escapes the antichain"
                 )
@@ -225,10 +230,11 @@ def extend_to_maximal(pi: Permutoid, H: Pseudogroup | None = None) -> Morphism:
     in the generated pseudogroup (identity on points)."""
     if H is None:
         H = generate_pseudogroup(pi.ground_size, pi.elements)
-    target = maximal_permutoid(H)
+    target = maximal_permutoid(H)  # its elements are H's, in H's order
     element_map = []
     for i, p in enumerate(pi.elements):
-        hits = [k for k, m in enumerate(target.elements) if m.extends(p)]
+        # a map on another ground set extends nothing in H
+        hits = H._extenders(p.pairs) if pi.ground_size == H.ground_size else []
         if not hits:
             raise PseudogroupError("NotAMember", "an element has no maximal extension in H")
         if len(hits) > 1:
@@ -304,23 +310,6 @@ class RigidDevelopment:
         return len(self.group_permutations)
 
 
-def _closure(perms: Iterable[tuple[int, ...]], degree: int, cap: int) -> set:
-    gens = list(perms)
-    identity = tuple(range(degree))
-    closure = {identity}
-    frontier = [identity]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = tuple(x[g[i]] for i in range(degree))
-            if y not in closure:
-                if len(closure) >= cap:
-                    raise GroupClosureCapExceeded(f"group closure exceeded cap {cap}")
-                closure.add(y)
-                frontier.append(y)
-    return closure
-
-
 def verify_rigid_development(H: Pseudogroup, rd: RigidDevelopment) -> None:
     """Independent check of the rigid development invariants."""
     identity = tuple(range(rd.ground_size))
@@ -352,7 +341,9 @@ def search_rigid_development(
     target = maximal_permutoid(H)  # NotRigid propagates
 
     def certify(dev) -> RigidDevelopment | None:
-        closure = _closure(dev.maps, dev.ground_size, group_cap)
+        closure = _generated_group(dev.maps, dev.ground_size, group_cap)
+        if closure is None:
+            raise GroupClosureCapExceeded(f"group closure exceeded cap {group_cap}")
         identity = tuple(range(dev.ground_size))
         if any(
             perm != identity and any(perm[y] == y for y in range(dev.ground_size))

@@ -8,6 +8,7 @@ from permutoid_lab.core import (
     validate_permutoid,
 )
 from permutoid_lab.errors import (
+    ClosureCapExceeded,
     OutOfBounds,
     PreconditionRadius,
     RelatorNotKilled,
@@ -209,3 +210,11 @@ class TestVerifyQuotientHom:
     def test_not_a_permutation(self, pool_presentations):
         with pytest.raises(UsageError):
             verify_quotient_hom(pool_presentations["z5"], {"a": [0, 0, 1, 2, 3]})
+
+    @pytest.mark.parametrize("cap", [1, 4])
+    def test_closure_cap(self, pool_presentations, cap):
+        with pytest.raises(ClosureCapExceeded) as ei:
+            verify_quotient_hom(pool_presentations["z5"], {"a": [1, 2, 3, 4, 0]}, closure_cap=cap)
+        assert str(ei.value) == f"subgroup closure exceeded cap {cap}"
+        ev = verify_quotient_hom(pool_presentations["z5"], {"a": [1, 2, 3, 4, 0]}, closure_cap=5)
+        assert ev.group_order == 5

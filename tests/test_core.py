@@ -350,3 +350,24 @@ class TestNoBareAsserts:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+PACKAGE_MODULES = sorted(
+    path for path in Path(core.__file__).parent.glob("*.py") if path.name != "__init__.py"
+)
+
+
+class TestNoUnusedImports:
+    """Every name a module imports is read somewhere in that module."""
+
+    @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=[p.stem for p in PACKAGE_MODULES])
+    def test_module_uses_every_import(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+        assert unused == [], f"{path.name} never uses {unused}"

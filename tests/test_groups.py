@@ -1,6 +1,7 @@
 """Words, presentations, coset enumeration, Cayley balls."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -177,6 +178,126 @@ class TestRealizedGroupChecks:
         )
         g = RealizedGroup(4, table, (1,), backend_tag="explicit-table")
         assert g.inverses == (0, 3, 2, 1)
+
+    def test_rejects_z400_with_a_swapped_intercalate(self):
+        # Z400's table stays a Latin square with identity and inverses when
+        # the intercalate on rows and columns 1 and 201 (entries 2 and 202)
+        # is swapped, and 1 still generates it; it is no longer associative
+        n = 400
+        table = [[(i + j) % n for j in range(n)] for i in range(n)]
+        for i, j in ((1, 1), (1, 201), (201, 1), (201, 201)):
+            table[i][j] = (table[i][j] + 200) % n
+        with pytest.raises(UsageError, match=r"associativity fails at \(1,1,2\)"):
+            RealizedGroup(n, tuple(map(tuple, table)), (1,), backend_tag="explicit-table")
+
+    def test_agrees_with_brute_force_on_perturbed_tables(self):
+        rng = random.Random(1729)
+        kinds = {"accepted": 0, "not associative": 0, "other": 0}
+        for text in SMALL_GROUPS:
+            group = todd_coxeter(parse_presentation(text), 1000)
+            n = group.order
+            for _ in range(12):
+                table = perturbed(rng, [list(row) for row in group.table])
+                images = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
+                expected = brute_force_is_group(table, images)
+                try:
+                    RealizedGroup(n, tuple(map(tuple, table)), images, backend_tag="explicit-table")
+                    accepted = True
+                except UsageError:
+                    accepted = False
+                assert accepted == expected, (text, table, images)
+                if accepted:
+                    kinds["accepted"] += 1
+                elif is_latin_with_identity(table) and generates(table, images):
+                    kinds["not associative"] += 1
+                else:
+                    kinds["other"] += 1
+        assert min(kinds.values()) >= 20, kinds
+
+
+SMALL_GROUPS = [f"gens: a\nrels: a^{n}" for n in range(1, 17)] + [
+    "gens: a, b\nrels: a^2, b^2, a b a^-1 b^-1",  # Klein four
+    "gens: a, b\nrels: a^2, b^3, a b a b",  # S3
+    "gens: a, b\nrels: a^4, b^2, a b a b",  # D4
+    "gens: a, b\nrels: a^4, a^2 b^-2, b^-1 a b a",  # Q8
+    "gens: a, b\nrels: a^2, b^3, a b a b a b",  # A4
+    "gens: a, b\nrels: a^6, b^2, a b a b",  # D6
+    "gens: a, b\nrels: a^8, b^2, a b a b",  # D8
+    "gens: a, b\nrels: a^4, b^4, a b a^-1 b^-1",  # Z4 x Z4
+]
+
+
+def intercalates(table):
+    """2x2 Latin subsquares away from the identity's row and column."""
+    n = len(table)
+    return [
+        (r1, r2, c1, c2)
+        for r1 in range(1, n)
+        for r2 in range(r1 + 1, n)
+        for c1 in range(1, n)
+        for c2 in range(c1 + 1, n)
+        if table[r1][c1] == table[r2][c2] and table[r1][c2] == table[r2][c1]
+    ]
+
+
+def perturbed(rng, table):
+    """The table after a few random intercalate swaps, a relabelling that
+    fixes 0, or a corrupted cell."""
+    n = len(table)
+    kind = rng.choice(("none", "relabel", "swap", "swap", "swap", "corrupt"))
+    if kind == "relabel":
+        sigma = [0] + rng.sample(range(1, n), n - 1)
+        out = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                out[sigma[i]][sigma[j]] = sigma[table[i][j]]
+        return out
+    if kind == "swap":
+        for _ in range(rng.randint(1, 2)):
+            found = intercalates(table)
+            if found:
+                r1, r2, c1, c2 = rng.choice(found)
+                table[r1][c1], table[r1][c2] = table[r1][c2], table[r1][c1]
+                table[r2][c1], table[r2][c2] = table[r2][c2], table[r2][c1]
+    if kind == "corrupt" and n > 1:
+        table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return table
+
+
+def is_latin_with_identity(table):
+    n = len(table)
+    symbols = list(range(n))
+    return (
+        all(table[0][i] == i and table[i][0] == i for i in range(n))
+        and all(sorted(row) == symbols for row in table)
+        and all(sorted(row[j] for row in table) == symbols for j in range(n))
+    )
+
+
+def generates(table, images):
+    reached, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for g in images:
+            if table[x][g] not in reached:
+                reached.add(table[x][g])
+                frontier.append(table[x][g])
+    return len(reached) == len(table)
+
+
+def brute_force_is_group(table, images):
+    """A Latin square with identity 0 that is associative on all n^3
+    triples is a group; in a finite group the images generate when their
+    right multiplications reach every element."""
+    n = len(table)
+    return (
+        is_latin_with_identity(table)
+        and all(
+            table[table[a][b]][c] == table[a][table[b][c]]
+            for a in range(n) for b in range(n) for c in range(n)
+        )
+        and generates(table, images)
+    )
 
 
 class TestCayleyBall:

@@ -272,6 +272,15 @@ class TestExtendToMaximal:
         morphism = extend_to_maximal(T)
         assert validate_morphism(morphism).is_isomorphism
 
+    def test_smaller_ground_set_is_not_a_member(self):
+        # every graph of Pi also lies in a maximal element of H, but on
+        # three points rather than two
+        Pi = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
+        H = generate_pseudogroup(3, [pp(3, [(0, 1), (1, 0)])])
+        with pytest.raises(PseudogroupError) as ei:
+            extend_to_maximal(Pi, H)
+        assert ei.value.code == "NotAMember"
+
 
 class TestGroupActionPseudogroup:
     def test_swap_action_of_z2(self, pool_groups):
