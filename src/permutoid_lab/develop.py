@@ -84,23 +84,24 @@ class _Conflict(Exception):
 class _Csp:
     """Backtracking state for one target size.
 
-    Positions outside the source ground set are interchangeable, so a value
-    may use a fresh point only if it is the smallest point not yet touched
-    by the partial assignment; this breaks the relabeling symmetry without
-    losing solutions.
+    ``fwd[e]`` and ``inv[e]`` hold element e's permutation of the target and
+    its inverse, with -1 where a cell is unassigned.  The identity element
+    is assigned on every point and each element on its own graph before the
+    first branch.  The search then branches on the first unassigned cell in
+    (element, point) order and tries its free values in ascending order, so
+    the first development found is the canonical one.  Every assignment is
+    propagated through the composition triples and recorded on the trail
+    as (e, y, v) for undoing.
     """
 
     def __init__(self, P: Permutoid, triples, m: int, counter: dict):
         self.m = m
         self.counter = counter
         k = len(P.elements)
-        self.k = k
         self.fwd = [[-1] * m for _ in range(k)]
         self.inv = [[-1] * m for _ in range(k)]
-        self.touched = [False] * m
-        self.trail: list[tuple] = []
+        self.trail: list[tuple[int, int, int]] = []
         self.queue: list[tuple[int, int, int]] = []
-        self.assigned = 0
         self.by_left: list[list] = [[] for _ in range(k)]
         self.by_mid: list[list] = [[] for _ in range(k)]
         self.by_right: list[list] = [[] for _ in range(k)]
@@ -110,8 +111,6 @@ class _Csp:
             self.by_mid[q].append(t)
             self.by_right[r].append(t)
 
-        for x in range(P.ground_size):
-            self.touched[x] = True
         for y in range(m):
             self._set(P.identity_index, y, y)
         for e, el in enumerate(P.elements):
@@ -127,11 +126,7 @@ class _Csp:
             raise _Conflict
         self.fwd[e][y] = v
         self.inv[e][v] = y
-        self.trail.append(("a", e, y, v))
-        if not self.touched[v]:
-            self.touched[v] = True
-            self.trail.append(("t", v))
-        self.assigned += 1
+        self.trail.append((e, y, v))
         self.queue.append((e, y, v))
 
     def _propagate(self):
@@ -162,45 +157,21 @@ class _Csp:
 
     def _undo(self, checkpoint: int):
         while len(self.trail) > checkpoint:
-            tag = self.trail.pop()
-            if tag[0] == "a":
-                _, e, y, v = tag
-                self.fwd[e][y] = -1
-                self.inv[e][v] = -1
-                self.assigned -= 1
-            else:
-                self.touched[tag[1]] = False
+            e, y, v = self.trail.pop()
+            self.fwd[e][y] = -1
+            self.inv[e][v] = -1
         self.queue.clear()
 
-    def _pick_variable(self):
-        for e in range(self.k):
-            row = self.fwd[e]
-            for y in range(self.m):
-                if row[y] == -1 and self.touched[y]:
-                    return e, y
-        return None
-
     def _solve(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if self.assigned == self.k * self.m:
+        for e, row in enumerate(self.fwd):
+            if -1 in row:
+                y = row.index(-1)
+                break
+        else:
             yield tuple(tuple(row) for row in self.fwd)
             return
-        var = self._pick_variable()
-        if var is None:
-            # only untouched arguments remain; touching the smallest fresh
-            # point is canonical since fresh points are interchangeable
-            u = self.touched.index(False)
-            self.touched[u] = True
-            self.trail.append(("t", u))
-            var = self._pick_variable()
-            if var is None:
-                raise DevelopmentError(
-                    "NoBranchVariable", "a freshly touched point left no unassigned variable", point=u
-                )
-        e, y = var
-        candidates = [v for v in range(self.m) if self.touched[v] and self.inv[e][v] == -1]
-        if False in self.touched:
-            candidates.append(self.touched.index(False))
-        for v in candidates:
+        free = self.inv[e]
+        for v in [v for v in range(self.m) if free[v] == -1]:
             self.counter["nodes"] += 1
             budget = self.counter["budget"]
             if budget is not None and self.counter["nodes"] > budget:

@@ -80,17 +80,30 @@ def generate_pseudogroup(
     composition is a restriction of the composition of the extensions.
 
     The closure is a semi-naive worklist.  Each map that enters the
-    antichain is queued once; when it is popped, and only if it is still a
-    member, its inverse and its composites with every current member, on
-    both sides and with itself, are inserted.  A member dropped because a
-    new map extends it needs no further work: the new map is queued, and
-    its inverse and composites extend the dropped member's.  So when the
-    queue is empty every pair of surviving members has been composed.
+    antichain is queued once.  When it is popped, and only if it is still a
+    member, its inverse is inserted, and then its composites q . p (p, the
+    popped map, applied first) with every q in a snapshot of the members.
+    None of these properly extends p, as none has more pairs than p, so p
+    stays a member meanwhile.  Every map ever inserted stays extended by
+    some member: it enters, or a member already extends it, and a member is
+    dropped only for a new map that extends it.
+
+    One side suffices.  Let F be the final antichain; every map in F was
+    popped as a member, and has been one since it was first tried.  F is
+    inverse-closed: for a in F some c in F extends a^-1, and some d in F
+    extends c^-1, so d extends a, d = a and c = a^-1.  Now take a, b in F.
+    If a was in the snapshot when b was popped, a . b was inserted then.
+    Otherwise a entered after that snapshot.  b^-1, in F, was inserted
+    before it, when b was popped.  a entered no later than the pop of a^-1,
+    which inserts a.  So b^-1 is in the snapshot at that pop, and
+    b^-1 . a^-1 = (a . b)^-1 is inserted.  If C in F extends it, then
+    C^-1, in F, extends a . b.  So every composite of two members of F is
+    extended by a member of F.
 
     Members are bitmasks with bit x*n + y set for each pair (x, y), so "a
     extends b" is ``b & ~a == 0``; they are indexed by each of their pairs,
-    and a candidate's extenders all contain its lowest pair.  A candidate is tried at most once: once extended, always
-    extended.
+    and a candidate's extenders all contain its lowest pair.  A candidate
+    is tried at most once: once extended, always extended.
     """
     n = ground_size
     images: dict[int, list[int]] = {}  # member mask -> image array (f(x) or -1)
@@ -148,8 +161,6 @@ def generate_pseudogroup(
         # p's pairs as (x*n, y), for composites with p applied first
         p_rows = [(x * n, y) for x, y in enumerate(p) if y >= 0]
         for m2 in list(images):
-            if m not in images:
-                break
             q = images.get(m2)
             if q is None:
                 continue
@@ -160,16 +171,6 @@ def generate_pseudogroup(
                     after |= 1 << (xn + z)
             if after:
                 insert(after)
-            before = 0  # p . q
-            xn = 0
-            for y in q:
-                if y >= 0:
-                    z = p[y]
-                    if z >= 0:
-                        before |= 1 << (xn + z)
-                xn += n
-            if before:
-                insert(before)
     maximal = [
         PartialPermutation(n, tuple((x, y) for x, y in enumerate(image) if y >= 0))
         for image in images.values()
@@ -330,7 +331,7 @@ def search_rigid_development(
     max_ground: int,
     node_budget: int | None = None,
     group_cap: int = 100_000,
-) -> SearchVerdict | None:
+) -> SearchVerdict:
     """Search for a development whose assigned permutations generate a
     fixed-point-free (on non-identity elements) group.
 

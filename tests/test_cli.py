@@ -28,6 +28,14 @@ BAD_UNIQUE_EXTENSION = {
     ],
 }
 
+SWAP_PSEUDOGROUP = {
+    "ground_set_size": 2,
+    "maximal_elements": [
+        {"name": "swap", "map": [[0, 1], [1, 0]]},
+        {"name": "one", "map": [[0, 0], [1, 1]]},
+    ],
+}
+
 NON_RIGID_PSEUDOGROUP = {
     "ground_set_size": 4,
     "maximal_elements": [
@@ -74,6 +82,20 @@ class TestValidate:
     def test_missing_file_exit_three(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x.json")
         assert code == 3 and "error" in err
+
+    def test_out_of_range_pair_is_a_json_list(self, files, capsys):
+        outside = {
+            "ground_set_size": 2,
+            "elements": [
+                {"name": "one", "map": [[0, 0], [1, 1]]},
+                {"name": "p", "map": [[0, 2]]},
+            ],
+        }
+        code, out, _ = run(capsys, "validate", files("o.json", outside))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "OutOfRange"
+        assert error["details"] == {"element": 1, "pair": [0, 2]}
 
 
 class TestCameron:
@@ -304,6 +326,23 @@ class TestProbeCli:
         assert code == 1
         assert json.loads(out)["verdict"] == "definitively-none"
 
+    def test_wall_time_under_statistics_without_deterministic(self, files, capsys):
+        code, out, _ = run(
+            capsys,
+            "probe-finite-quotient",
+            "--presentation",
+            files("z6.txt", "gens: a\nrels: a^6\n"),
+            "--radius",
+            "4",
+            "--max-size",
+            "12",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert "wall_time_ms" not in obj
+        wall = obj["statistics"]["wall_time_ms"]
+        assert isinstance(wall, int) and wall >= 0
+
 
 class TestPseudogroupCli:
     def test_generate(self, files, capsys):
@@ -336,6 +375,53 @@ class TestPseudogroupCli:
         )
         assert code == 1
         assert json.loads(out)["error"]["code"] == "NotRigid"
+
+    def test_maximal_success(self, files, capsys):
+        code, out, _ = run(capsys, "pseudogroup", "maximal", files("s.json", SWAP_PSEUDOGROUP))
+        assert code == 0
+        # the permutoid keeps the maximal elements' order and names
+        assert out == (
+            "{\n"
+            '  "elements": [\n'
+            "    {\n"
+            '      "map": [\n'
+            "        [\n"
+            "          0,\n"
+            "          1\n"
+            "        ],\n"
+            "        [\n"
+            "          1,\n"
+            "          0\n"
+            "        ]\n"
+            "      ],\n"
+            '      "name": "swap"\n'
+            "    },\n"
+            "    {\n"
+            '      "map": [\n'
+            "        [\n"
+            "          0,\n"
+            "          0\n"
+            "        ],\n"
+            "        [\n"
+            "          1,\n"
+            "          1\n"
+            "        ]\n"
+            "      ],\n"
+            '      "name": "one"\n'
+            "    }\n"
+            "  ],\n"
+            '  "ground_set_size": 2\n'
+            "}\n"
+        )
+
+    def test_develop_wall_time_without_deterministic(self, files, capsys):
+        code, out, _ = run(
+            capsys, "pseudogroup", "develop", files("s.json", SWAP_PSEUDOGROUP), "--max-size", "3"
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["verdict"] == "found"
+        assert isinstance(obj["wall_time_ms"], int) and obj["wall_time_ms"] >= 0
 
     def test_develop(self, files, capsys, tmp_path):
         gens = {

@@ -1,10 +1,16 @@
-"""Development search, verification, and the search-vs-oracle equivalence."""
+"""Development search, verification, and the search-vs-oracle equivalence.
+
+The previous backtracking engine (``_Csp``, with its relabeling rule for
+fresh points, and the ``_first_certified`` loop over sizes) is copied here as an
+oracle for verdicts, node counts and the developments found.
+"""
 
 import itertools
+import random
 
 import pytest
 
-from permutoid_lab.core import validate_permutoid
+from permutoid_lab.core import validate_permutoid, witness_triples
 from permutoid_lab.develop import (
     BudgetExceeded,
     Development,
@@ -208,9 +214,7 @@ class TestVerifyDevelopment:
 class TestOracleEquivalence:
     def test_randomized_ground_four_instances(self):
         # the exhaustive ground<=3 sweep lives in the acceptance suite; this
-        # seeded sweep exercises the symmetry breaking on larger instances
-        import random
-
+        # seeded sweep covers larger instances
         rng = random.Random(424242)
         tested = 0
         while tested < 100:
@@ -252,3 +256,208 @@ class TestOracleEquivalence:
             else:
                 assert isinstance(v, Found), (n, graphs)
                 assert v.development.ground_size == expected
+
+
+# -- oracle: the previous search engine ------------------------------------------------
+
+class _OracleBudget(Exception):
+    pass
+
+
+class _OracleConflict(Exception):
+    pass
+
+
+class _OracleCsp:
+    """The previous engine: a fresh point may be used only if it is the
+    smallest one not yet touched by the partial assignment."""
+
+    def __init__(self, P, triples, m, counter):
+        self.m = m
+        self.counter = counter
+        k = len(P.elements)
+        self.k = k
+        self.fwd = [[-1] * m for _ in range(k)]
+        self.inv = [[-1] * m for _ in range(k)]
+        self.touched = [False] * m
+        self.trail = []
+        self.queue = []
+        self.assigned = 0
+        self.by_left = [[] for _ in range(k)]
+        self.by_mid = [[] for _ in range(k)]
+        self.by_right = [[] for _ in range(k)]
+        for t in triples:
+            p, q, r = t
+            self.by_left[p].append(t)
+            self.by_mid[q].append(t)
+            self.by_right[r].append(t)
+        for x in range(P.ground_size):
+            self.touched[x] = True
+        for y in range(m):
+            self._set(P.identity_index, y, y)
+        for e, el in enumerate(P.elements):
+            for x, y in el.pairs:
+                self._set(e, x, y)
+        self._propagate()
+
+    def _set(self, e, y, v):
+        cur = self.fwd[e][y]
+        if cur == v:
+            return
+        if cur != -1 or self.inv[e][v] != -1:
+            raise _OracleConflict
+        self.fwd[e][y] = v
+        self.inv[e][v] = y
+        self.trail.append(("a", e, y, v))
+        if not self.touched[v]:
+            self.touched[v] = True
+            self.trail.append(("t", v))
+        self.assigned += 1
+        self.queue.append((e, y, v))
+
+    def _propagate(self):
+        fwd, inv = self.fwd, self.inv
+        while self.queue:
+            e, y, v = self.queue.pop()
+            for p, q, r in self.by_mid[e]:
+                w = fwd[p][v]
+                if w != -1:
+                    self._set(r, y, w)
+                w = fwd[r][y]
+                if w != -1:
+                    self._set(p, v, w)
+            for p, q, r in self.by_left[e]:
+                yq = inv[q][y]
+                if yq != -1:
+                    self._set(r, yq, v)
+                yr = inv[r][v]
+                if yr != -1:
+                    self._set(q, yr, y)
+            for p, q, r in self.by_right[e]:
+                z = fwd[q][y]
+                if z != -1:
+                    self._set(p, z, v)
+                z = inv[p][v]
+                if z != -1:
+                    self._set(q, y, z)
+
+    def _undo(self, checkpoint):
+        while len(self.trail) > checkpoint:
+            tag = self.trail.pop()
+            if tag[0] == "a":
+                _, e, y, v = tag
+                self.fwd[e][y] = -1
+                self.inv[e][v] = -1
+                self.assigned -= 1
+            else:
+                self.touched[tag[1]] = False
+        self.queue.clear()
+
+    def _pick_variable(self):
+        for e in range(self.k):
+            row = self.fwd[e]
+            for y in range(self.m):
+                if row[y] == -1 and self.touched[y]:
+                    return e, y
+        return None
+
+    def _solve(self):
+        if self.assigned == self.k * self.m:
+            yield tuple(tuple(row) for row in self.fwd)
+            return
+        var = self._pick_variable()
+        if var is None:
+            u = self.touched.index(False)
+            self.touched[u] = True
+            self.trail.append(("t", u))
+            var = self._pick_variable()
+            if var is None:
+                raise DevelopmentError("NoBranchVariable", "no unassigned variable", point=u)
+        e, y = var
+        candidates = [v for v in range(self.m) if self.touched[v] and self.inv[e][v] == -1]
+        if False in self.touched:
+            candidates.append(self.touched.index(False))
+        for v in candidates:
+            self.counter["nodes"] += 1
+            budget = self.counter["budget"]
+            if budget is not None and self.counter["nodes"] > budget:
+                raise _OracleBudget
+            checkpoint = len(self.trail)
+            try:
+                self._set(e, y, v)
+                self._propagate()
+            except _OracleConflict:
+                self._undo(checkpoint)
+                continue
+            yield from self._solve()
+            self._undo(checkpoint)
+
+
+def oracle_search(prob):
+    """The previous ``_first_certified`` with the verifying callback of
+    ``search_development``."""
+    P = prob.source
+    triples = witness_triples(P)
+    counter = {"nodes": 0, "budget": prob.node_budget}
+    try:
+        for m in range(P.ground_size, prob.max_ground + 1):
+            counter["size"] = m
+            try:
+                csp = _OracleCsp(P, triples, m, counter)
+            except _OracleConflict:
+                continue
+            for maps in csp._solve():
+                dev = Development(m, maps)
+                verify_development(P, dev)
+                return Found(dev, counter["nodes"])
+    except _OracleBudget:
+        return BudgetExceeded(counter["nodes"], counter["size"])
+    return ExhaustedUpTo(prob.max_ground, counter["nodes"])
+
+
+def random_permutoid(rng, n):
+    """Identity plus two to five random partial maps with fewer than n
+    pairs, redrawn until the unique-extension clause holds."""
+    while True:
+        graphs = [tuple((x, x) for x in range(n))]
+        for _ in range(rng.randint(2, 5)):
+            size = rng.randint(1, n - 1)
+            graphs.append(tuple(zip(rng.sample(range(n), size), rng.sample(range(n), size))))
+        try:
+            return validate_permutoid(n, graphs)
+        except ValidationError:
+            continue
+
+
+class TestAgainstPreviousEngine:
+    """Verdict class, node count, size reached and the development found
+    are the previous engine's, with and without a node budget."""
+
+    BUDGETS = (None, 500, 7)
+
+    def same(self, prob):
+        # equal dataclasses: class, nodes_explored, size_reached or
+        # max_ground, and the development's maps
+        verdict = search_development(prob)
+        assert verdict == oracle_search(prob), prob
+        return verdict
+
+    def test_random_permutoids(self):
+        rng = random.Random(20261018)
+        kinds = set()
+        for _ in range(150):
+            n = rng.randint(3, 7)
+            P = random_permutoid(rng, n)
+            for budget in self.BUDGETS:
+                # unbounded searches get two spare points, so they stay small
+                spare = 2 if budget is None else 3
+                verdict = self.same(DevelopmentProblem(P, n + spare, budget))
+                kinds.add(type(verdict).__name__)
+        assert kinds == {"Found", "ExhaustedUpTo", "BudgetExceeded"}, kinds
+
+    def test_pool_balls(self, pool_groups):
+        for name, group in sorted(pool_groups.items()):
+            for rho in range(1, saturating_radius(group) + 1):
+                P = cameron_permutoid(group, rho).permutoid
+                for budget in self.BUDGETS:
+                    self.same(DevelopmentProblem(P, P.ground_size + 2, budget))

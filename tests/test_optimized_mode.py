@@ -1,6 +1,7 @@
 """The CLI gives the same bytes and exit codes under ``python -O``, which
 strips ``assert`` statements, as without it."""
 
+import json
 import os
 import subprocess
 import sys
@@ -41,4 +42,44 @@ def test_same_bytes_with_and_without_asserts(tmp_path):
     optimized = pipeline(True, tmp_path / "optimized")
     assert [code for code, _ in plain] == [0, 0, 0, 0]
     assert all(out for _, out in plain)
+    assert optimized == plain
+
+
+# the search branches twice before its first development, on three points
+BRANCHING = {
+    "ground_set_size": 3,
+    "elements": [
+        {"name": "one", "map": [[0, 0], [1, 1], [2, 2]]},
+        {"name": "p", "map": [[0, 1]]},
+        {"name": "q", "map": [[1, 0]]},
+    ],
+}
+
+# saturates to three maximal elements that develop onto Z3 on three points
+ONE_PAIR = {"ground_set_size": 3, "elements": [{"name": "g", "map": [[0, 1]]}]}
+
+
+def searches(optimize: bool, tmp: Path):
+    """The development search and the rigid development search, each with
+    --deterministic; returns each step's (code, stdout)."""
+    tmp.mkdir()
+    (tmp / "branching.json").write_text(json.dumps(BRANCHING))
+    (tmp / "gens.json").write_text(json.dumps(ONE_PAIR))
+    develop = cli(
+        optimize, "develop", str(tmp / "branching.json"), "--max-size", "5", "--deterministic"
+    )
+    generate = cli(optimize, "pseudogroup", "generate", str(tmp / "gens.json"))
+    (tmp / "pseudogroup.json").write_bytes(generate[1])
+    rigid_develop = cli(
+        optimize, "pseudogroup", "develop", str(tmp / "pseudogroup.json"),
+        "--max-size", "5", "--deterministic",
+    )
+    return [develop, generate, rigid_develop]
+
+
+def test_search_bytes_with_and_without_asserts(tmp_path):
+    plain = searches(False, tmp_path / "plain")
+    optimized = searches(True, tmp_path / "optimized")
+    assert [code for code, _ in plain] == [0, 0, 0]
+    assert all(b'"verdict": "found"' in plain[i][1] for i in (0, 2))
     assert optimized == plain
