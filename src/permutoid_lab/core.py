@@ -427,13 +427,29 @@ def _admissible_partitions(P: Permutoid) -> list[tuple[int, ...]]:
     """Every partition on which each element and its inverse descend to
     well-defined maps of classes, as sorted restricted growth strings.
 
-    These partitions are closed under intersection, so each is the closure
-    of the discrete partition joined with some pairs of points.  Starting
-    from the discrete partition, each found partition has every pair of its
-    classes joined and closed by union-find propagation.
+    Call these partitions admissible.  They are closed under intersection,
+    so each set of pairs has a least admissible partition joining them, its
+    closure; the closure of one pair {a, b} is a principal closure.  Each
+    principal closure is computed once, and the distinct ones are sorted
+    into generators g_0 < ... < g_{G-1}.  The partitions are then listed by Close-by-One
+    (Kuznetsov 1993), which lists each of them exactly once:
+
+    - Every admissible partition sigma is the closure of the join of the
+      principal closures below it, since that join contains every pair of
+      points sigma joins and lies below sigma.
+    - So S -> {j : g_j <= close(join of g_i, i in S)} is a closure operator
+      on sets of generator indices, and its closed sets correspond one to
+      one to the admissible partitions (the empty set to the discrete one).
+    - Close-by-One lists each closed set once: it extends the closed set of
+      pi by one index j >= start not in it, and accepts the closure sigma
+      only if that adds no index below j, so every closed set has exactly
+      one parent from which it is accepted.
+
+    g_j <= sigma holds iff sigma joins the pair g_j was closed from.
     """
     n = P.ground_size
-    ops: list[list[int]] = []
+    # An inverse-closed permutoid lists each map twice, once as an inverse.
+    ops: dict[tuple[int, ...], None] = {}
     for el in P.elements:
         if el.is_identity():
             continue
@@ -441,59 +457,83 @@ def _admissible_partitions(P: Permutoid) -> list[tuple[int, ...]]:
         for x, y in el.pairs:
             fwd[x] = y
             inv[y] = x
-        ops.extend((fwd, inv))
+        ops[tuple(fwd)] = ops[tuple(inv)] = None
 
-    def close(parent: list[int], image: dict[int, list[int]], a: int, b: int) -> tuple[int, ...]:
-        """Join a and b in the union-find forest ``parent``, whose roots
-        carry one image per map in ``image``, and propagate; both are
-        updated in place."""
+    def rows_of(class_of: tuple[int, ...]) -> list[list[int]]:
+        """Per class of an admissible partition, the class of the image of
+        its domain members under each map (-1 where none is defined)."""
+        rows = [[-1] * len(ops) for _ in range(max(class_of) + 1)]
+        for i, op in enumerate(ops):
+            for x, y in enumerate(op):
+                if y != -1:
+                    rows[class_of[x]][i] = class_of[y]
+        return rows
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        # Merging two classes must join the images of one domain member of
-        # each under every map, since the maps are partial.
-        queue = [(a, b)]
+    def close(class_of: tuple[int, ...], rows: list[list[int]], a: int, b: int) -> tuple[int, ...]:
+        """The closure of the admissible partition ``class_of`` joined with
+        the pair {a, b}, by union-find over its classes.  Merging two
+        classes joins the images of their domain members under every map,
+        since the maps are partial; ``rows`` is not modified."""
+        parent = list(range(len(rows)))
+        rows = rows[:]
+        queue = [(class_of[a], class_of[b])]
         while queue:
             x, y = queue.pop()
-            x, y = find(x), find(y)
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
             if x == y:
                 continue
             if y < x:
                 x, y = y, x
             parent[y] = x
-            keep = image[x]
-            for i, v in enumerate(image.pop(y)):
-                if v == -1:
-                    continue
-                if keep[i] == -1:
-                    keep[i] = v
-                else:
-                    queue.append((keep[i], v))
-        # restricted growth string: classes numbered by first occurrence
-        label: dict[int, int] = {}
-        return tuple(label.setdefault(find(x), len(label)) for x in range(n))
+            keep = rows[x]
+            merged = keep[:]
+            for i, v in enumerate(rows[y]):
+                if v != -1:
+                    u = keep[i]
+                    if u == -1:
+                        merged[i] = v
+                    elif u != v:
+                        queue.append((u, v))
+            rows[x] = merged
+        # restricted growth string: classes numbered by first occurrence,
+        # which union by smallest root keeps in order
+        label: list[int] = []
+        count = 0
+        for c, root in enumerate(parent):
+            while parent[root] != root:
+                root = parent[root]
+            if root == c:
+                label.append(count)
+                count += 1
+            else:
+                label.append(label[root])
+        return tuple(label[c] for c in class_of)
 
     discrete = tuple(range(n))
-    found = {discrete}
-    stack = [discrete]
+    discrete_rows = rows_of(discrete)
+    closures: dict[tuple[int, ...], tuple[int, int]] = {}
+    for a, b in itertools.combinations(range(n), 2):
+        closures.setdefault(close(discrete, discrete_rows, a, b), (a, b))
+    generators = [closures[g] for g in sorted(closures)]
+
+    found = [discrete]
+    stack = [(discrete, 0)]
     while stack:
-        class_of = stack.pop()
-        reps = [class_of.index(c) for c in range(max(class_of) + 1)]
-        parent = [reps[c] for c in class_of]
-        image = {r: [-1] * len(ops) for r in reps}
-        for x, root in enumerate(parent):
-            row = image[root]
-            for i, op in enumerate(ops):
-                if row[i] == -1:
-                    row[i] = op[x]
-        for a, b in itertools.combinations(reps, 2):
-            joined = close(parent[:], {r: row[:] for r, row in image.items()}, a, b)
-            if joined not in found:
-                found.add(joined)
-                stack.append(joined)
+        class_of, start = stack.pop()
+        rows = rows_of(class_of)
+        earlier: list[tuple[int, int]] = []  # generators before j not below pi
+        for j, (a, b) in enumerate(generators):
+            if class_of[a] == class_of[b]:
+                continue
+            if j >= start:
+                joined = close(class_of, rows, a, b)
+                if all(joined[c] != joined[d] for c, d in earlier):
+                    found.append(joined)
+                    stack.append((joined, j + 1))
+            earlier.append((a, b))
     return sorted(found)
 
 

@@ -133,26 +133,27 @@ class _Csp:
         fwd, inv = self.fwd, self.inv
         while self.queue:
             e, y, v = self.queue.pop()
+            # most derived values are already in place; _set only the new ones
             for p, q, r in self.by_mid[e]:
                 w = fwd[p][v]
-                if w != -1:
+                if w != -1 and fwd[r][y] != w:
                     self._set(r, y, w)
                 w = fwd[r][y]
-                if w != -1:
+                if w != -1 and fwd[p][v] != w:
                     self._set(p, v, w)
             for p, q, r in self.by_left[e]:
                 yq = inv[q][y]
-                if yq != -1:
+                if yq != -1 and fwd[r][yq] != v:
                     self._set(r, yq, v)
                 yr = inv[r][v]
-                if yr != -1:
+                if yr != -1 and fwd[q][yr] != y:
                     self._set(q, yr, y)
             for p, q, r in self.by_right[e]:
                 z = fwd[q][y]
-                if z != -1:
+                if z != -1 and fwd[p][z] != v:
                     self._set(p, z, v)
                 z = inv[p][v]
-                if z != -1:
+                if z != -1 and fwd[q][y] != z:
                     self._set(q, y, z)
 
     def _undo(self, checkpoint: int):

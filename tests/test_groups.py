@@ -20,7 +20,7 @@ from permutoid_lab.groups import (
     todd_coxeter,
 )
 
-from conftest import saturating_radius
+from conftest import POOL_PRESENTATIONS, saturating_radius
 
 
 class TestFreeReduce:
@@ -150,6 +150,29 @@ class TestToddCoxeter:
     def test_tight_cap_gives_identical_table(self, pool_presentations):
         p = pool_presentations["s3"]
         assert todd_coxeter(p, 7) == todd_coxeter(p, 1000)
+
+
+SYMPY_PRESENTATIONS = dict(
+    POOL_PRESENTATIONS,
+    s4="gens: a, b\nrels: a^2, b^3, a b a b a b a b",
+    a5="gens: a, b\nrels: a^2, b^3, a b a b a b a b a b",
+)
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("name", sorted(SYMPY_PRESENTATIONS))
+    def test_order_matches_sympy_coset_enumeration(self, name):
+        free_groups = pytest.importorskip("sympy.combinatorics.free_groups")
+        fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
+        p = parse_presentation(SYMPY_PRESENTATIONS[name])
+        F, *gens = free_groups.free_group(", ".join(p.generators))
+        relators = []
+        for r in p.relators:
+            w = F.identity
+            for g, s in r.letters:
+                w *= gens[g] ** s
+            relators.append(w)
+        assert todd_coxeter(p, 1000).order == fp_groups.FpGroup(F, relators).order()
 
 
 class TestRealizedGroupChecks:

@@ -2,9 +2,12 @@
 
 The first oracle filters every set partition by the descent rule; the
 second is the eager enumerator that tried every partition and computed a
-canonical key for every survivor.  Both are kept here only as references.
+canonical key for every survivor; the third is the union-find enumerator
+that joined every pair of classes of every partition it found.  All are
+kept here only as references.
 """
 
+import itertools
 import random
 
 import pytest
@@ -67,6 +70,67 @@ def eager_enumerate_quotients(P, nontrivial_only=False):
             seen.add(key)
             out.append((quotient, morphism))
     return out
+
+
+def union_find_admissible_partitions(P):
+    """Admissible partitions, each found one with every pair of its classes
+    joined and closed by union-find propagation."""
+    n = P.ground_size
+    ops = []
+    for el in P.elements:
+        if el.is_identity():
+            continue
+        fwd, inv = [-1] * n, [-1] * n
+        for x, y in el.pairs:
+            fwd[x] = y
+            inv[y] = x
+        ops.extend((fwd, inv))
+
+    def close(parent, image, a, b):
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        queue = [(a, b)]
+        while queue:
+            x, y = queue.pop()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            if y < x:
+                x, y = y, x
+            parent[y] = x
+            keep = image[x]
+            for i, v in enumerate(image.pop(y)):
+                if v == -1:
+                    continue
+                if keep[i] == -1:
+                    keep[i] = v
+                else:
+                    queue.append((keep[i], v))
+        label = {}
+        return tuple(label.setdefault(find(x), len(label)) for x in range(n))
+
+    discrete = tuple(range(n))
+    found = {discrete}
+    stack = [discrete]
+    while stack:
+        class_of = stack.pop()
+        reps = [class_of.index(c) for c in range(max(class_of) + 1)]
+        parent = [reps[c] for c in class_of]
+        image = {r: [-1] * len(ops) for r in reps}
+        for x, root in enumerate(parent):
+            row = image[root]
+            for i, op in enumerate(ops):
+                if row[i] == -1:
+                    row[i] = op[x]
+        for a, b in itertools.combinations(reps, 2):
+            joined = close(parent[:], {r: row[:] for r, row in image.items()}, a, b)
+            if joined not in found:
+                found.add(joined)
+                stack.append(joined)
+    return sorted(found)
 
 
 def random_permutoid(rng, n, k, with_inverses):
@@ -138,6 +202,52 @@ class TestAdmissiblePartitions:
         assert (0, 1, 2, 3, 0) in found
         assert (0, 1, 0, 1, 0) in found
         assert (0, 1, 0, 2, 0) not in found
+
+
+class TestAgainstUnionFindEnumeration:
+    @pytest.mark.parametrize("with_inverses", [False, True])
+    def test_random_permutoids(self, with_inverses):
+        rng = random.Random(23 + with_inverses)
+        for n in range(2, 10):
+            for _ in range(12):
+                P = random_permutoid(rng, n, rng.randint(1, 4), with_inverses)
+                assert _admissible_partitions(P) == union_find_admissible_partitions(P), [
+                    e.pairs for e in P.elements
+                ]
+
+    @pytest.mark.parametrize("rho", [1, 2, 3])
+    def test_infinite_cyclic_balls(self, rho):
+        # rho = 3 gives 13 points, past the brute-force range
+        P = cameron_permutoid(FreeGroup(1), rho).permutoid
+        assert _admissible_partitions(P) == union_find_admissible_partitions(P)
+
+    def test_property_against_the_descent_rule(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def permutoids(draw):
+            n = draw(st.integers(1, 7))
+            graphs = {tuple((x, x) for x in range(n))}
+            for _ in range(draw(st.integers(0, 3))):
+                domain = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+                image = draw(st.permutations(range(n)))[: len(domain)]
+                graph = tuple(sorted(zip(domain, image)))
+                graphs.add(graph)
+                if draw(st.booleans()):
+                    graphs.add(tuple(sorted((y, x) for x, y in graph)))
+            try:
+                return validate_permutoid(n, sorted(graphs))
+            except ValidationError:
+                hypothesis.reject()
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(permutoids())
+        def admissible_iff_descends(P):
+            expected = [c for c in set_partitions(P.ground_size) if descends(P, c)]
+            assert _admissible_partitions(P) == expected
+
+        admissible_iff_descends()
 
 
 class TestAgainstEagerEnumeration:
