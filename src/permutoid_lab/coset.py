@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import OutOfBounds, RelatorNotKilled
+from .errors import OutOfBounds, RelatorNotKilled, UsageError
 
 
 class _TableFull(Exception):
@@ -220,7 +220,7 @@ def enumerate_cosets(
     definitions.
     """
     if max_cosets < 1:
-        raise ValueError("max_cosets must be >= 1")
+        raise UsageError("max_cosets must be >= 1")
     a_relators = [
         [2 * g if s > 0 else 2 * g + 1 for g, s in rel] for rel in relators
     ]

@@ -11,7 +11,7 @@ order.  An exhausted size bound is never a proof that no development exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .core import (
     Morphism,
@@ -250,9 +250,7 @@ def verify_development(P: Permutoid, D: Development) -> None:
                     element=e,
                     point=x,
                 )
-    for (i, j), k in P.witness_table.items():
-        if not isinstance(k, int):
-            continue
+    for i, j, k in witness_triples(P):
         fp, fq, fr = D.maps[i], D.maps[j], D.maps[k]
         for y in range(m):
             if fp[fq[y]] != fr[y]:
@@ -281,40 +279,35 @@ class ProbeReport:
 def _chase_evidence(
     cameron: CameronPermutoid,
     presentation: Presentation,
-    chain: Sequence[Morphism],
+    morphism: Morphism,
     development: Development,
 ) -> FiniteQuotientEvidence:
-    images = {}
-    for g, name in enumerate(presentation.generators):
-        e = cameron.element_for_generator(g)
-        for morphism in chain:
-            e = morphism.element_map[e]
-        images[name] = development.maps[e]
+    images = {
+        name: development.maps[morphism.element_map[cameron.element_for_generator(g)]]
+        for g, name in enumerate(presentation.generators)
+    }
     return verify_quotient_hom(presentation, images)
 
 
 def quotient_evidence(
     presentation: Presentation,
     rho: int,
-    quotient_morphisms: Union[Morphism, Sequence[Morphism]],
+    morphism: Morphism,
     development: Development,
     max_cosets: int = 10_000,
 ) -> FiniteQuotientEvidence:
     """Turn a development of a quotient of the ball permutoid into certified
     finite-quotient evidence for the presented group.
 
-    Chases each generator's element through the quotient chain into the
-    development and verifies the resulting assignment kills every relator.
+    ``morphism`` maps the radius-rho ball permutoid onto the quotient that
+    ``development`` develops.  Each generator's element is sent through it
+    into the development, and the resulting assignment is verified to kill
+    every relator.
     """
-    chain = (
-        [quotient_morphisms]
-        if isinstance(quotient_morphisms, Morphism)
-        else list(quotient_morphisms)
-    )
     cameron = cameron_permutoid(realize_backend(presentation, max_cosets), rho)
-    if chain and chain[0].source != cameron.permutoid:
-        raise UsageError("morphism chain does not start at the ball permutoid")
-    return _chase_evidence(cameron, presentation, chain, development)
+    if morphism.source != cameron.permutoid:
+        raise UsageError("morphism does not start at the ball permutoid")
+    return _chase_evidence(cameron, presentation, morphism, development)
 
 
 def probe_finite_quotient(
@@ -366,7 +359,7 @@ def probe_finite_quotient(
         stats["searches_run"] += 1
         stats["nodes_total"] += verdict.nodes_explored
         if isinstance(verdict, Found):
-            evidence = _chase_evidence(cameron, presentation, [morphism], verdict.development)
+            evidence = _chase_evidence(cameron, presentation, morphism, verdict.development)
             if not evidence.nontrivial:
                 raise DevelopmentError(
                     "TrivialEvidence", "a development of a non-trivial quotient gave a trivial group"

@@ -315,8 +315,6 @@ def todd_coxeter(p: Presentation, max_cosets: int) -> RealizedGroup:
     raises OutOfBounds when enumeration does not complete within
     ``max_cosets`` live cosets -- which is never a proof of infiniteness.
     """
-    if max_cosets < 1:
-        raise UsageError("max_cosets must be >= 1")
     table = coset.enumerate_cosets(
         len(p.generators), [list(r.letters) for r in p.relators], max_cosets
     )
@@ -552,13 +550,9 @@ def triangulate(p: Presentation, m: int, max_cosets: int = 10_000) -> Presentati
     return Presentation(names, tuple(relators))
 
 
-def universal_group(P: Permutoid, names: Sequence[str] | None = None) -> Presentation:
-    """The group presented by one generator per element and one relation
-    p q = r per derived witness triple (identity triples included)."""
-    if names is None:
-        names = tuple("p%d" % i for i in range(len(P.elements)))
-    if len(names) != len(P.elements):
-        raise UsageError("need one generator name per element")
+def universal_group(P: Permutoid) -> Presentation:
+    """The group presented by one generator ``p<i>`` per element i and one
+    relation p q = r per derived witness triple (identity triples included)."""
     relators = []
     seen = set()
     for i, j, k in witness_triples(P):
@@ -566,7 +560,8 @@ def universal_group(P: Permutoid, names: Sequence[str] | None = None) -> Present
         if w.letters and w.letters not in seen:
             seen.add(w.letters)
             relators.append(w)
-    return Presentation(tuple(names), tuple(relators))
+    names = tuple("p%d" % i for i in range(len(P.elements)))
+    return Presentation(names, tuple(relators))
 
 
 # -- finite quotient evidence -----------------------------------------------------
@@ -596,7 +591,7 @@ def verify_quotient_hom(
     missing = [g for g in p.generators if g not in images]
     if missing:
         raise UsageError(f"missing images for generators {missing}")
-    degree = len(next(iter(images.values())))
+    degree = len(images[p.generators[0]])
     perms: list[tuple[int, ...]] = []
     for name in p.generators:
         perm = tuple(images[name])

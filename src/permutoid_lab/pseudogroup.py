@@ -50,9 +50,10 @@ from .groups import _generated_group
 
 @dataclass(frozen=True)
 class Pseudogroup:
-    """Maximal elements of a pseudogroup, kept as a sorted antichain that
-    contains the full identity and is closed under inverses and (up to
-    restriction) compositions."""
+    """Maximal elements of a pseudogroup: an antichain that contains the
+    full identity and is closed under inverses and (up to restriction)
+    compositions.  It is sorted when generated and in file order when
+    loaded, since that order fixes the element names."""
 
     ground_size: int
     maximal_elements: tuple[PartialPermutation, ...]
@@ -346,19 +347,17 @@ def search_rigid_development(
         if closure is None:
             raise GroupClosureCapExceeded(f"group closure exceeded cap {group_cap}")
         identity = tuple(range(dev.ground_size))
-        if any(
-            perm != identity and any(perm[y] == y for y in range(dev.ground_size))
-            for perm in closure
-        ):
-            return None
-        verify_development(target, dev)
         rd = RigidDevelopment(
             ground_size=dev.ground_size,
             group_permutations=(identity,)
             + tuple(sorted(p for p in closure if p != identity)),
             assignment=dev.maps,
         )
-        verify_rigid_development(H, rd)
+        try:
+            verify_rigid_development(H, rd)
+        except NotFree:
+            return None
+        verify_development(target, dev)
         return rd
 
     return _first_certified(DevelopmentProblem(target, max_ground, node_budget), certify)

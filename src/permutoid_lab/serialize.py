@@ -80,13 +80,11 @@ def permutoid_from_obj(obj) -> tuple[Permutoid, tuple[str, ...]]:
 
 # -- partial permutation lists (pseudogroup generators and antichains) ---------
 
-def pseudogroup_to_obj(H: Pseudogroup, names: Sequence[str] | None = None) -> dict:
-    if names is None:
-        names = default_names("m", len(H.maximal_elements))
+def pseudogroup_to_obj(H: Pseudogroup) -> dict:
     return {
         "ground_set_size": H.ground_size,
         "maximal_elements": [
-            {"name": names[i], "map": [[x, y] for x, y in m.pairs]}
+            {"name": f"m{i}", "map": [[x, y] for x, y in m.pairs]}
             for i, m in enumerate(H.maximal_elements)
         ],
     }
@@ -188,23 +186,20 @@ def evidence_to_obj(e: FiniteQuotientEvidence) -> dict:
     }
 
 
-def verdict_to_obj(v, names: Sequence[str] | None = None, start_size: int | None = None) -> dict:
+def verdict_to_obj(v, names: Sequence[str], start_size: int) -> dict:
     if isinstance(v, Found):
         dev = v.development
         obj = {"verdict": "found", "nodes": v.nodes_explored}
         last = dev.ground_size
         if isinstance(dev, Development):
-            obj["development"] = development_to_obj(
-                dev, names or default_names("p", len(dev.maps))
-            )
+            obj["development"] = development_to_obj(dev, names)
         elif isinstance(dev, RigidDevelopment):
             obj["rigid_development"] = {
                 "ground_size": dev.ground_size,
                 "group_order": dev.group_order,
                 "group_permutations": [list(p) for p in dev.group_permutations],
                 "assignment": {
-                    (names or default_names("m", len(dev.assignment)))[i]: list(p)
-                    for i, p in enumerate(dev.assignment)
+                    names[i]: list(p) for i, p in enumerate(dev.assignment)
                 },
             }
     elif isinstance(v, ExhaustedUpTo):
@@ -223,12 +218,11 @@ def verdict_to_obj(v, names: Sequence[str] | None = None, start_size: int | None
         last = v.size_reached
     else:
         raise TypeError(f"not a search verdict: {v!r}")
-    if start_size is not None:
-        obj["sizes_tried"] = list(range(start_size, last + 1))
+    obj["sizes_tried"] = list(range(start_size, last + 1))
     return obj
 
 
-def probe_report_to_obj(r: ProbeReport, names: Sequence[str] | None = None) -> dict:
+def probe_report_to_obj(r: ProbeReport) -> dict:
     obj: dict = {"verdict": r.verdict, "statistics": dict(r.statistics)}
     if r.evidence is not None:
         obj["evidence"] = evidence_to_obj(r.evidence)

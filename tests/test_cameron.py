@@ -207,6 +207,12 @@ class TestVerifyQuotientHom:
         with pytest.raises(UsageError):
             verify_quotient_hom(pool_presentations["s3"], {"a": [0, 1]})
 
+    def test_degree_from_first_generator(self):
+        # an image for a name outside the presentation does not set the degree
+        p = parse_presentation("gens: a\nrels: a^2")
+        ev = verify_quotient_hom(p, {"b": [0, 1, 2], "a": [1, 0]})
+        assert (ev.degree, ev.images, ev.group_order) == (2, ((1, 0),), 2)
+
     def test_not_a_permutation(self, pool_presentations):
         with pytest.raises(UsageError):
             verify_quotient_hom(pool_presentations["z5"], {"a": [0, 0, 1, 2, 3]})

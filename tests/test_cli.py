@@ -283,6 +283,17 @@ class TestPresentationCommands:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "OutOfBounds"
 
+    def test_zero_cap_exit_three(self, files, capsys):
+        code, out, err = run(
+            capsys,
+            "coset-enum",
+            "--presentation",
+            files("z2.txt", "gens: a\nrels: a^2\n"),
+            "--max-cosets",
+            "0",
+        )
+        assert (code, out, err) == (3, "", "error: max_cosets must be >= 1\n")
+
     def test_parse_error_exit_three(self, files, capsys):
         code, _, err = run(
             capsys,

@@ -371,3 +371,33 @@ class TestNoUnusedImports:
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
         assert unused == [], f"{path.name} never uses {unused}"
+
+
+class TestNoUnreadParameters:
+    """Every parameter a function declares, other than ``self`` and ``cls``,
+    is read somewhere in its body (nested functions included)."""
+
+    @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=[p.stem for p in PACKAGE_MODULES])
+    def test_module_reads_every_parameter(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        unread = []
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {
+                node.id
+                for stmt in body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            name = getattr(fn, "name", "<lambda>")
+            unread += [
+                f"{name}({p}) (line {fn.lineno})"
+                for p in params
+                if p not in ("self", "cls") and p not in read
+            ]
+        assert unread == [], f"{path.name} never reads {unread}"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from permutoid_lab.coset import _Enumeration
+from permutoid_lab.coset import _Enumeration, enumerate_cosets
 from permutoid_lab.errors import OutOfBounds, ParseError, RelatorNotKilled, UsageError
 from permutoid_lab.groups import (
     FreeGroup,
@@ -138,6 +138,11 @@ class TestToddCoxeter:
     def test_bad_cap(self):
         with pytest.raises(UsageError):
             todd_coxeter(parse_presentation("gens: a\nrels: a^2"), 0)
+
+    def test_enumerate_cosets_bad_cap_is_usage_error(self):
+        with pytest.raises(UsageError) as ei:
+            enumerate_cosets(1, [], 0)
+        assert str(ei.value) == "max_cosets must be >= 1"
 
     def test_lookahead_recovers_space_on_collapsing_presentation(self):
         # a classic trivial-group presentation whose enumeration overshoots

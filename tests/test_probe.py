@@ -11,7 +11,7 @@ from permutoid_lab.develop import (
     search_development,
     verify_development,
 )
-from permutoid_lab.errors import PreconditionRadius
+from permutoid_lab.errors import PreconditionRadius, UsageError
 from permutoid_lab.groups import (
     cameron_permutoid,
     parse_presentation,
@@ -95,6 +95,20 @@ class TestQuotientEvidence:
         assert isinstance(verdict, Found)
         ev = quotient_evidence(pres, 1, full[1], verdict.development)
         assert ev.group_order == 5
+
+    def test_morphism_from_another_ball_rejected(self):
+        # a development of the radius-1 ball read against the radius-2 ball
+        pres = parse_presentation("gens: a")
+        cam = cameron_permutoid(realize_backend(pres), 1)
+        quotient, morphism = next(
+            (q, m)
+            for q, m in enumerate_quotients(cam.permutoid, nontrivial_only=True)
+            if q.ground_size == cam.permutoid.ground_size
+        )
+        verdict = search_development(DevelopmentProblem(quotient, 8))
+        with pytest.raises(UsageError) as ei:
+            quotient_evidence(pres, 2, morphism, verdict.development)
+        assert str(ei.value) == "morphism does not start at the ball permutoid"
 
     def test_z6_pipeline_evidence_kills_relator(self, pool_presentations):
         report = probe_finite_quotient(pool_presentations["z6"], rho=4, max_ground=12)

@@ -12,17 +12,27 @@ from permutoid_lab.core import (
     validate_morphism,
     validate_permutoid,
 )
-from permutoid_lab.develop import ExhaustedUpTo, Found
+from permutoid_lab import pseudogroup
+from permutoid_lab.develop import (
+    BudgetExceeded,
+    DevelopmentProblem,
+    ExhaustedUpTo,
+    Found,
+    _first_certified,
+    verify_development,
+)
 from permutoid_lab.errors import (
     GroundSetMismatch,
+    GroupClosureCapExceeded,
     NotAnAction,
     NotFree,
     NotRigid,
     PseudogroupError,
 )
-from permutoid_lab.groups import cameron_permutoid, parse_presentation, todd_coxeter
+from permutoid_lab.groups import _generated_group, cameron_permutoid, parse_presentation, todd_coxeter
 from permutoid_lab.pseudogroup import (
     Pseudogroup,
+    RigidDevelopment,
     check_pseudogroup,
     extend_to_maximal,
     generate_pseudogroup,
@@ -359,6 +369,127 @@ class TestSearchRigidDevelopment:
         H = generate_pseudogroup(4, cam.permutoid.elements)
         with pytest.raises(GroupClosureCapExceeded):
             search_rigid_development(H, 6, group_cap=2)
+
+
+# -- oracle: the previous rigid search --------------------------------------------
+
+def oracle_search_rigid(H, max_ground, node_budget=None, group_cap=100_000, skipped=None):
+    """The previous ``search_rigid_development``: each leaf's closure is
+    scanned for fixed points before the RigidDevelopment is built and
+    verified.  Leaves skipped as not free are counted in ``skipped[0]``."""
+    target = maximal_permutoid(H)
+
+    def certify(dev):
+        closure = _generated_group(dev.maps, dev.ground_size, group_cap)
+        if closure is None:
+            raise GroupClosureCapExceeded(f"group closure exceeded cap {group_cap}")
+        identity = tuple(range(dev.ground_size))
+        if any(
+            perm != identity and any(perm[y] == y for y in range(dev.ground_size))
+            for perm in closure
+        ):
+            if skipped is not None:
+                skipped[0] += 1
+            return None
+        verify_development(target, dev)
+        rd = RigidDevelopment(
+            ground_size=dev.ground_size,
+            group_permutations=(identity,)
+            + tuple(sorted(p for p in closure if p != identity)),
+            assignment=dev.maps,
+        )
+        verify_rigid_development(H, rd)
+        return rd
+
+    return _first_certified(DevelopmentProblem(target, max_ground, node_budget), certify)
+
+
+def random_rigid_pseudogroups(count):
+    """Rigid closures of seeded draws of one to three random partial maps on
+    2-5 points (the draw of tests/test_saturation.py)."""
+    rng = random.Random(2024)
+    found = []
+    while len(found) < count:
+        n = rng.randint(2, 5)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            size = rng.randint(1, n)
+            xs, ys = rng.sample(range(n), size), rng.sample(range(n), size)
+            gens.append(pp(n, list(zip(xs, ys))))
+        H = generate_pseudogroup(n, gens)
+        if is_rigid_pseudogroup(H):
+            found.append(H)
+    return found
+
+
+@pytest.fixture(scope="module")
+def rigid_search_inputs(pool_groups):
+    inputs = random_rigid_pseudogroups(200)
+    for name in ("z2", "z3", "z4", "s3"):
+        g = pool_groups[name]
+        action = [tuple(g.table[i][j] for j in range(g.order)) for i in range(g.order)]
+        inputs.append(group_action_pseudogroup(g, action))
+    for name in ("z2", "z3", "z4", "z5", "s3"):
+        g = pool_groups[name]
+        cam = cameron_permutoid(g, saturating_radius(g))
+        inputs.append(generate_pseudogroup(g.order, cam.permutoid.elements))
+    return inputs
+
+
+def _summary(verdict):
+    if isinstance(verdict, Found):
+        return ("found", verdict.nodes_explored, verdict.development)
+    if isinstance(verdict, BudgetExceeded):
+        return ("budget", verdict.nodes_explored, verdict.size_reached)
+    assert isinstance(verdict, ExhaustedUpTo)
+    return ("exhausted", verdict.nodes_explored, verdict.max_ground)
+
+
+class TestRigidSearchAgainstOracle:
+    """The search certifies each leaf by building its RigidDevelopment and
+    skipping it on NotFree; verdicts must equal the previous search's."""
+
+    def test_verdicts_and_skipped_leaves_agree(self, rigid_search_inputs, monkeypatch):
+        skipped_new = [0]
+        verify = pseudogroup.verify_rigid_development
+
+        def counting_verify(H, rd):
+            try:
+                verify(H, rd)
+            except NotFree:
+                skipped_new[0] += 1
+                raise
+
+        monkeypatch.setattr(pseudogroup, "verify_rigid_development", counting_verify)
+        skipped_old = [0]
+        kinds = set()
+        for H in rigid_search_inputs:
+            for extra in (0, 3):
+                for budget in (None, 7):
+                    max_ground = H.ground_size + extra
+                    old = _summary(
+                        oracle_search_rigid(H, max_ground, budget, skipped=skipped_old)
+                    )
+                    new = _summary(search_rigid_development(H, max_ground, budget))
+                    assert new == old, (H, max_ground, budget)
+                    kinds.add(old[0])
+        assert skipped_new == skipped_old
+        assert skipped_new[0] > 0
+        assert kinds == {"found", "budget", "exhausted"}
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_group_cap_agrees(self, rigid_search_inputs, cap):
+        raised = 0
+        for H in rigid_search_inputs:
+            outcomes = []
+            for search in (oracle_search_rigid, search_rigid_development):
+                try:
+                    outcomes.append(_summary(search(H, H.ground_size + 3, None, cap)))
+                except GroupClosureCapExceeded as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (H, cap)
+            raised += isinstance(outcomes[0], str)
+        assert 0 < raised < len(rigid_search_inputs)
 
 
 class TestQuotientChain:
