@@ -201,17 +201,22 @@ class Permutoid:
                 table[(i, j)] = witnesses[0] if witnesses else NO_WITNESS
         return table
 
+    @cached_property
+    def _witness_triples(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(sorted(
+            (i, j, k)
+            for (i, j), k in self.witness_table.items()
+            if isinstance(k, int)
+        ))
+
     def witness(self, i: int, j: int):
         return self.witness_table[(i, j)]
 
 
 def witness_triples(P: Permutoid) -> list[tuple[int, int, int]]:
-    """All (p, q, r) with r the unique element extending p.q, sorted."""
-    return sorted(
-        (i, j, k)
-        for (i, j), k in P.witness_table.items()
-        if isinstance(k, int)
-    )
+    """All (p, q, r) with r the unique element extending p.q, sorted; the
+    list is sorted once per permutoid and copied on each call."""
+    return list(P._witness_triples)
 
 
 ElementsInput = Sequence[Union[PartialPermutation, Iterable[Iterable[int]]]]

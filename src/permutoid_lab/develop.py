@@ -77,10 +77,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _Conflict(Exception):
-    pass
-
-
 class _Csp:
     """Backtracking state for one target size.
 
@@ -89,103 +85,185 @@ class _Csp:
     is assigned on every point and each element on its own graph before the
     first branch.  The search then branches on the first unassigned cell in
     (element, point) order and tries its free values in ascending order, so
-    the first development found is the canonical one.  Every assignment is
-    propagated through the composition triples and recorded on the trail
-    as (e, y, v) for undoing.
+    the first development found is the canonical one.
+
+    Every assignment (e, y, v) is appended to the trail, which is also the
+    propagation queue: ``_propagate`` runs the composition rules on
+    ``trail[head:]`` until the head reaches the end, and ``_undo`` truncates
+    the trail back to a mark.  The order in which facts are processed cannot
+    change a node count: the rules only add facts implied by the facts
+    present, so propagation from a consistent state either ends at the one
+    least fixpoint or meets a conflict, whichever order it takes, and it
+    meets a conflict exactly when that fixpoint assigns a cell or a value
+    twice.
+
+    ``_solve`` first propagates the assignments made on construction, and
+    yields nothing if they conflict.  It keeps its branches on an explicit
+    stack of frames ``[element, point, last value tried, trail mark]``.  A
+    frame finds its next value afresh in ``inv[element]`` after undoing to
+    its mark, so no frame holds a list of free values, and the search depth
+    is not bounded by the interpreter's recursion limit.
     """
 
     def __init__(self, P: Permutoid, triples, m: int, counter: dict):
-        self.m = m
         self.counter = counter
         k = len(P.elements)
         self.fwd = [[-1] * m for _ in range(k)]
         self.inv = [[-1] * m for _ in range(k)]
         self.trail: list[tuple[int, int, int]] = []
-        self.queue: list[tuple[int, int, int]] = []
+        self.head = 0
+        # each triple (p, q, r), f_p o f_q = f_r, filed under each of its
+        # elements with the other two.  The triples (1, q, q) and (p, 1, p)
+        # hold as soon as the identity's row is full, which it is before the
+        # first propagation, so their rules could never assign anything.
         self.by_left: list[list] = [[] for _ in range(k)]
         self.by_mid: list[list] = [[] for _ in range(k)]
         self.by_right: list[list] = [[] for _ in range(k)]
-        for t in triples:
-            p, q, r = t
-            self.by_left[p].append(t)
-            self.by_mid[q].append(t)
-            self.by_right[r].append(t)
+        one = P.identity_index
+        for p, q, r in triples:
+            if one in (p, q):
+                continue
+            self.by_left[p].append((q, r))
+            self.by_mid[q].append((p, r))
+            self.by_right[r].append((p, q))
 
-        for y in range(m):
-            self._set(P.identity_index, y, y)
+        # each row gets one partial permutation, so these cannot clash
         for e, el in enumerate(P.elements):
-            for x, y in el.pairs:
-                self._set(e, x, y)
-        self._propagate()
+            pairs = [(y, y) for y in range(m)] if e == one else el.pairs
+            for x, y in pairs:
+                self.fwd[e][x] = y
+                self.inv[e][y] = x
+                self.trail.append((e, x, y))
 
-    def _set(self, e: int, y: int, v: int):
-        cur = self.fwd[e][y]
-        if cur == v:
-            return
-        if cur != -1 or self.inv[e][v] != -1:
-            raise _Conflict
-        self.fwd[e][y] = v
-        self.inv[e][v] = y
-        self.trail.append((e, y, v))
-        self.queue.append((e, y, v))
+    def _propagate(self) -> bool:
+        """Close the trail under the composition rules; False on a conflict.
 
-    def _propagate(self):
-        fwd, inv = self.fwd, self.inv
-        while self.queue:
-            e, y, v = self.queue.pop()
-            # most derived values are already in place; _set only the new ones
-            for p, q, r in self.by_mid[e]:
+        Of the two rules for each triple only the first that applies is
+        run: once it has fired, or found its cell already holding the value,
+        the second one holds as well.
+        """
+        fwd, inv, trail = self.fwd, self.inv, self.trail
+        by_left, by_mid, by_right = self.by_left, self.by_mid, self.by_right
+        head = self.head
+        while head < len(trail):
+            e, y, v = trail[head]
+            head += 1
+            for p, r in by_mid[e]:  # f_q(y) = v, so f_r(y) = f_p(v)
                 w = fwd[p][v]
-                if w != -1 and fwd[r][y] != w:
-                    self._set(r, y, w)
-                w = fwd[r][y]
-                if w != -1 and fwd[p][v] != w:
-                    self._set(p, v, w)
-            for p, q, r in self.by_left[e]:
-                yq = inv[q][y]
-                if yq != -1 and fwd[r][yq] != v:
-                    self._set(r, yq, v)
-                yr = inv[r][v]
-                if yr != -1 and fwd[q][yr] != y:
-                    self._set(q, yr, y)
-            for p, q, r in self.by_right[e]:
+                if w != -1:
+                    row = fwd[r]
+                    cur = row[y]
+                    if cur != w:
+                        if cur != -1 or inv[r][w] != -1:
+                            return False
+                        row[y] = w
+                        inv[r][w] = y
+                        trail.append((r, y, w))
+                else:
+                    w = fwd[r][y]
+                    if w != -1:
+                        if inv[p][w] != -1:
+                            return False
+                        fwd[p][v] = w
+                        inv[p][w] = v
+                        trail.append((p, v, w))
+            for q, r in by_left[e]:  # f_p(y) = v, so f_r(z) = v where f_q(z) = y
+                z = inv[q][y]
+                if z != -1:
+                    row = fwd[r]
+                    cur = row[z]
+                    if cur != v:
+                        if cur != -1 or inv[r][v] != -1:
+                            return False
+                        row[z] = v
+                        inv[r][v] = z
+                        trail.append((r, z, v))
+                else:
+                    z = inv[r][v]
+                    if z != -1:
+                        row = fwd[q]
+                        if row[z] != -1:
+                            return False
+                        row[z] = y
+                        inv[q][y] = z
+                        trail.append((q, z, y))
+            for p, q in by_right[e]:  # f_r(y) = v, so f_p(f_q(y)) = v
                 z = fwd[q][y]
-                if z != -1 and fwd[p][z] != v:
-                    self._set(p, z, v)
-                z = inv[p][v]
-                if z != -1 and fwd[q][y] != z:
-                    self._set(q, y, z)
+                if z != -1:
+                    row = fwd[p]
+                    cur = row[z]
+                    if cur != v:
+                        if cur != -1 or inv[p][v] != -1:
+                            return False
+                        row[z] = v
+                        inv[p][v] = z
+                        trail.append((p, z, v))
+                else:
+                    z = inv[p][v]
+                    if z != -1:
+                        if inv[q][z] != -1:
+                            return False
+                        fwd[q][y] = z
+                        inv[q][z] = y
+                        trail.append((q, y, z))
+        self.head = head
+        return True
 
-    def _undo(self, checkpoint: int):
-        while len(self.trail) > checkpoint:
-            e, y, v = self.trail.pop()
-            self.fwd[e][y] = -1
-            self.inv[e][v] = -1
-        self.queue.clear()
+    def _undo(self, mark: int):
+        fwd, inv, trail = self.fwd, self.inv, self.trail
+        for e, y, v in trail[mark:]:
+            fwd[e][y] = -1
+            inv[e][v] = -1
+        del trail[mark:]
+        self.head = mark
+
+    def _next_cell(self, e: int, y: int) -> tuple[int, int] | None:
+        """The first unassigned cell at or after (e, y); every cell before
+        (e, y) is assigned."""
+        fwd = self.fwd
+        while e < len(fwd):
+            row = fwd[e]
+            if -1 in row:
+                return e, row.index(-1, y)
+            e += 1
+            y = 0
+        return None
 
     def _solve(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        for e, row in enumerate(self.fwd):
-            if -1 in row:
-                y = row.index(-1)
-                break
-        else:
-            yield tuple(tuple(row) for row in self.fwd)
+        fwd, inv, trail = self.fwd, self.inv, self.trail
+        counter = self.counter
+        budget = counter["budget"]
+        if not self._propagate():
             return
-        free = self.inv[e]
-        for v in [v for v in range(self.m) if free[v] == -1]:
-            self.counter["nodes"] += 1
-            budget = self.counter["budget"]
-            if budget is not None and self.counter["nodes"] > budget:
-                raise _BudgetExhausted
-            checkpoint = len(self.trail)
+        cell = self._next_cell(0, 0)
+        if cell is None:
+            yield tuple(tuple(row) for row in fwd)
+            return
+        stack = [[*cell, -1, len(trail)]]
+        while stack:
+            frame = stack[-1]
+            e, y, last, mark = frame
+            self._undo(mark)  # the last value's assignments; none on a new frame
             try:
-                self._set(e, y, v)
-                self._propagate()
-            except _Conflict:
-                self._undo(checkpoint)
+                v = inv[e].index(-1, last + 1)
+            except ValueError:
+                stack.pop()
                 continue
-            yield from self._solve()
-            self._undo(checkpoint)
+            frame[2] = v
+            counter["nodes"] += 1
+            if budget is not None and counter["nodes"] > budget:
+                raise _BudgetExhausted
+            # the cell is unassigned and v is free, so this cannot conflict
+            fwd[e][y] = v
+            inv[e][v] = y
+            trail.append((e, y, v))
+            if not self._propagate():
+                continue
+            cell = self._next_cell(e, y)
+            if cell is None:
+                yield tuple(tuple(row) for row in fwd)
+                continue
+            stack.append([*cell, -1, len(trail)])
 
 
 def _first_certified(
@@ -200,11 +278,7 @@ def _first_certified(
     try:
         for m in range(P.ground_size, prob.max_ground + 1):
             counter["size"] = m
-            try:
-                csp = _Csp(P, triples, m, counter)
-            except _Conflict:
-                continue
-            for maps in csp._solve():
+            for maps in _Csp(P, triples, m, counter)._solve():
                 certificate = certify(Development(m, maps))
                 if certificate is not None:
                     return Found(certificate, counter["nodes"])
@@ -252,16 +326,17 @@ def verify_development(P: Permutoid, D: Development) -> None:
                 )
     for i, j, k in witness_triples(P):
         fp, fq, fr = D.maps[i], D.maps[j], D.maps[k]
-        for y in range(m):
-            if fp[fq[y]] != fr[y]:
-                raise DevelopmentError(
-                    "CompositionBroken",
-                    f"triple ({i},{j},{k}) broken at point {y}",
-                    p=i,
-                    q=j,
-                    r=k,
-                    point=y,
-                )
+        if [fp[x] for x in fq] == list(fr):
+            continue
+        y = next(y for y in range(m) if fp[fq[y]] != fr[y])
+        raise DevelopmentError(
+            "CompositionBroken",
+            f"triple ({i},{j},{k}) broken at point {y}",
+            p=i,
+            q=j,
+            r=k,
+            point=y,
+        )
 
 
 # -- the finite-quotient probe --------------------------------------------------

@@ -373,6 +373,34 @@ class TestNoUnusedImports:
         assert unused == [], f"{path.name} never uses {unused}"
 
 
+class TestNoSelfCalls:
+    """No function calls itself, by name or as ``self.<name>``: a search
+    that recurses per decision stops at the interpreter's recursion limit on
+    large inputs."""
+
+    @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=[p.stem for p in PACKAGE_MODULES])
+    def test_module_has_no_recursive_function(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        recursive = []
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                by_name = isinstance(f, ast.Name) and f.id == fn.name
+                by_self = (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == fn.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "self"
+                )
+                if by_name or by_self:
+                    recursive.append(f"{fn.name} (line {node.lineno})")
+        assert recursive == [], f"{path.name} has functions calling themselves: {recursive}"
+
+
 class TestNoUnreadParameters:
     """Every parameter a function declares, other than ``self`` and ``cls``,
     is read somewhere in its body (nested functions included)."""

@@ -5,8 +5,10 @@ fresh points, and the ``_first_certified`` loop over sizes) is copied here as an
 oracle for verdicts, node counts and the developments found.
 """
 
+import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -172,6 +174,30 @@ class TestSearchDevelopment:
             DevelopmentProblem(REMARK, 1)
 
 
+class TestDeepSearch:
+    """The search depth is not bounded by the interpreter's recursion limit:
+    these balls branch about a thousand times on one path."""
+
+    @pytest.mark.parametrize(
+        "rank, rho, nodes, maps_sha",
+        [(2, 3, 1458, "d4b5e8d63993227c"), (3, 2, 1875, "9334b78edb8dd418")],
+        ids=["f2-rho3", "f3-rho2"],
+    )
+    def test_free_ball_develops_on_itself(self, rank, rho, nodes, maps_sha):
+        P = cameron_permutoid(FreeGroup(rank), rho).permutoid
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(120)
+        try:
+            v = search_development(DevelopmentProblem(P, P.ground_size))
+            assert isinstance(v, Found)
+            assert (v.development.ground_size, v.nodes_explored) == (P.ground_size, nodes)
+            verify_development(P, v.development)
+        finally:
+            sys.setrecursionlimit(limit)
+        # the development the recursive engine found with a raised limit
+        assert hashlib.sha256(repr(v.development.maps).encode()).hexdigest()[:16] == maps_sha
+
+
 class TestVerifyDevelopment:
     def test_found_results_verify(self):
         v = search_development(DevelopmentProblem(REMARK, 4))
@@ -204,6 +230,34 @@ class TestVerifyDevelopment:
         with pytest.raises(DevelopmentError) as ei:
             verify_development(REMARK, Development(4, maps))
         assert ei.value.code == "CompositionBroken"
+
+    def test_broken_point_is_the_first_in_triple_and_point_order(self):
+        rng = random.Random(77)
+        P = cameron_permutoid(FreeGroup(2), 1).permutoid
+        maps = search_development(DevelopmentProblem(P, P.ground_size)).development.maps
+        broken = 0
+        for _ in range(60):
+            e = rng.choice([e for e in range(len(maps)) if e != P.identity_index])
+            free = [y for y in range(P.ground_size) if y not in P.elements[e].mapping]
+            y1, y2 = rng.sample(free, 2)
+            perm = list(maps[e])
+            perm[y1], perm[y2] = perm[y2], perm[y1]
+            bad = maps[:e] + (tuple(perm),) + maps[e + 1:]
+            expected = next(
+                ({"p": i, "q": j, "r": k, "point": y}
+                 for i, j, k in witness_triples(P)
+                 for y in range(P.ground_size)
+                 if bad[i][bad[j][y]] != bad[k][y]),
+                None,
+            )
+            if expected is None:
+                verify_development(P, Development(P.ground_size, bad))
+                continue
+            with pytest.raises(DevelopmentError) as ei:
+                verify_development(P, Development(P.ground_size, bad))
+            assert (ei.value.code, ei.value.details) == ("CompositionBroken", expected)
+            broken += 1
+        assert broken > 30
 
     def test_not_a_permutation(self):
         with pytest.raises(DevelopmentError) as ei:
