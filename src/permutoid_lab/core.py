@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     GroundSetMismatch,
@@ -138,20 +138,62 @@ def compose_partial(p: PartialPermutation, q: PartialPermutation):
     return PartialPermutation(p.ground_size, pairs)
 
 
-def _extender_index(elements: Sequence[PartialPermutation]) -> Callable[[Sequence[Pair]], list[int]]:
-    """A lookup from a non-empty graph to the ascending indices of the
-    elements extending it.  Candidates are the elements holding the graph's
-    first pair; each is tested by set inclusion."""
-    containing: dict[Pair, list[int]] = {}
-    for k, el in enumerate(elements):
-        for pair in el.pairs:
-            containing.setdefault(pair, []).append(k)
-    pair_sets = [frozenset(el.pairs) for el in elements]
+class _ExtenderIndex:
+    """The elements extending a graph, as a bitmask of element indices.
 
-    def extenders(graph: Sequence[Pair]) -> list[int]:
-        return [k for k in containing.get(graph[0], ()) if pair_sets[k].issuperset(graph)]
+    ``holders[x*n + y]`` has bit k set iff element k holds the pair (x, y);
+    it is a dict, since few of the n*n pairs occur.  The elements extending
+    a non-empty graph are the AND of the masks of its pairs, so bit k of the
+    result is set iff element k extends it; the AND stops once it is 0.
+    Bits decode lowest first, so indices come out ascending.
+    """
 
-    return extenders
+    __slots__ = ("n", "holders", "rows")
+
+    def __init__(self, ground_size: int, elements: Sequence[PartialPermutation]):
+        n = ground_size
+        holders: dict[int, int] = {}
+        for k, el in enumerate(elements):
+            bit = 1 << k
+            for x, y in el.pairs:
+                code = x * n + y
+                holders[code] = holders.get(code, 0) | bit
+        self.n = n
+        self.holders = holders
+        # element j's pairs as (x*n, y), for composites with j applied first
+        self.rows = [[(x * n, y) for x, y in el.pairs] for el in elements]
+
+    def extending(self, graph: Sequence[Pair]) -> int:
+        """The mask of the elements extending a non-empty graph."""
+        n, get = self.n, self.holders.get
+        mask = -1
+        for x, y in graph:
+            mask &= get(x * n + y, 0)
+            if not mask:
+                break
+        return mask
+
+    def image(self, el: PartialPermutation) -> list[int]:
+        """``el`` as an array: the image of each point, or -1."""
+        image = [-1] * self.n
+        for x, y in el.pairs:
+            image[x] = y
+        return image
+
+    def composite(self, image: Sequence[int], j: int) -> int:
+        """The mask of the elements extending p.q, q = element j applied
+        first and p given by its image array; -1 when p.q is undefined.
+
+        The AND of no pairs is -1, and one defined pair makes it >= 0."""
+        get = self.holders.get
+        mask = -1
+        for xn, y in self.rows[j]:
+            z = image[y]
+            if z >= 0:
+                mask &= get(xn + z, 0)
+                if not mask:
+                    return 0
+        return mask
 
 
 @dataclass(frozen=True)
@@ -175,30 +217,39 @@ class Permutoid:
     def witness_table(self) -> dict[tuple[int, int], object]:
         """(i, j) -> witness index, NO_WITNESS, or UNDEFINED, for all pairs.
 
-        Computing it checks the unique-extension clause: a composition with
-        two extending elements raises ValidationError.
+        Each composite is ANDed straight into the pair-holder masks of an
+        :class:`_ExtenderIndex`: -1 is UNDEFINED, 0 is NO_WITNESS and one
+        bit names the witness.  Computing the table checks the
+        unique-extension clause: a mask of two or more bits raises
+        ValidationError naming its two lowest indices.
         """
-        extenders = _extender_index(self.elements)
+        index = _ExtenderIndex(self.ground_size, self.elements)
+        composite = index.composite
+        count = len(self.elements)
         table: dict[tuple[int, int], object] = {}
         for i, p in enumerate(self.elements):
-            pm = p.mapping
-            for j, q in enumerate(self.elements):
-                comp = [(x, pm[y]) for x, y in q.pairs if y in pm]
-                if not comp:
+            image = index.image(p)
+            for j in range(count):
+                mask = composite(image, j)
+                if mask < 0:
                     table[(i, j)] = UNDEFINED
-                    continue
-                witnesses = extenders(comp)
-                if len(witnesses) > 1:
+                elif not mask:
+                    table[(i, j)] = NO_WITNESS
+                elif mask & (mask - 1):
+                    rest = mask & (mask - 1)  # mask less its lowest bit
+                    r1 = (mask ^ rest).bit_length() - 1
+                    r2 = (rest & -rest).bit_length() - 1
                     raise ValidationError(
                         "UniqueExtensionViolated",
                         f"composition of elements {i} and {j} is extended by "
-                        f"both {witnesses[0]} and {witnesses[1]}",
+                        f"both {r1} and {r2}",
                         p=i,
                         q=j,
-                        r1=witnesses[0],
-                        r2=witnesses[1],
+                        r1=r1,
+                        r2=r2,
                     )
-                table[(i, j)] = witnesses[0] if witnesses else NO_WITNESS
+                else:
+                    table[(i, j)] = mask.bit_length() - 1
         return table
 
     @cached_property

@@ -24,7 +24,7 @@ from .core import (
     Morphism,
     PartialPermutation,
     Permutoid,
-    _extender_index,
+    _ExtenderIndex,
     _graphs_disjoint,
     identity_map,
     validate_morphism,
@@ -59,16 +59,16 @@ class Pseudogroup:
     maximal_elements: tuple[PartialPermutation, ...]
 
     @cached_property
-    def _extenders(self):
-        """Graph -> ascending indices of the maximal elements extending it."""
-        return _extender_index(self.maximal_elements)
+    def _extenders(self) -> _ExtenderIndex:
+        """The pair-holder index of the maximal elements, on ``ground_size``."""
+        return _ExtenderIndex(self.ground_size, self.maximal_elements)
 
     def member(self, f: PartialPermutation) -> bool:
         if f.ground_size != self.ground_size:
             raise GroundSetMismatch(
                 f"ground sizes differ: {f.ground_size} vs {self.ground_size}"
             )
-        return bool(self._extenders(f.pairs))
+        return bool(self._extenders.extending(f.pairs))
 
 
 def generate_pseudogroup(
@@ -183,8 +183,9 @@ def check_pseudogroup(H: Pseudogroup) -> None:
     """Well-formedness: antichain, identity present, inverse-closed, and
     every non-empty composition a restriction of some member.
 
-    Restrictions and compositions are tested through the pseudogroup's
-    extender lookup.
+    Both tests read the pseudogroup's pair-holder index: member j restricts
+    member i iff bit i is set in the mask of j's extenders, and i.j escapes
+    iff its composite mask is 0 (-1 means it is undefined).
     """
     members = H.maximal_elements
     graphs = {m.pairs for m in members}
@@ -195,19 +196,17 @@ def check_pseudogroup(H: Pseudogroup) -> None:
     for m in members:
         if m.ground_size != H.ground_size:
             raise PseudogroupError("GroundSetMismatch", "mixed ground sizes")
-        if m.inverse().pairs not in graphs:
+        if tuple(sorted((y, x) for x, y in m.pairs)) not in graphs:
             raise PseudogroupError("NotInverseClosed", "maximal elements must include inverses")
-    extenders = H._extenders
-    restricted = [set(extenders(m.pairs)) for m in members]  # j -> members j restricts
+    index = H._extenders
+    composite = index.composite
+    restricted = [index.extending(m.pairs) for m in members]  # j -> members j restricts
     for i, m1 in enumerate(members):
-        pm = m1.mapping
-        for j, m2 in enumerate(members):
-            if i != j and i in restricted[j]:
+        image = index.image(m1)
+        for j in range(len(members)):
+            if i != j and restricted[j] >> i & 1:
                 raise PseudogroupError("NotAntichain", f"element {j} restricts element {i}")
-            comp = [(x, pm[y]) for x, y in m2.pairs if y in pm]
-            if not comp:
-                continue
-            if not extenders(comp):
+            if not composite(image, j):
                 raise PseudogroupError(
                     "NotClosed", f"composition of elements {i} and {j} escapes the antichain"
                 )
@@ -236,12 +235,12 @@ def extend_to_maximal(pi: Permutoid, H: Pseudogroup | None = None) -> Morphism:
     element_map = []
     for i, p in enumerate(pi.elements):
         # a map on another ground set extends nothing in H
-        hits = H._extenders(p.pairs) if pi.ground_size == H.ground_size else []
+        hits = H._extenders.extending(p.pairs) if pi.ground_size == H.ground_size else 0
         if not hits:
             raise PseudogroupError("NotAMember", "an element has no maximal extension in H")
-        if len(hits) > 1:
+        if hits & (hits - 1):
             raise NotRigid(f"element {i} has two maximal extensions", element=i)
-        element_map.append(hits[0])
+        element_map.append(hits.bit_length() - 1)
     morphism = Morphism(
         pi, target, tuple(range(pi.ground_size)), tuple(element_map)
     )

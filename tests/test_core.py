@@ -305,6 +305,30 @@ class TestSingleWitnessScan:
             assert got == expected, (n, graphs)
         assert min(kinds.values()) >= 40, kinds
 
+    def test_matches_parent_scans_beyond_64_elements(self):
+        # the regular action of Z_n on itself, with one to three restrictions
+        # of translations inserted at random places: each restriction and
+        # its translation both extend identity . restriction, and both have
+        # indices above 63 here
+        rng = random.Random(2718)
+        high = 0
+        for n, restrictions in ((65, 0), (65, 2), (70, 1), (70, 3), (70, 2)):
+            graphs = [tuple((x, (x + g) % n) for x in range(n)) for g in range(n)]
+            for _ in range(restrictions):
+                g = rng.randrange(64, n)
+                xs = rng.sample(range(n), rng.randint(1, 3))
+                graphs.insert(rng.randint(64, len(graphs)), tuple(sorted((x, (x + g) % n) for x in xs)))
+            expected = parent_scans([pp(n, g) for g in graphs])
+            assert expected[0] == ("error" if restrictions else "table")
+            try:
+                got = ("table", validate_permutoid(n, graphs).witness_table)
+            except ValidationError as exc:
+                assert exc.code == "UniqueExtensionViolated"
+                got = ("error", str(exc), exc.details)
+                high += exc.details["r1"] > 63
+            assert got == expected, (n, graphs)
+        assert high == 4
+
     def test_validated_permutoid_holds_its_table(self):
         P = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
         assert "witness_table" in vars(P)

@@ -126,6 +126,14 @@ class TestMembership:
         for member in all_members(H):
             assert H.member(member)
 
+    def test_empty_antichain_has_no_members(self):
+        assert not Pseudogroup(3, ()).member(pp(3, [(0, 1)]))
+
+    def test_a_pair_no_member_holds(self):
+        H = generate_pseudogroup(3, [pp(3, [(0, 1)])])
+        assert not H.member(pp(3, [(0, 0), (2, 1)]))
+        assert not H.member(pp(3, [(2, 0)]))
+
 
 class TestRigidity:
     def test_single_arrow_rigid(self):

@@ -17,7 +17,12 @@ from permutoid_lab.core import (
 )
 from permutoid_lab.errors import GroundSetMismatch, PseudogroupError
 from permutoid_lab.groups import cameron_permutoid, parse_presentation, todd_coxeter
-from permutoid_lab.pseudogroup import Pseudogroup, check_pseudogroup, generate_pseudogroup
+from permutoid_lab.pseudogroup import (
+    Pseudogroup,
+    check_pseudogroup,
+    generate_pseudogroup,
+    group_action_pseudogroup,
+)
 
 from conftest import POOL_PRESENTATIONS, saturating_radius
 
@@ -232,3 +237,36 @@ class TestCheckAgainstOracle:
         H = Pseudogroup(2, (identity_map(2), PartialPermutation.from_pairs(3, [(0, 1)])))
         assert outcome(check_pseudogroup, H) == outcome(oracle_check, H)
         assert outcome(check_pseudogroup, H)[0] == "GroundSetMismatch"
+
+    def test_mutated_actions_beyond_64_members(self):
+        # the regular action of Z_66: its member masks and composite masks
+        # are wider than 64 bits
+        n = 66
+        group = todd_coxeter(parse_presentation(f"gens: a\nrels: a^{n}"), 1000)
+        action = [tuple(group.table[i][x] for x in range(n)) for i in range(n)]
+        H = group_action_pseudogroup(group, action)
+        members = list(H.maximal_elements)
+        half = next(m for m in members if m.pairs[0] != (0, 0) and m.inverse() == m)
+        last = next(m for m in reversed(members) if m.inverse() != m)
+        sub = PartialPermutation(n, last.pairs[::17])
+        rng = random.Random(66)
+        with_restriction = members[:]
+        for extra in (sub, sub.inverse()):
+            with_restriction.insert(rng.randint(60, len(with_restriction)), extra)
+        cases = {
+            "unchanged": members,
+            "drop the self-inverse member": [m for m in members if m != half],
+            "add a restriction and its inverse": with_restriction,
+            "drop an inverse": [m for m in members if m != last],
+        }
+        codes = {}
+        for name, mutated in cases.items():
+            expected = outcome(oracle_check, Pseudogroup(n, tuple(mutated)))
+            assert outcome(check_pseudogroup, Pseudogroup(n, tuple(mutated))) == expected, name
+            codes[name] = expected if expected == "ok" else expected[0]
+        assert codes == {
+            "unchanged": "ok",
+            "drop the self-inverse member": "NotClosed",
+            "add a restriction and its inverse": "NotAntichain",
+            "drop an inverse": "NotInverseClosed",
+        }
