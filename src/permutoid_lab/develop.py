@@ -103,6 +103,10 @@ class _Csp:
     frame finds its next value afresh in ``inv[element]`` after undoing to
     its mark, so no frame holds a list of free values, and the search depth
     is not bounded by the interpreter's recursion limit.
+
+    It files one triple per class of cyclic conjugates (``_filed_triples``,
+    which proves that the least fixpoint and its conflicts, and so node
+    counts and developments, are those of all witness triples).
     """
 
     def __init__(self, P: Permutoid, triples, m: int, counter: dict):
@@ -112,17 +116,12 @@ class _Csp:
         self.inv = [[-1] * m for _ in range(k)]
         self.trail: list[tuple[int, int, int]] = []
         self.head = 0
-        # each triple (p, q, r), f_p o f_q = f_r, filed under each of its
-        # elements with the other two.  The triples (1, q, q) and (p, 1, p)
-        # hold as soon as the identity's row is full, which it is before the
-        # first propagation, so their rules could never assign anything.
+        # each triple (p, q, r), f_p o f_q = f_r, under each element with the others
         self.by_left: list[list] = [[] for _ in range(k)]
         self.by_mid: list[list] = [[] for _ in range(k)]
         self.by_right: list[list] = [[] for _ in range(k)]
         one = P.identity_index
         for p, q, r in triples:
-            if one in (p, q):
-                continue
             self.by_left[p].append((q, r))
             self.by_mid[q].append((p, r))
             self.by_right[r].append((p, q))
@@ -266,6 +265,46 @@ class _Csp:
             stack.append([*cell, -1, len(trail)])
 
 
+def _filed_triples(P: Permutoid, triples: list) -> list:
+    """The witness triples whose rules ``_Csp`` runs.
+
+    (1, q, q) and (p, 1, p) are left out: they hold once the identity's row
+    is full, which it is before the first propagation.  Element q's link
+    partner q' is any element with (q', q, 1) a witness triple; links are
+    kept.  A triple (p, q, r) without the identity whose elements all have
+    partners is dropped when one of its five other forms (r, q', p),
+    (p', r, q), (q', p', r'), (r', p, q'), (q, r', p') is a witness triple
+    that sorts before it.
+
+    - Link lemma.  Because the identity row is full, one link makes
+      (y, v) in f_q and (v, y) in f_q' derive each other in a single
+      propagation step (by_mid[q] one way, by_left[q'] the other).
+    - Induction on triple order.  An instance of (p, q, r) is the cells
+      f_q(y) = v, f_p(v) = w, f_r(y) = w; a form has the same instances
+      with some cells read through partners, as (r, q', p) reads f_q'(v) =
+      y, f_r(y) = w, f_p(v) = w.  So every rule of a dropped form is a link
+      step composed with a rule of a smaller witness form, whose rules hold
+      at the filed fixpoint by induction, filed or dropped in turn.
+    - Consequence.  The least fixpoint and its conflicts (a cell or value
+      assigned twice) are those of all witness triples, and so are node
+      counts, developments and bytes.  Only (q', q, 1) is used, so links
+      need not be mutual.
+    """
+    one = P.identity_index
+    filed = [t for t in triples if t[0] != one and t[1] != one]
+    partner = {q: p for p, q, r in filed if r == one}
+    linked = [t for t in filed if t[0] in partner and t[1] in partner and t[2] in partner]
+    if not linked:
+        return filed
+    known, dropped = set(filed), set()
+    for p, q, r in linked:
+        p1, q1, r1 = partner[p], partner[q], partner[r]
+        forms = ((r, q1, p), (p1, r, q), (q1, p1, r1), (r1, p, q1), (q, r1, p1))
+        if any(f < (p, q, r) and f in known for f in forms):
+            dropped.add((p, q, r))
+    return [t for t in filed if t not in dropped]
+
+
 def _first_certified(
     prob: DevelopmentProblem, certify: Callable[[Development], object]
 ) -> SearchVerdict:
@@ -273,7 +312,7 @@ def _first_certified(
     backtracking order, and report the first development that ``certify``
     turns into a certificate (it returns None to skip a development)."""
     P = prob.source
-    triples = witness_triples(P)
+    triples = _filed_triples(P, witness_triples(P))
     counter: dict = {"nodes": 0, "budget": prob.node_budget}
     try:
         for m in range(P.ground_size, prob.max_ground + 1):

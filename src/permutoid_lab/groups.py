@@ -180,7 +180,7 @@ def format_presentation(p: Presentation) -> str:
 
 def _perm_compose(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
     """(f compose g)(x) = f(g(x)): g is applied first."""
-    return tuple(f[g[x]] for x in range(len(g)))
+    return tuple([f[x] for x in g])
 
 
 def _generated_group(gens: Sequence[Sequence[int]], degree: int, cap: int) -> set | None:

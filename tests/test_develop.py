@@ -2,7 +2,9 @@
 
 The previous backtracking engine (``_Csp``, with its relabeling rule for
 fresh points, and the ``_first_certified`` loop over sizes) is copied here as an
-oracle for verdicts, node counts and the developments found.
+oracle for verdicts, node counts and the developments found.  It files every
+witness triple, so it also checks the search that files one triple per class
+of cyclic conjugates.
 """
 
 import hashlib
@@ -19,13 +21,17 @@ from permutoid_lab.develop import (
     DevelopmentProblem,
     ExhaustedUpTo,
     Found,
+    _filed_triples,
+    _first_certified,
     search_development,
     verify_development,
 )
 from permutoid_lab.errors import DevelopmentError, UsageError, ValidationError
 from permutoid_lab.groups import FreeGroup, cameron_permutoid
+from permutoid_lab.pseudogroup import generate_pseudogroup, is_rigid_pseudogroup, maximal_permutoid
 
 from conftest import POOL_ORDERS, saturating_radius
+from test_saturation import SATURATED_BALLS, ball_generators, criterion_7_draw
 
 REMARK = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
 
@@ -515,3 +521,139 @@ class TestAgainstPreviousEngine:
                 P = cameron_permutoid(group, rho).permutoid
                 for budget in self.BUDGETS:
                     self.same(DevelopmentProblem(P, P.ground_size + 2, budget))
+
+
+class TestRigidAgainstPreviousEngine:
+    """The rigid search's engine, run without its leaf filter on maximal
+    permutoids, finds the previous engine's first development with the
+    same node count."""
+
+    def same(self, H):
+        """The verdicts of all budgets, and the triples left unfiled."""
+        target = maximal_permutoid(H)
+        verdicts = []
+        for budget in TestAgainstPreviousEngine.BUDGETS:
+            prob = DevelopmentProblem(target, H.ground_size + 1, budget)
+            verdicts.append(_first_certified(prob, lambda d: d))
+            assert verdicts[-1] == oracle_search(prob), (H, budget)
+        return verdicts, unfiled(target)
+
+    @pytest.mark.parametrize("name", sorted(SATURATED_BALLS))
+    def test_saturated_ball_pseudogroups(self, name):
+        order, elements = ball_generators(SATURATED_BALLS[name])
+        _, dropped = self.same(generate_pseudogroup(order, elements))
+        assert (dropped > 0) == (name != "z2")
+
+    def test_criterion_7_generator_sets(self):
+        rng = random.Random(7031)
+        kinds, dropped = set(), 0
+        for _ in range(50):
+            while True:
+                n = rng.randint(3, 5)
+                H = generate_pseudogroup(n, criterion_7_draw(rng, n))
+                if is_rigid_pseudogroup(H):
+                    break
+            verdicts, drops = self.same(H)
+            kinds.update(type(v).__name__ for v in verdicts)
+            dropped += drops > 0
+        assert kinds == {"Found", "BudgetExceeded"} and dropped > 20, (kinds, dropped)
+
+
+def unfiled(P):
+    """How many triples without the identity on the left the search drops."""
+    triples = witness_triples(P)
+    kept = [t for t in triples if P.identity_index not in t[:2]]
+    return len(kept) - len(_filed_triples(P, triples))
+
+
+def forms(t, inverse):
+    """The six forms of the relator p q r^-1 of a triple (p, q, r)."""
+    p, q, r = t
+    p1, q1, r1 = inverse[p], inverse[q], inverse[r]
+    return {t, (r, q1, p), (p1, r, q), (q1, p1, r1), (r1, p, q1), (q, r1, p1)}
+
+
+class TestFiledTriples:
+    """``_Csp`` files one triple per class of cyclic conjugates, and the
+    search still equals the previous engine, which files every triple."""
+
+    def test_covering_balls_file_one_triple_per_class(self, pool_groups):
+        for name, group in sorted(pool_groups.items()):
+            for rho in (saturating_radius(group), saturating_radius(group) + 1):
+                P = cameron_permutoid(group, rho).permutoid
+                one = P.identity_index
+                triples = witness_triples(P)
+                inverse = {q: p for p, q, r in triples if r == one}
+                free = {t for t in triples if one not in t}
+                classes = {frozenset(forms(t, inverse) & free) for t in free}
+                filed = _filed_triples(P, triples)
+                assert {t for t in triples if t[2] == one and t[0] != one} <= set(filed)
+                filed_free = [t for t in filed if one not in t]
+                assert len(filed_free) == len(classes), (name, rho)
+                # Z2 has no such triple, and Z3's one class holds only
+                # (a, a, a^2) and (a^2, a^2, a)
+                if group.order > 3:
+                    assert 3 * len(filed_free) <= len(free), (name, rho)
+
+    @pytest.mark.parametrize(
+        "graphs, drops",
+        [
+            # (p, q, 1) is a witness triple but (q, p, 1) is not: q.p has
+            # no witness
+            ([((0, 0), (1, 1), (2, 2), (3, 3)), ((0, 1), (3, 0)), ((1, 0), (2, 3))], False),
+            # (3, 3, 1) is dropped through the link (3, 1, 1), and
+            # (1, 3, 1) is not a witness triple
+            (
+                [
+                    ((0, 0), (1, 1), (2, 2), (3, 3)),
+                    ((0, 1), (1, 3), (3, 2)),
+                    ((0, 1), (3, 0)),
+                    ((0, 3), (1, 0)),
+                ],
+                True,
+            ),
+        ],
+        ids=["one-link", "one-sided-drop"],
+    )
+    def test_one_sided_links(self, graphs, drops):
+        P = validate_permutoid(4, graphs)
+        one = P.identity_index
+        triples = witness_triples(P)
+        links = {(p, q) for p, q, r in triples if r == one and one not in (p, q)}
+        assert any((q, p) not in links for p, q in links)
+        assert (unfiled(P) > 0) == drops
+        for max_ground in range(4, 8):
+            for budget in (None, 50, 3):
+                prob = DevelopmentProblem(P, max_ground, budget)
+                assert search_development(prob) == oracle_search(prob), (max_ground, budget)
+
+    def test_inverse_closed_permutoids(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        dropped = []
+
+        @st.composite
+        def inverse_closed(draw):
+            n = draw(st.integers(3, 6))
+            graphs = {tuple((x, x) for x in range(n))}
+            for _ in range(draw(st.integers(1, 3))):
+                domain = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+                image = draw(st.permutations(range(n)))[: len(domain)]
+                graph = tuple(sorted(zip(domain, image)))
+                graphs.add(graph)
+                graphs.add(tuple(sorted((y, x) for x, y in graph)))
+            try:
+                return validate_permutoid(n, sorted(graphs))
+            except ValidationError:
+                hypothesis.reject()
+
+        @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+        @hypothesis.given(inverse_closed())
+        def same_as_previous_engine(P):
+            dropped.append(unfiled(P))
+            for budget in (None, 50):
+                prob = DevelopmentProblem(P, P.ground_size + 2, budget)
+                assert search_development(prob) == oracle_search(prob), budget
+
+        same_as_previous_engine()
+        assert sum(d > 0 for d in dropped) > 5, dropped

@@ -241,7 +241,7 @@ class TestAgainstUnionFindEnumeration:
             except ValidationError:
                 hypothesis.reject()
 
-        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
         @hypothesis.given(permutoids())
         def admissible_iff_descends(P):
             expected = [c for c in set_partitions(P.ground_size) if descends(P, c)]
