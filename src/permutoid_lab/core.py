@@ -507,11 +507,11 @@ def _admissible_partitions(P: Permutoid) -> list[tuple[int, ...]]:
     for el in P.elements:
         if el.is_identity():
             continue
-        fwd, inv = [-1] * n, [-1] * n
+        image, preimage = [-1] * n, [-1] * n
         for x, y in el.pairs:
-            fwd[x] = y
-            inv[y] = x
-        ops[tuple(fwd)] = ops[tuple(inv)] = None
+            image[x] = y
+            preimage[y] = x
+        ops[tuple(image)] = ops[tuple(preimage)] = None
 
     def rows_of(class_of: tuple[int, ...]) -> list[list[int]]:
         """Per class of an admissible partition, the class of the image of
@@ -602,18 +602,9 @@ def quotient_by_partition(P: Permutoid, class_of: Sequence[int]):
     element_map: list[int] = []
     index_of: dict[Graph, int] = {}
     for el in P.elements:
-        img: dict[int, int] = {}
-        values = set()
-        for x, y in el.pairs:
-            cx, cy = class_of[x], class_of[y]
-            if img.get(cx, cy) != cy:
-                return None
-            if cx not in img:
-                if cy in values:
-                    return None
-                img[cx] = cy
-                values.add(cy)
-        graph = tuple(sorted(img.items()))
+        # not functional or not injective where the partition does not
+        # descend, which validate_permutoid rejects
+        graph = tuple(sorted({(class_of[x], class_of[y]) for x, y in el.pairs}))
         if graph not in index_of:
             index_of[graph] = len(induced_graphs)
             induced_graphs.append(graph)

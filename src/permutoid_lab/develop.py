@@ -80,171 +80,136 @@ class _BudgetExhausted(Exception):
 class _Csp:
     """Backtracking state for one target size.
 
-    ``fwd[e]`` and ``inv[e]`` hold element e's permutation of the target and
-    its inverse, with -1 where a cell is unassigned.  The identity element
-    is assigned on every point and each element on its own graph before the
-    first branch.  The search then branches on the first unassigned cell in
-    (element, point) order and tries its free values in ascending order, so
-    the first development found is the canonical one.
+    ``rows[2e]`` holds element e's permutation of the target and
+    ``rows[2e + 1]`` its inverse, with -1 where a cell is unassigned, so the
+    inverse of row x is row ``x ^ 1``.  The identity element is assigned on
+    every point and each element on its own graph before the first branch.
+    The search then branches on the first unassigned cell of the forward
+    rows in (element, point) order and tries its free values in ascending
+    order, so the first development found is the canonical one.
 
-    Every assignment (e, y, v) is appended to the trail, which is also the
-    propagation queue: ``_propagate`` runs the composition rules on
-    ``trail[head:]`` until the head reaches the end, and ``_undo`` truncates
-    the trail back to a mark.  The order in which facts are processed cannot
-    change a node count: the rules only add facts implied by the facts
-    present, so propagation from a consistent state either ends at the one
-    least fixpoint or meets a conflict, whichever order it takes, and it
-    meets a conflict exactly when that fixpoint assigns a cell or a value
-    twice.
+    ``rules[x]`` lists a pair (a, c) for each form f_a o f_x = f_c filed
+    under row x (``_rules`` builds them).  A witness triple (p, q, r),
+    f_p o f_q = f_r, is filed in six forms; with P, Q, R = 2p, 2q, 2r:
+
+        under Q: (P, R)          under Q^1: (R, P)
+        under P: (R^1, Q^1)      under P^1: (Q^1, R^1)
+        under R: (P^1, Q)        under R^1: (Q, P^1)
+
+    These are the triple and the five other forms that ``_filed_triples``
+    names, each filed under the row of its middle element, with an inverse
+    row X^1 where that list has a partner x': (R, P) under Q^1 is
+    (r, q', p).  A fact f_x(i) = j is also the fact f_x^1(j) = i, and the
+    forms under x and x^1 state the same equations, f_c(i) = f_a(j).  So a
+    fact meets every instance of every filed triple that holds its element,
+    whichever of its two rows it was recorded on.
+
+    Every assignment (x, i, j) is appended to the trail, which is also the
+    propagation queue: ``_propagate`` runs ``rules[x]`` on ``trail[head:]``
+    until the head reaches the end, and ``_undo`` truncates the trail back
+    to a mark.  The order in which facts are processed cannot change a node
+    count: the rules only add facts implied by the facts present, so
+    propagation from a consistent state either ends at the one least
+    fixpoint or meets a conflict, whichever order it takes, and it meets a
+    conflict exactly when that fixpoint assigns a cell or a value twice.
 
     ``_solve`` first propagates the assignments made on construction, and
     yields nothing if they conflict.  It keeps its branches on an explicit
-    stack of frames ``[element, point, last value tried, trail mark]``.  A
-    frame finds its next value afresh in ``inv[element]`` after undoing to
-    its mark, so no frame holds a list of free values, and the search depth
-    is not bounded by the interpreter's recursion limit.
+    stack of frames ``[row 2e, point, last value tried, trail mark]``.  A
+    frame finds its next value afresh in row 2e + 1 after undoing to its
+    mark, so no frame holds a list of free values, and the search depth is
+    not bounded by the interpreter's recursion limit.
 
     It files one triple per class of cyclic conjugates (``_filed_triples``,
     which proves that the least fixpoint and its conflicts, and so node
     counts and developments, are those of all witness triples).
     """
 
-    def __init__(self, P: Permutoid, triples, m: int, counter: dict):
+    def __init__(self, P: Permutoid, rules: list, m: int, counter: dict):
         self.counter = counter
-        k = len(P.elements)
-        self.fwd = [[-1] * m for _ in range(k)]
-        self.inv = [[-1] * m for _ in range(k)]
+        self.rules = rules
+        self.rows = [[-1] * m for _ in rules]
         self.trail: list[tuple[int, int, int]] = []
         self.head = 0
-        # each triple (p, q, r), f_p o f_q = f_r, under each element with the others
-        self.by_left: list[list] = [[] for _ in range(k)]
-        self.by_mid: list[list] = [[] for _ in range(k)]
-        self.by_right: list[list] = [[] for _ in range(k)]
         one = P.identity_index
-        for p, q, r in triples:
-            self.by_left[p].append((q, r))
-            self.by_mid[q].append((p, r))
-            self.by_right[r].append((p, q))
-
-        # each row gets one partial permutation, so these cannot clash
+        # each element gets one partial permutation, so these cannot clash
         for e, el in enumerate(P.elements):
             pairs = [(y, y) for y in range(m)] if e == one else el.pairs
-            for x, y in pairs:
-                self.fwd[e][x] = y
-                self.inv[e][y] = x
-                self.trail.append((e, x, y))
+            for i, j in pairs:
+                self.rows[2 * e][i] = j
+                self.rows[2 * e + 1][j] = i
+                self.trail.append((2 * e, i, j))
 
     def _propagate(self) -> bool:
-        """Close the trail under the composition rules; False on a conflict.
+        """Close the trail under the rules; False on a conflict.
 
-        Of the two rules for each triple only the first that applies is
-        run: once it has fired, or found its cell already holding the value,
-        the second one holds as well.
+        A fact f_x(i) = j and a form (a, c) under x give f_c(i) = f_a(j).
+        Only the first direction that applies is run: once it has fired, or
+        found its cell already holding the value, the other holds as well.
         """
-        fwd, inv, trail = self.fwd, self.inv, self.trail
-        by_left, by_mid, by_right = self.by_left, self.by_mid, self.by_right
+        rows, rules, trail = self.rows, self.rules, self.trail
         head = self.head
         while head < len(trail):
-            e, y, v = trail[head]
+            x, i, j = trail[head]
             head += 1
-            for p, r in by_mid[e]:  # f_q(y) = v, so f_r(y) = f_p(v)
-                w = fwd[p][v]
-                if w != -1:
-                    row = fwd[r]
-                    cur = row[y]
+            for a, c in rules[x]:
+                w = rows[a][j]
+                if w != -1:  # f_c(i) = w
+                    row = rows[c]
+                    cur = row[i]
                     if cur != w:
-                        if cur != -1 or inv[r][w] != -1:
+                        if cur != -1 or rows[c ^ 1][w] != -1:
                             return False
-                        row[y] = w
-                        inv[r][w] = y
-                        trail.append((r, y, w))
+                        row[i] = w
+                        rows[c ^ 1][w] = i
+                        trail.append((c, i, w))
                 else:
-                    w = fwd[r][y]
-                    if w != -1:
-                        if inv[p][w] != -1:
+                    w = rows[c][i]
+                    if w != -1:  # f_a(j) = w, where f_a(j) was unassigned
+                        if rows[a ^ 1][w] != -1:
                             return False
-                        fwd[p][v] = w
-                        inv[p][w] = v
-                        trail.append((p, v, w))
-            for q, r in by_left[e]:  # f_p(y) = v, so f_r(z) = v where f_q(z) = y
-                z = inv[q][y]
-                if z != -1:
-                    row = fwd[r]
-                    cur = row[z]
-                    if cur != v:
-                        if cur != -1 or inv[r][v] != -1:
-                            return False
-                        row[z] = v
-                        inv[r][v] = z
-                        trail.append((r, z, v))
-                else:
-                    z = inv[r][v]
-                    if z != -1:
-                        row = fwd[q]
-                        if row[z] != -1:
-                            return False
-                        row[z] = y
-                        inv[q][y] = z
-                        trail.append((q, z, y))
-            for p, q in by_right[e]:  # f_r(y) = v, so f_p(f_q(y)) = v
-                z = fwd[q][y]
-                if z != -1:
-                    row = fwd[p]
-                    cur = row[z]
-                    if cur != v:
-                        if cur != -1 or inv[p][v] != -1:
-                            return False
-                        row[z] = v
-                        inv[p][v] = z
-                        trail.append((p, z, v))
-                else:
-                    z = inv[p][v]
-                    if z != -1:
-                        if inv[q][z] != -1:
-                            return False
-                        fwd[q][y] = z
-                        inv[q][z] = y
-                        trail.append((q, y, z))
+                        rows[a][j] = w
+                        rows[a ^ 1][w] = j
+                        trail.append((a, j, w))
         self.head = head
         return True
 
     def _undo(self, mark: int):
-        fwd, inv, trail = self.fwd, self.inv, self.trail
-        for e, y, v in trail[mark:]:
-            fwd[e][y] = -1
-            inv[e][v] = -1
+        rows, trail = self.rows, self.trail
+        for x, i, j in trail[mark:]:
+            rows[x][i] = -1
+            rows[x ^ 1][j] = -1
         del trail[mark:]
         self.head = mark
 
-    def _next_cell(self, e: int, y: int) -> tuple[int, int] | None:
-        """The first unassigned cell at or after (e, y); every cell before
-        (e, y) is assigned."""
-        fwd = self.fwd
-        while e < len(fwd):
-            row = fwd[e]
+    def _next_cell(self, x: int, y: int) -> tuple[int, int] | None:
+        """The first unassigned cell at or after (x, y) in the forward rows
+        x = 2e; every cell before (x, y) is assigned."""
+        rows = self.rows
+        for x in range(x, len(rows), 2):
+            row = rows[x]
             if -1 in row:
-                return e, row.index(-1, y)
-            e += 1
+                return x, row.index(-1, y)
             y = 0
         return None
 
     def _solve(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        fwd, inv, trail = self.fwd, self.inv, self.trail
+        rows, trail = self.rows, self.trail
         counter = self.counter
         budget = counter["budget"]
         if not self._propagate():
             return
         cell = self._next_cell(0, 0)
         if cell is None:
-            yield tuple(tuple(row) for row in fwd)
+            yield tuple(tuple(row) for row in rows[::2])
             return
         stack = [[*cell, -1, len(trail)]]
         while stack:
             frame = stack[-1]
-            e, y, last, mark = frame
+            x, y, last, mark = frame
             self._undo(mark)  # the last value's assignments; none on a new frame
             try:
-                v = inv[e].index(-1, last + 1)
+                v = rows[x ^ 1].index(-1, last + 1)
             except ValueError:
                 stack.pop()
                 continue
@@ -253,16 +218,30 @@ class _Csp:
             if budget is not None and counter["nodes"] > budget:
                 raise _BudgetExhausted
             # the cell is unassigned and v is free, so this cannot conflict
-            fwd[e][y] = v
-            inv[e][v] = y
-            trail.append((e, y, v))
+            rows[x][y] = v
+            rows[x ^ 1][v] = y
+            trail.append((x, y, v))
             if not self._propagate():
                 continue
-            cell = self._next_cell(e, y)
+            cell = self._next_cell(x, y)
             if cell is None:
-                yield tuple(tuple(row) for row in fwd)
+                yield tuple(tuple(row) for row in rows[::2])
                 continue
             stack.append([*cell, -1, len(trail)])
+
+
+def _rules(k: int, triples: list) -> list[list[tuple[int, int]]]:
+    """The forms of ``triples`` filed under each of the 2k rows of ``_Csp``."""
+    rules: list[list[tuple[int, int]]] = [[] for _ in range(2 * k)]
+    for p, q, r in triples:
+        p, q, r = 2 * p, 2 * q, 2 * r  # the forward rows
+        rules[q].append((p, r))
+        rules[p].append((r ^ 1, q ^ 1))
+        rules[r].append((p ^ 1, q))
+        rules[q ^ 1].append((r, p))
+        rules[p ^ 1].append((q ^ 1, r ^ 1))
+        rules[r ^ 1].append((q, p ^ 1))
+    return rules
 
 
 def _filed_triples(P: Permutoid, triples: list) -> list:
@@ -276,14 +255,17 @@ def _filed_triples(P: Permutoid, triples: list) -> list:
     (p', r, q), (q', p', r'), (r', p, q'), (q, r', p') is a witness triple
     that sorts before it.
 
-    - Link lemma.  Because the identity row is full, one link makes
-      (y, v) in f_q and (v, y) in f_q' derive each other in a single
-      propagation step (by_mid[q] one way, by_left[q'] the other).
-    - Induction on triple order.  An instance of (p, q, r) is the cells
-      f_q(y) = v, f_p(v) = w, f_r(y) = w; a form has the same instances
-      with some cells read through partners, as (r, q', p) reads f_q'(v) =
-      y, f_r(y) = w, f_p(v) = w.  So every rule of a dropped form is a link
-      step composed with a rule of a smaller witness form, whose rules hold
+    - Link lemma.  Because the identity row is full, one link (q', q, 1)
+      makes (y, v) in f_q and (v, y) in f_q' derive each other in a single
+      propagation step: its form filed under row Q one way, its form filed
+      under row Q' the other (or those under Q^1 and Q'^1, which state the
+      same).  So rows Q and Q'^1 hold the same cells at the fixpoint.
+    - Induction on triple order.  ``_Csp`` files a triple's six forms under
+      the rows of their middle elements.  A dropped triple's forms are
+      forms that the smaller witness form already files, with row X'^1 in
+      place of row X for some of its elements x: (r, q', p) files under
+      Q'^1 the form (P, R) that (p, q, r) files under Q.  By the lemma
+      those rows hold the same cells, and the smaller triple's forms hold
       at the filed fixpoint by induction, filed or dropped in turn.
     - Consequence.  The least fixpoint and its conflicts (a cell or value
       assigned twice) are those of all witness triples, and so are node
@@ -312,12 +294,12 @@ def _first_certified(
     backtracking order, and report the first development that ``certify``
     turns into a certificate (it returns None to skip a development)."""
     P = prob.source
-    triples = _filed_triples(P, witness_triples(P))
+    rules = _rules(len(P.elements), _filed_triples(P, witness_triples(P)))
     counter: dict = {"nodes": 0, "budget": prob.node_budget}
     try:
         for m in range(P.ground_size, prob.max_ground + 1):
             counter["size"] = m
-            for maps in _Csp(P, triples, m, counter)._solve():
+            for maps in _Csp(P, rules, m, counter)._solve():
                 certificate = certify(Development(m, maps))
                 if certificate is not None:
                     return Found(certificate, counter["nodes"])

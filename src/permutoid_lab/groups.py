@@ -217,7 +217,6 @@ class RealizedGroup:
     order: int
     table: tuple[tuple[int, ...], ...]
     generator_images: tuple[int, ...]
-    backend_tag: str = "finite-enumerated"
 
     def __post_init__(self):
         n = self.order
@@ -282,7 +281,6 @@ class FreeGroup:
     """Free group backend: handles are freely reduced letter tuples."""
 
     num_generators: int
-    backend_tag: str = "free-group-ball"
 
     @property
     def identity_handle(self) -> tuple:
@@ -337,7 +335,7 @@ def todd_coxeter(p: Presentation, max_cosets: int) -> RealizedGroup:
         tuple(trace(i, reps[j]) for j in range(n)) for i in range(n)
     )
     images = tuple(table[0][2 * g] for g in range(len(p.generators)))
-    return RealizedGroup(n, mult, images, backend_tag="finite-enumerated")
+    return RealizedGroup(n, mult, images)
 
 
 def realize_backend(p: Presentation, max_cosets: int = 10_000) -> Backend:
@@ -601,10 +599,10 @@ def verify_quotient_hom(
     identity = tuple(range(degree))
     inverses = []
     for perm in perms:
-        inv = [0] * degree
+        inverse = [0] * degree
         for x, y in enumerate(perm):
-            inv[y] = x
-        inverses.append(tuple(inv))
+            inverse[y] = x
+        inverses.append(tuple(inverse))
 
     for ridx, rel in enumerate(p.relators):
         image = identity

@@ -157,12 +157,7 @@ def realized_group_from_obj(obj) -> tuple[RealizedGroup, tuple[str, ...]]:
     for name in names:
         if not isinstance(images[name], int):
             raise FormatError("group table: generator images must be integers")
-    group = RealizedGroup(
-        order,
-        tuple(rows),
-        tuple(images[name] for name in names),
-        backend_tag="explicit-table",
-    )
+    group = RealizedGroup(order, tuple(rows), tuple(images[name] for name in names))
     return group, names
 
 

@@ -3,8 +3,10 @@
 The previous backtracking engine (``_Csp``, with its relabeling rule for
 fresh points, and the ``_first_certified`` loop over sizes) is copied here as an
 oracle for verdicts, node counts and the developments found.  It files every
-witness triple, so it also checks the search that files one triple per class
-of cyclic conjugates.
+witness triple, with one rule for each place of an element in it over
+separate forward and inverse arrays, so it also checks the search that files
+one triple per class of cyclic conjugates, in six forms over rows that hold
+both.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ from permutoid_lab.develop import (
     Found,
     _filed_triples,
     _first_certified,
+    _rules,
     search_development,
     verify_development,
 )
@@ -489,9 +492,25 @@ def random_permutoid(rng, n):
             continue
 
 
+def assert_filed_forms_hold(P, dev):
+    """f_c = f_a o f_x on ``dev`` for every form (a, c) the search files
+    under every row x, the inverse rows read off the development's maps."""
+    rows = []
+    for f in dev.maps:
+        inverse = [0] * len(f)
+        for y, v in enumerate(f):
+            inverse[v] = y
+        rows += [f, tuple(inverse)]
+    rules = _rules(len(P.elements), _filed_triples(P, witness_triples(P)))
+    for x, filed in enumerate(rules):
+        for a, c in filed:
+            assert rows[c] == tuple(rows[a][v] for v in rows[x]), (x, a, c)
+
+
 class TestAgainstPreviousEngine:
     """Verdict class, node count, size reached and the development found
-    are the previous engine's, with and without a node budget."""
+    are the previous engine's, with and without a node budget, and every
+    filed form holds on the development found."""
 
     BUDGETS = (None, 500, 7)
 
@@ -500,6 +519,8 @@ class TestAgainstPreviousEngine:
         # max_ground, and the development's maps
         verdict = search_development(prob)
         assert verdict == oracle_search(prob), prob
+        if isinstance(verdict, Found):
+            assert_filed_forms_hold(prob.source, verdict.development)
         return verdict
 
     def test_random_permutoids(self):

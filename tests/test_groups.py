@@ -191,20 +191,20 @@ class TestRealizedGroupChecks:
             (4, 3, 1, 2, 0),
         )
         with pytest.raises(UsageError):
-            RealizedGroup(5, table, (1,), backend_tag="explicit-table")
+            RealizedGroup(5, table, (1,))
 
     def test_rejects_non_generating_images(self):
         table = tuple(
             tuple((i + j) % 4 for j in range(4)) for i in range(4)
         )
         with pytest.raises(UsageError):
-            RealizedGroup(4, table, (2,), backend_tag="explicit-table")
+            RealizedGroup(4, table, (2,))
 
     def test_accepts_z4_with_generator(self):
         table = tuple(
             tuple((i + j) % 4 for j in range(4)) for i in range(4)
         )
-        g = RealizedGroup(4, table, (1,), backend_tag="explicit-table")
+        g = RealizedGroup(4, table, (1,))
         assert g.inverses == (0, 3, 2, 1)
 
     def test_rejects_z400_with_a_swapped_intercalate(self):
@@ -216,7 +216,7 @@ class TestRealizedGroupChecks:
         for i, j in ((1, 1), (1, 201), (201, 1), (201, 201)):
             table[i][j] = (table[i][j] + 200) % n
         with pytest.raises(UsageError, match=r"associativity fails at \(1,1,2\)"):
-            RealizedGroup(n, tuple(map(tuple, table)), (1,), backend_tag="explicit-table")
+            RealizedGroup(n, tuple(map(tuple, table)), (1,))
 
     def test_agrees_with_brute_force_on_perturbed_tables(self):
         rng = random.Random(1729)
@@ -229,7 +229,7 @@ class TestRealizedGroupChecks:
                 images = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
                 expected = brute_force_is_group(table, images)
                 try:
-                    RealizedGroup(n, tuple(map(tuple, table)), images, backend_tag="explicit-table")
+                    RealizedGroup(n, tuple(map(tuple, table)), images)
                     accepted = True
                 except UsageError:
                     accepted = False

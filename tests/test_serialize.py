@@ -94,7 +94,6 @@ class TestGroupTableFormat:
         assert loaded.order == 6
         assert loaded.table == g.table
         assert names == ("a", "b")
-        assert loaded.backend_tag == "explicit-table"
 
     def test_generators_ordered_by_name(self):
         table = [[(i + j) % 2 for j in range(2)] for i in range(2)]
