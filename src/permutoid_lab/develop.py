@@ -41,6 +41,8 @@ class DevelopmentProblem:
             raise UsageError(
                 f"max_ground {self.max_ground} below ground size {self.source.ground_size}"
             )
+        if self.node_budget is not None and self.node_budget < 0:
+            raise UsageError(f"node_budget must be at least 0, got {self.node_budget}")
 
 
 @dataclass(frozen=True)
@@ -105,20 +107,27 @@ class _Csp:
     whichever of its two rows it was recorded on.
 
     Every assignment (x, i, j) is appended to the trail, which is also the
-    propagation queue: ``_propagate`` runs ``rules[x]`` on ``trail[head:]``
-    until the head reaches the end, and ``_undo`` truncates the trail back
-    to a mark.  The order in which facts are processed cannot change a node
-    count: the rules only add facts implied by the facts present, so
-    propagation from a consistent state either ends at the one least
-    fixpoint or meets a conflict, whichever order it takes, and it meets a
-    conflict exactly when that fixpoint assigns a cell or a value twice.
+    propagation queue: ``_close`` runs ``rules[x]`` on the trail from a
+    given position until it reaches the end.  The order in which facts are
+    processed cannot change a node count: the rules only add facts implied
+    by the facts present, so propagation from a consistent state either
+    ends at the one least fixpoint or meets a conflict, whichever order it
+    takes, and it meets a conflict exactly when that fixpoint assigns a
+    cell or a value twice.
 
-    ``_solve`` first propagates the assignments made on construction, and
-    yields nothing if they conflict.  It keeps its branches on an explicit
-    stack of frames ``[row 2e, point, last value tried, trail mark]``.  A
-    frame finds its next value afresh in row 2e + 1 after undoing to its
-    mark, so no frame holds a list of free values, and the search depth is
-    not bounded by the interpreter's recursion limit.
+    ``_solve`` closes the assignments made on construction, and yields
+    nothing if they conflict.  It then runs one flat loop over an explicit
+    stack of frames ``[row 2e, point, last value tried, trail mark]``, so
+    the search depth is not bounded by the interpreter's recursion limit.
+    A frame's mark is the trail's length when it was pushed, with every fact
+    before it closed.  Each visit to a frame pops the trail down to its mark,
+    which undoes the last value's assignments and costs nothing on a frame
+    just pushed, finds the next free value afresh in row 2e + 1, so no frame
+    holds a list of free values, assigns it and closes from the mark.  The
+    node count is kept in a local and written back to ``counter["nodes"]``
+    before each yield and when the generator exits, by a budget stop or
+    otherwise, so a verdict read at either point, or a search resumed after
+    a skipped development, sees the count of the nodes visited so far.
 
     It files one triple per class of cyclic conjugates (``_filed_triples``,
     which proves that the least fixpoint and its conflicts, and so node
@@ -130,7 +139,6 @@ class _Csp:
         self.rules = rules
         self.rows = [[-1] * m for _ in rules]
         self.trail: list[tuple[int, int, int]] = []
-        self.head = 0
         one = P.identity_index
         # each element gets one partial permutation, so these cannot clash
         for e, el in enumerate(P.elements):
@@ -140,94 +148,83 @@ class _Csp:
                 self.rows[2 * e + 1][j] = i
                 self.trail.append((2 * e, i, j))
 
-    def _propagate(self) -> bool:
-        """Close the trail under the rules; False on a conflict.
-
-        A fact f_x(i) = j and a form (a, c) under x give f_c(i) = f_a(j).
-        Only the first direction that applies is run: once it has fired, or
-        found its cell already holding the value, the other holds as well.
-        """
-        rows, rules, trail = self.rows, self.rules, self.trail
-        head = self.head
-        while head < len(trail):
-            x, i, j = trail[head]
-            head += 1
-            for a, c in rules[x]:
-                w = rows[a][j]
-                if w != -1:  # f_c(i) = w
-                    row = rows[c]
-                    cur = row[i]
-                    if cur != w:
-                        if cur != -1 or rows[c ^ 1][w] != -1:
-                            return False
-                        row[i] = w
-                        rows[c ^ 1][w] = i
-                        trail.append((c, i, w))
-                else:
-                    w = rows[c][i]
-                    if w != -1:  # f_a(j) = w, where f_a(j) was unassigned
-                        if rows[a ^ 1][w] != -1:
-                            return False
-                        rows[a][j] = w
-                        rows[a ^ 1][w] = j
-                        trail.append((a, j, w))
-        self.head = head
-        return True
-
-    def _undo(self, mark: int):
-        rows, trail = self.rows, self.trail
-        for x, i, j in trail[mark:]:
-            rows[x][i] = -1
-            rows[x ^ 1][j] = -1
-        del trail[mark:]
-        self.head = mark
-
-    def _next_cell(self, x: int, y: int) -> tuple[int, int] | None:
-        """The first unassigned cell at or after (x, y) in the forward rows
-        x = 2e; every cell before (x, y) is assigned."""
-        rows = self.rows
-        for x in range(x, len(rows), 2):
-            row = rows[x]
-            if -1 in row:
-                return x, row.index(-1, y)
-            y = 0
-        return None
-
     def _solve(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        rows, trail = self.rows, self.trail
+        rows, rules, trail = self.rows, self.rules, self.trail
         counter = self.counter
         budget = counter["budget"]
-        if not self._propagate():
-            return
-        cell = self._next_cell(0, 0)
-        if cell is None:
-            yield tuple(tuple(row) for row in rows[::2])
-            return
-        stack = [[*cell, -1, len(trail)]]
-        while stack:
-            frame = stack[-1]
-            x, y, last, mark = frame
-            self._undo(mark)  # the last value's assignments; none on a new frame
-            try:
-                v = rows[x ^ 1].index(-1, last + 1)
-            except ValueError:
-                stack.pop()
-                continue
-            frame[2] = v
-            counter["nodes"] += 1
-            if budget is not None and counter["nodes"] > budget:
-                raise _BudgetExhausted
-            # the cell is unassigned and v is free, so this cannot conflict
-            rows[x][y] = v
-            rows[x ^ 1][v] = y
-            trail.append((x, y, v))
-            if not self._propagate():
-                continue
-            cell = self._next_cell(x, y)
-            if cell is None:
-                yield tuple(tuple(row) for row in rows[::2])
-                continue
-            stack.append([*cell, -1, len(trail)])
+        nodes = counter["nodes"]
+        stack: list[list[int]] = []
+        x = y = 0
+        try:
+            closed = _close(rows, rules, trail, 0)
+            while True:
+                if closed:  # every cell before (x, y) is assigned
+                    for x in range(x, len(rows), 2):
+                        row = rows[x]
+                        if -1 in row:
+                            stack.append([x, row.index(-1, y), -1, len(trail)])
+                            break
+                        y = 0
+                    else:
+                        counter["nodes"] = nodes
+                        yield tuple(tuple(row) for row in rows[::2])
+                if not stack:
+                    return
+                frame = stack[-1]
+                x, y, last, mark = frame
+                while len(trail) > mark:  # the last value's assignments
+                    z, i, j = trail.pop()
+                    rows[z][i] = -1
+                    rows[z ^ 1][j] = -1
+                try:
+                    v = rows[x ^ 1].index(-1, last + 1)
+                except ValueError:
+                    stack.pop()
+                    closed = False  # resume the frame below
+                    continue
+                frame[2] = v
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    raise _BudgetExhausted
+                # the cell is unassigned and v is free, so this cannot conflict
+                rows[x][y] = v
+                rows[x ^ 1][v] = y
+                trail.append((x, y, v))
+                closed = _close(rows, rules, trail, mark)
+        finally:
+            counter["nodes"] = nodes
+
+
+def _close(rows: list, rules: list, trail: list, head: int) -> bool:
+    """Close the trail from ``head`` under the rules; False on a conflict.
+
+    A fact f_x(i) = j and a form (a, c) under x give f_c(i) = f_a(j).
+    Only the first direction that applies is run: once it has fired, or
+    found its cell already holding the value, the other holds as well.
+    """
+    while head < len(trail):
+        x, i, j = trail[head]
+        head += 1
+        for a, c in rules[x]:
+            w = rows[a][j]
+            if w != -1:  # f_c(i) = w
+                row = rows[c]
+                cur = row[i]
+                if cur != w:
+                    if cur != -1 or rows[c ^ 1][w] != -1:
+                        return False
+                    row[i] = w
+                    rows[c ^ 1][w] = i
+                    trail.append((c, i, w))
+            else:
+                w = rows[c][i]
+                if w != -1:  # f_a(j) = w, where f_a(j) was unassigned
+                    if rows[a ^ 1][w] != -1:
+                        return False
+                    rows[a][j] = w
+                    rows[a ^ 1][w] = j
+                    trail.append((a, j, w))
+    return True
 
 
 def _rules(k: int, triples: list) -> list[list[tuple[int, int]]]:
@@ -334,7 +331,7 @@ def verify_development(P: Permutoid, D: Development) -> None:
         if len(perm) != m or sorted(perm) != list(range(m)):
             raise DevelopmentError("NotAPermutation", f"map {e} is not a permutation", element=e)
     identity = tuple(range(m))
-    if D.maps[P.identity_index] != identity:
+    if tuple(D.maps[P.identity_index]) != identity:
         raise DevelopmentError("IdentityNotFull", "identity element must extend to the identity")
     for e, el in enumerate(P.elements):
         for x, y in el.pairs:
@@ -423,6 +420,8 @@ def probe_finite_quotient(
     quotient through verify_quotient_hom; a trivial ball permutoid proves the
     group trivial; anything else is inconclusive, never a negative.
     """
+    if node_budget is not None and node_budget < 0:
+        raise UsageError(f"node_budget must be at least 0, got {node_budget}")
     if 2 * rho <= presentation.max_relator_length:
         raise PreconditionRadius(
             f"need 2*rho > {presentation.max_relator_length}, got rho={rho}"

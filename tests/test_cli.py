@@ -554,6 +554,7 @@ class TestCliContract:
             (["probe-finite-quotient", "--presentation", z3, "--radius", "1", "--max-size", "4"], 3),
             (["develop", remark], 3),                                 # missing flag
             (["develop", remark, "--max-size", "1"], 3),              # bound below ground
+            (["develop", remark, "--max-size", "4", "--budget", "-1"], 3),  # negative budget
         ]
         for argv, expected in rows:
             code = run_cli(argv)

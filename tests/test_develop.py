@@ -182,6 +182,14 @@ class TestSearchDevelopment:
         with pytest.raises(UsageError):
             DevelopmentProblem(REMARK, 1)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(UsageError):
+            DevelopmentProblem(REMARK, 4, -1)
+        # a zero budget allows no branch, but propagation alone may finish
+        T = validate_permutoid(2, [[(0, 0), (1, 1)]])
+        assert search_development(DevelopmentProblem(T, 4, 0)) == Found(Development(2, ((0, 1),)), 0)
+        assert search_development(DevelopmentProblem(REMARK, 4, 0)) == BudgetExceeded(1, 2)
+
 
 class TestDeepSearch:
     """The search depth is not bounded by the interpreter's recursion limit:
@@ -220,6 +228,9 @@ class TestVerifyDevelopment:
         with pytest.raises(DevelopmentError) as ei:
             verify_development(cam.permutoid, Development(5, tuple(maps)))
         assert ei.value.code == "NotExtending"
+
+    def test_list_maps_verify(self):
+        verify_development(REMARK, Development(2, ([0, 1], [1, 0], [1, 0])))
 
     def test_identity_not_full(self):
         v = search_development(DevelopmentProblem(REMARK, 4))
@@ -456,10 +467,17 @@ class _OracleCsp:
             self._undo(checkpoint)
 
 
-def oracle_search(prob):
-    """The previous ``_first_certified`` with the verifying callback of
-    ``search_development``."""
+def oracle_search(prob, certify=None):
+    """The previous ``_first_certified``.  ``certify`` turns a development
+    into a certificate, or returns None to skip it; by default it is the
+    verifying callback of ``search_development``."""
     P = prob.source
+
+    def verified(dev):
+        verify_development(P, dev)
+        return dev
+
+    certify = certify or verified
     triples = witness_triples(P)
     counter = {"nodes": 0, "budget": prob.node_budget}
     try:
@@ -470,9 +488,9 @@ def oracle_search(prob):
             except _OracleConflict:
                 continue
             for maps in csp._solve():
-                dev = Development(m, maps)
-                verify_development(P, dev)
-                return Found(dev, counter["nodes"])
+                certificate = certify(Development(m, maps))
+                if certificate is not None:
+                    return Found(certificate, counter["nodes"])
     except _OracleBudget:
         return BudgetExceeded(counter["nodes"], counter["size"])
     return ExhaustedUpTo(prob.max_ground, counter["nodes"])
@@ -512,7 +530,7 @@ class TestAgainstPreviousEngine:
     are the previous engine's, with and without a node budget, and every
     filed form holds on the development found."""
 
-    BUDGETS = (None, 500, 7)
+    BUDGETS = (None, 500, 7, 1, 0)
 
     def same(self, prob):
         # equal dataclasses: class, nodes_explored, size_reached or
@@ -542,6 +560,35 @@ class TestAgainstPreviousEngine:
                 P = cameron_permutoid(group, rho).permutoid
                 for budget in self.BUDGETS:
                     self.same(DevelopmentProblem(P, P.ground_size + 2, budget))
+
+    def test_resumed_after_skipped_developments(self):
+        """A certify that skips the first development at each size, as the
+        rigid search's leaf filter may: the search resumes past it, and the
+        node count of the verdict includes the nodes visited before and
+        after the skip."""
+
+        def skip_first():
+            sizes = set()
+
+            def certify(dev):
+                if dev.ground_size in sizes:
+                    return dev
+                sizes.add(dev.ground_size)
+                return None
+
+            return certify
+
+        rng = random.Random(20261019)
+        kinds = set()
+        for _ in range(100):
+            n = rng.randint(3, 6)
+            P = random_permutoid(rng, n)
+            for budget in self.BUDGETS:
+                prob = DevelopmentProblem(P, n + 2, budget)
+                verdict = _first_certified(prob, skip_first())
+                assert verdict == oracle_search(prob, skip_first()), prob
+                kinds.add(type(verdict).__name__)
+        assert kinds == {"Found", "ExhaustedUpTo", "BudgetExceeded"}, kinds
 
 
 class TestRigidAgainstPreviousEngine:

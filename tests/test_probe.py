@@ -46,6 +46,13 @@ class TestProbeFiniteQuotient:
         assert report.verdict == "definitively-none"
         assert report.evidence is None
 
+    def test_negative_budget_rejected(self):
+        # checked before the trivial group returns its verdict
+        with pytest.raises(UsageError):
+            probe_finite_quotient(
+                parse_presentation("gens: a\nrels: a"), rho=2, max_ground=4, node_budget=-1
+            )
+
     def test_radius_precondition(self, pool_presentations):
         with pytest.raises(PreconditionRadius):
             probe_finite_quotient(pool_presentations["z6"], rho=3, max_ground=8)
