@@ -35,7 +35,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise UsageError(f"{path}: not UTF-8 text") from None
 
 
 def _read_json(path: str):
@@ -91,16 +94,22 @@ def _cmd_cameron(args) -> int:
     return 0
 
 
-def _cmd_develop(args) -> int:
-    permutoid, names = serialize.permutoid_from_obj(_read_json(args.file))
-    prob = develop.DevelopmentProblem(permutoid, args.max_size, args.budget)
+def _report_search(args, names, start_size: int, search) -> int:
+    """Emit the verdict of ``search()``, timed unless ``--deterministic``;
+    exit 0 on Found, 2 otherwise."""
     start = time.monotonic()
-    verdict = develop.search_development(prob)
-    obj = serialize.verdict_to_obj(verdict, names, start_size=permutoid.ground_size)
+    verdict = search()
+    obj = serialize.verdict_to_obj(verdict, names, start_size=start_size)
     if not args.deterministic:
         obj["wall_time_ms"] = int((time.monotonic() - start) * 1000)
     _emit_json(obj, args.output)
     return 0 if isinstance(verdict, develop.Found) else 2
+
+
+def _cmd_develop(args) -> int:
+    permutoid, names = serialize.permutoid_from_obj(_read_json(args.file))
+    prob = develop.DevelopmentProblem(permutoid, args.max_size, args.budget)
+    return _report_search(args, names, permutoid.ground_size, lambda: develop.search_development(prob))
 
 
 def _cmd_verify_development(args) -> int:
@@ -194,13 +203,12 @@ def _cmd_pseudogroup(args) -> int:
         _emit_json(serialize.permutoid_to_obj(permutoid, names), args.output)
         return 0
     # develop
-    start = time.monotonic()
-    verdict = pseudogroup.search_rigid_development(H, args.max_size, args.budget, args.group_cap)
-    obj = serialize.verdict_to_obj(verdict, names, start_size=H.ground_size)
-    if not args.deterministic:
-        obj["wall_time_ms"] = int((time.monotonic() - start) * 1000)
-    _emit_json(obj, args.output)
-    return 0 if isinstance(verdict, develop.Found) else 2
+    return _report_search(
+        args,
+        names,
+        H.ground_size,
+        lambda: pseudogroup.search_rigid_development(H, args.max_size, args.budget, args.group_cap),
+    )
 
 
 def _add_output(p):

@@ -356,7 +356,9 @@ def validate_morphism(m: Morphism) -> MorphismKind:
     Clause 1: the identity element maps to the identity element.
     Clause 2: point images land in the right domains and commute with
     the element maps.
-    Clause 3: witness triples map to extending triples in the target.
+    Clause 3: witness triples map to extending triples in the target,
+    which are its witness triples.  Reading the target's witness table
+    checks its unique-extension clause (ValidationError).
     """
     src, tgt = m.source, m.target
     if len(m.point_map) != src.ground_size or any(
@@ -384,17 +386,10 @@ def validate_morphism(m: Morphism) -> MorphismKind:
                     point=x,
                 )
 
-    # Many source triples share one image triple; each is composed once.
-    preserved: dict[tuple[int, int, int], bool] = {}
+    # f(k) extends a defined f(i).f(j) iff it is that composite's witness
+    table, f = tgt.witness_table, m.element_map
     for i, j, k in witness_triples(src):
-        triple = (m.element_map[i], m.element_map[j], m.element_map[k])
-        ok = preserved.get(triple)
-        if ok is None:
-            pm = tgt.elements[triple[0]].mapping
-            rm = tgt.elements[triple[2]].mapping
-            comp = [(x, pm[y]) for x, y in tgt.elements[triple[1]].pairs if y in pm]
-            ok = preserved[triple] = bool(comp) and all(rm.get(x) == z for x, z in comp)
-        if not ok:
+        if table[(f[i], f[j])] != f[k]:
             raise MorphismError(
                 "CompositionNotPreserved",
                 f"triple ({i},{j},{k}) is not preserved",

@@ -11,7 +11,7 @@ order.  An exhausted size bound is never a proof that no development exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .core import (
     Morphism,
@@ -75,126 +75,6 @@ class BudgetExceeded:
 SearchVerdict = Union[Found, ExhaustedUpTo, BudgetExceeded]
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _Csp:
-    """Backtracking state for one target size.
-
-    ``rows[2e]`` holds element e's permutation of the target and
-    ``rows[2e + 1]`` its inverse, with -1 where a cell is unassigned, so the
-    inverse of row x is row ``x ^ 1``.  The identity element is assigned on
-    every point and each element on its own graph before the first branch.
-    The search then branches on the first unassigned cell of the forward
-    rows in (element, point) order and tries its free values in ascending
-    order, so the first development found is the canonical one.
-
-    ``rules[x]`` lists a pair (a, c) for each form f_a o f_x = f_c filed
-    under row x (``_rules`` builds them).  A witness triple (p, q, r),
-    f_p o f_q = f_r, is filed in six forms; with P, Q, R = 2p, 2q, 2r:
-
-        under Q: (P, R)          under Q^1: (R, P)
-        under P: (R^1, Q^1)      under P^1: (Q^1, R^1)
-        under R: (P^1, Q)        under R^1: (Q, P^1)
-
-    These are the triple and the five other forms that ``_filed_triples``
-    names, each filed under the row of its middle element, with an inverse
-    row X^1 where that list has a partner x': (R, P) under Q^1 is
-    (r, q', p).  A fact f_x(i) = j is also the fact f_x^1(j) = i, and the
-    forms under x and x^1 state the same equations, f_c(i) = f_a(j).  So a
-    fact meets every instance of every filed triple that holds its element,
-    whichever of its two rows it was recorded on.
-
-    Every assignment (x, i, j) is appended to the trail, which is also the
-    propagation queue: ``_close`` runs ``rules[x]`` on the trail from a
-    given position until it reaches the end.  The order in which facts are
-    processed cannot change a node count: the rules only add facts implied
-    by the facts present, so propagation from a consistent state either
-    ends at the one least fixpoint or meets a conflict, whichever order it
-    takes, and it meets a conflict exactly when that fixpoint assigns a
-    cell or a value twice.
-
-    ``_solve`` closes the assignments made on construction, and yields
-    nothing if they conflict.  It then runs one flat loop over an explicit
-    stack of frames ``[row 2e, point, last value tried, trail mark]``, so
-    the search depth is not bounded by the interpreter's recursion limit.
-    A frame's mark is the trail's length when it was pushed, with every fact
-    before it closed.  Each visit to a frame pops the trail down to its mark,
-    which undoes the last value's assignments and costs nothing on a frame
-    just pushed, finds the next free value afresh in row 2e + 1, so no frame
-    holds a list of free values, assigns it and closes from the mark.  The
-    node count is kept in a local and written back to ``counter["nodes"]``
-    before each yield and when the generator exits, by a budget stop or
-    otherwise, so a verdict read at either point, or a search resumed after
-    a skipped development, sees the count of the nodes visited so far.
-
-    It files one triple per class of cyclic conjugates (``_filed_triples``,
-    which proves that the least fixpoint and its conflicts, and so node
-    counts and developments, are those of all witness triples).
-    """
-
-    def __init__(self, P: Permutoid, rules: list, m: int, counter: dict):
-        self.counter = counter
-        self.rules = rules
-        self.rows = [[-1] * m for _ in rules]
-        self.trail: list[tuple[int, int, int]] = []
-        one = P.identity_index
-        # each element gets one partial permutation, so these cannot clash
-        for e, el in enumerate(P.elements):
-            pairs = [(y, y) for y in range(m)] if e == one else el.pairs
-            for i, j in pairs:
-                self.rows[2 * e][i] = j
-                self.rows[2 * e + 1][j] = i
-                self.trail.append((2 * e, i, j))
-
-    def _solve(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        rows, rules, trail = self.rows, self.rules, self.trail
-        counter = self.counter
-        budget = counter["budget"]
-        nodes = counter["nodes"]
-        stack: list[list[int]] = []
-        x = y = 0
-        try:
-            closed = _close(rows, rules, trail, 0)
-            while True:
-                if closed:  # every cell before (x, y) is assigned
-                    for x in range(x, len(rows), 2):
-                        row = rows[x]
-                        if -1 in row:
-                            stack.append([x, row.index(-1, y), -1, len(trail)])
-                            break
-                        y = 0
-                    else:
-                        counter["nodes"] = nodes
-                        yield tuple(tuple(row) for row in rows[::2])
-                if not stack:
-                    return
-                frame = stack[-1]
-                x, y, last, mark = frame
-                while len(trail) > mark:  # the last value's assignments
-                    z, i, j = trail.pop()
-                    rows[z][i] = -1
-                    rows[z ^ 1][j] = -1
-                try:
-                    v = rows[x ^ 1].index(-1, last + 1)
-                except ValueError:
-                    stack.pop()
-                    closed = False  # resume the frame below
-                    continue
-                frame[2] = v
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise _BudgetExhausted
-                # the cell is unassigned and v is free, so this cannot conflict
-                rows[x][y] = v
-                rows[x ^ 1][v] = y
-                trail.append((x, y, v))
-                closed = _close(rows, rules, trail, mark)
-        finally:
-            counter["nodes"] = nodes
-
-
 def _close(rows: list, rules: list, trail: list, head: int) -> bool:
     """Close the trail from ``head`` under the rules; False on a conflict.
 
@@ -228,7 +108,8 @@ def _close(rows: list, rules: list, trail: list, head: int) -> bool:
 
 
 def _rules(k: int, triples: list) -> list[list[tuple[int, int]]]:
-    """The forms of ``triples`` filed under each of the 2k rows of ``_Csp``."""
+    """The forms of ``triples`` filed under each of the 2k rows of the
+    development search (``_first_certified``)."""
     rules: list[list[tuple[int, int]]] = [[] for _ in range(2 * k)]
     for p, q, r in triples:
         p, q, r = 2 * p, 2 * q, 2 * r  # the forward rows
@@ -242,7 +123,7 @@ def _rules(k: int, triples: list) -> list[list[tuple[int, int]]]:
 
 
 def _filed_triples(P: Permutoid, triples: list) -> list:
-    """The witness triples whose rules ``_Csp`` runs.
+    """The witness triples whose rules the development search runs.
 
     (1, q, q) and (p, 1, p) are left out: they hold once the identity's row
     is full, which it is before the first propagation.  Element q's link
@@ -257,7 +138,7 @@ def _filed_triples(P: Permutoid, triples: list) -> list:
       propagation step: its form filed under row Q one way, its form filed
       under row Q' the other (or those under Q^1 and Q'^1, which state the
       same).  So rows Q and Q'^1 hold the same cells at the fixpoint.
-    - Induction on triple order.  ``_Csp`` files a triple's six forms under
+    - Induction on triple order.  The search files a triple's six forms under
       the rows of their middle elements.  A dropped triple's forms are
       forms that the smaller witness form already files, with row X'^1 in
       place of row X for some of its elements x: (r, q', p) files under
@@ -289,20 +170,116 @@ def _first_certified(
 ) -> SearchVerdict:
     """Run the search over target sizes, smallest first, in the canonical
     backtracking order, and report the first development that ``certify``
-    turns into a certificate (it returns None to skip a development)."""
+    turns into a certificate (it returns None to skip a development).
+
+    At each target size m, ``rows[2e]`` holds element e's permutation of
+    the target and ``rows[2e + 1]`` its inverse, with -1 where a cell is
+    unassigned, so the inverse of row x is row ``x ^ 1``.  The identity
+    element is assigned on every point and each element on its own graph
+    before the first branch.  The search then branches on the first
+    unassigned cell of the forward rows in (element, point) order and tries
+    its free values in ascending order, so the first development found is
+    the canonical one.
+
+    ``rules[x]`` lists a pair (a, c) for each form f_a o f_x = f_c filed
+    under row x (``_rules`` builds them).  A witness triple (p, q, r),
+    f_p o f_q = f_r, is filed in six forms; with P, Q, R = 2p, 2q, 2r:
+
+        under Q: (P, R)          under Q^1: (R, P)
+        under P: (R^1, Q^1)      under P^1: (Q^1, R^1)
+        under R: (P^1, Q)        under R^1: (Q, P^1)
+
+    These are the triple and the five other forms that ``_filed_triples``
+    names, each filed under the row of its middle element, with an inverse
+    row X^1 where that list has a partner x': (R, P) under Q^1 is
+    (r, q', p).  A fact f_x(i) = j is also the fact f_x^1(j) = i, and the
+    forms under x and x^1 state the same equations, f_c(i) = f_a(j).  So a
+    fact meets every instance of every filed triple that holds its element,
+    whichever of its two rows it was recorded on.
+
+    Every assignment (x, i, j) is appended to the trail, which is also the
+    propagation queue: ``_close`` runs ``rules[x]`` on the trail from a
+    given position until it reaches the end.  The order in which facts are
+    processed cannot change a node count: the rules only add facts implied
+    by the facts present, so propagation from a consistent state either
+    ends at the one least fixpoint or meets a conflict, whichever order it
+    takes, and it meets a conflict exactly when that fixpoint assigns a
+    cell or a value twice.
+
+    Each size first closes the assignments made at its start, and has no
+    development if they conflict.  It then runs one flat loop over an
+    explicit stack of frames ``[row 2e, point, last value tried, trail
+    mark]``, so the search depth is not bounded by the interpreter's
+    recursion limit.  A frame's mark is the trail's length when it was
+    pushed, with every fact before it closed.  Each visit to a frame pops
+    the trail down to its mark, which undoes the last value's assignments
+    and costs nothing on a frame just pushed, finds the next free value
+    afresh in row 2e + 1, so no frame holds a list of free values, assigns
+    it and closes from the mark.  A complete assignment goes to
+    ``certify``; when that returns None, the loop backtracks from it as
+    from a conflict.  The node count is one local across all sizes, so
+    every verdict counts the nodes visited before and after a skipped
+    development.
+
+    It files one triple per class of cyclic conjugates (``_filed_triples``,
+    which proves that the least fixpoint and its conflicts, and so node
+    counts and developments, are those of all witness triples).
+    """
     P = prob.source
     rules = _rules(len(P.elements), _filed_triples(P, witness_triples(P)))
-    counter: dict = {"nodes": 0, "budget": prob.node_budget}
-    try:
-        for m in range(P.ground_size, prob.max_ground + 1):
-            counter["size"] = m
-            for maps in _Csp(P, rules, m, counter)._solve():
-                certificate = certify(Development(m, maps))
-                if certificate is not None:
-                    return Found(certificate, counter["nodes"])
-    except _BudgetExhausted:
-        return BudgetExceeded(counter["nodes"], counter["size"])
-    return ExhaustedUpTo(prob.max_ground, counter["nodes"])
+    budget = prob.node_budget
+    one = P.identity_index
+    nodes = 0
+    for m in range(P.ground_size, prob.max_ground + 1):
+        rows = [[-1] * m for _ in rules]
+        trail: list[tuple[int, int, int]] = []
+        # each element gets one partial permutation, so these cannot clash
+        for e, el in enumerate(P.elements):
+            pairs = [(y, y) for y in range(m)] if e == one else el.pairs
+            for i, j in pairs:
+                rows[2 * e][i] = j
+                rows[2 * e + 1][j] = i
+                trail.append((2 * e, i, j))
+        stack: list[list[int]] = []
+        x = y = 0
+        closed = _close(rows, rules, trail, 0)
+        while True:
+            if closed:  # every cell before (x, y) is assigned
+                for x in range(x, len(rows), 2):
+                    row = rows[x]
+                    if -1 in row:
+                        stack.append([x, row.index(-1, y), -1, len(trail)])
+                        break
+                    y = 0
+                else:
+                    maps = tuple(tuple(row) for row in rows[::2])
+                    certificate = certify(Development(m, maps))
+                    if certificate is not None:
+                        return Found(certificate, nodes)
+            if not stack:
+                break
+            frame = stack[-1]
+            x, y, last, mark = frame
+            while len(trail) > mark:  # the last value's assignments
+                z, i, j = trail.pop()
+                rows[z][i] = -1
+                rows[z ^ 1][j] = -1
+            try:
+                v = rows[x ^ 1].index(-1, last + 1)
+            except ValueError:
+                stack.pop()
+                closed = False  # resume the frame below
+                continue
+            frame[2] = v
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return BudgetExceeded(nodes, m)
+            # the cell is unassigned and v is free, so this cannot conflict
+            rows[x][y] = v
+            rows[x ^ 1][v] = y
+            trail.append((x, y, v))
+            closed = _close(rows, rules, trail, mark)
+    return ExhaustedUpTo(prob.max_ground, nodes)
 
 
 def search_development(prob: DevelopmentProblem) -> SearchVerdict:

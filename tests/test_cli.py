@@ -580,6 +580,19 @@ class TestCliContract:
         assert obj["verdict"] == "exhausted-up-to"
         assert obj["sizes_tried"] == [3, 4]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{path}"],
+            ["probe-finite-quotient", "--presentation", "{path}", "--radius", "2", "--max-size", "4"],
+        ],
+    )
+    def test_non_utf8_file_exit_three(self, tmp_path, capsys, argv):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b'{"ground_set_size": 1\xff}')
+        code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+        assert code == 3 and err.startswith("error:") and out == ""
+
     def test_unknown_flag_exit_three(self, files, capsys):
         code, _, _ = run(capsys, "validate", files("t.json", TRIVIAL), "--bogus")
         assert code == 3

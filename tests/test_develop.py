@@ -1,12 +1,14 @@
 """Development search, verification, and the search-vs-oracle equivalence.
 
-The previous backtracking engine (``_Csp``, with its relabeling rule for
-fresh points, and the ``_first_certified`` loop over sizes) is copied here as an
-oracle for verdicts, node counts and the developments found.  It files every
-witness triple, with one rule for each place of an element in it over
-separate forward and inverse arrays, so it also checks the search that files
-one triple per class of cyclic conjugates, in six forms over rows that hold
-both.
+An earlier backtracking engine is copied here as an oracle for verdicts,
+node counts and the developments found: the ``_Csp`` class, with its
+relabeling rule for fresh points, as ``_OracleCsp``, and the
+``_first_certified`` loop over sizes that drove it as ``oracle_search``.
+The search under test, ``_first_certified``, is one function that holds the
+whole loop.  The oracle files every witness triple, with one rule for
+each place of an element in it over separate forward and inverse arrays, so
+it also checks the search that files one triple per class of cyclic
+conjugates, in six forms over rows that hold both.
 """
 
 import hashlib
@@ -642,7 +644,7 @@ def forms(t, inverse):
 
 
 class TestFiledTriples:
-    """``_Csp`` files one triple per class of cyclic conjugates, and the
+    """The search files one triple per class of cyclic conjugates, and the
     search still equals the previous engine, which files every triple."""
 
     def test_covering_balls_file_one_triple_per_class(self, pool_groups):

@@ -10,6 +10,7 @@ from permutoid_lab.core import (
     Morphism,
     MorphismKind,
     PartialPermutation,
+    Permutoid,
     _admissible_partitions,
     canonical_form,
     compose_partial,
@@ -73,6 +74,23 @@ class TestValidateMorphism:
         with pytest.raises(MorphismError) as ei:
             validate_morphism(m)
         assert ei.value.code in ("CompositionNotPreserved", "EquivarianceViolated")
+
+    def test_directly_built_target_checks_unique_extension(self):
+        # built without validate_permutoid: (0->1).identity is extended by
+        # both (0->1) and the swap, which the first table read reports
+        tgt = Permutoid(
+            2,
+            (
+                PartialPermutation(2, ((0, 0), (1, 1))),
+                PartialPermutation(2, ((0, 1),)),
+                PartialPermutation(2, ((1, 0),)),
+                PartialPermutation(2, ((0, 1), (1, 0))),
+            ),
+            0,
+        )
+        with pytest.raises(ValidationError) as ei:
+            validate_morphism(Morphism(REMARK, tgt, (0, 1), (0, 1, 2)))
+        assert ei.value.code == "UniqueExtensionViolated"
 
     def test_radius_extension_morphism(self):
         m = radius_extension(FreeGroup(1), 1, 2)

@@ -122,3 +122,34 @@ class TestPseudogroupFormat:
 
         with pytest.raises(PseudogroupError):
             serialize.pseudogroup_from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "load, obj",
+    [
+        (
+            serialize.permutoid_from_obj,
+            {"ground_set_size": True, "elements": [{"name": "one", "map": [[0, 0]]}]},
+        ),
+        (
+            serialize.permutoid_from_obj,
+            {"ground_set_size": 2, "elements": [{"name": "one", "map": [[0, 0], [1, True]]}]},
+        ),
+        (
+            lambda obj: serialize.development_from_obj(obj, ("one",)),
+            {"ground_size": 2, "embedding": "identity-prefix", "maps": {"one": [0, True]}},
+        ),
+        (
+            serialize.realized_group_from_obj,
+            {"order": 2, "table": [[0, 1], [1, False]], "generator_images": {"a": 1}},
+        ),
+        (
+            serialize.realized_group_from_obj,
+            {"order": 2, "table": [[0, 1], [1, 0]], "generator_images": {"a": True}},
+        ),
+    ],
+    ids=["required-key", "map-pair", "development-map", "table-row", "generator-image"],
+)
+def test_booleans_are_not_integers(load, obj):
+    with pytest.raises(FormatError):
+        load(obj)
