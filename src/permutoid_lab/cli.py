@@ -324,17 +324,16 @@ def run_cli(argv) -> int:
             sys.stderr.write("error: pseudogroup develop requires --max-size\n")
             return 3
     try:
-        return args.func(args)
-    except NegativeVerdict as exc:
-        _emit_json({"status": "negative", **serialize.error_to_obj(exc)}, args.output)
-        return 1
-    except Inconclusive as exc:
-        _emit_json({"status": "inconclusive", **serialize.error_to_obj(exc)}, args.output)
-        return 2
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except OSError as exc:
+        try:
+            return args.func(args)
+        except NegativeVerdict as exc:
+            _emit_json({"status": "negative", **serialize.error_to_obj(exc)}, args.output)
+            return 1
+        except Inconclusive as exc:
+            _emit_json({"status": "inconclusive", **serialize.error_to_obj(exc)}, args.output)
+            return 2
+    # OSError also covers writing the negative or inconclusive report above
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

@@ -309,31 +309,24 @@ def todd_coxeter(p: Presentation, max_cosets: int) -> RealizedGroup:
     """Realize the group of a finite presentation by coset enumeration.
 
     Deterministic (HLT with lookahead, first-in-first-out coset definition
-    order).  The multiplication table is rebuilt from coset representatives;
-    raises OutOfBounds when enumeration does not complete within
+    order).  The multiplication table is built column by column in scan
+    order: the column of a coset is its parent's column moved by one table
+    letter.  Raises OutOfBounds when enumeration does not complete within
     ``max_cosets`` live cosets -- which is never a proof of infiniteness.
     """
     table = coset.enumerate_cosets(
         len(p.generators), [list(r.letters) for r in p.relators], max_cosets
     )
     n = len(table)
-    # representative word (as column indices) for each coset, scan order
-    reps: list[list[int] | None] = [None] * n
-    reps[0] = []
+    # cols[j][i] is the product i * j; coset j is first reached as alpha * x
+    cols: list[list[int] | None] = [None] * n
+    cols[0] = list(range(n))
     for alpha in range(n):
         for x in range(2 * len(p.generators)):
             beta = table[alpha][x]
-            if reps[beta] is None:
-                reps[beta] = reps[alpha] + [x]
-
-    def trace(start: int, word: list[int]) -> int:
-        for x in word:
-            start = table[start][x]
-        return start
-
-    mult = tuple(
-        tuple(trace(i, reps[j]) for j in range(n)) for i in range(n)
-    )
+            if cols[beta] is None:
+                cols[beta] = [table[i][x] for i in cols[alpha]]
+    mult = tuple(zip(*cols))
     images = tuple(table[0][2 * g] for g in range(len(p.generators)))
     return RealizedGroup(n, mult, images)
 

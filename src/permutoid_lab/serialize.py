@@ -240,13 +240,13 @@ def probe_report_to_obj(r: ProbeReport) -> dict:
 
 def error_to_obj(exc) -> dict:
     details = {}
-    for key, value in getattr(exc, "details", {}).items():
+    for key, value in exc.details.items():
         if isinstance(value, tuple):
             value = list(value)
         details[key] = value
     return {
         "error": {
-            "code": getattr(exc, "code", type(exc).__name__),
+            "code": exc.code,
             "message": str(exc),
             "details": details,
         }

@@ -1,6 +1,7 @@
 """CLI subcommands, canonical output, and the exit-code contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -194,7 +195,7 @@ class TestVerifyDevelopmentCli:
             ["develop", perm, "--max-size", "4", "--deterministic", "-o", out_path]
         )
         assert code == 0
-        dev_obj = json.loads(open(out_path).read())["development"]
+        dev_obj = json.loads(Path(out_path).read_text())["development"]
         dev = files("d.json", dev_obj)
         code, out, _ = run(capsys, "verify-development", perm, dev)
         assert code == 0
@@ -591,6 +592,21 @@ class TestCliContract:
         path = tmp_path / "bin.txt"
         path.write_bytes(b'{"ground_set_size": 1\xff}')
         code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+        assert code == 3 and err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize(
+        "name, content, argv",
+        [
+            # an invalid permutoid: a negative report
+            ("bad.json", BAD_UNIQUE_EXTENSION, ["develop", "{path}", "--max-size", "3"]),
+            # a free group: an inconclusive report
+            ("free.txt", "gens: a\n", ["coset-enum", "--presentation", "{path}", "--max-cosets", "50"]),
+        ],
+    )
+    def test_unwritable_report_exit_three(self, files, tmp_path, capsys, name, content, argv):
+        path = files(name, content)
+        out_path = str(tmp_path / "missing" / "out.json")
+        code, out, err = run(capsys, *(a.format(path=path) for a in argv), "-o", out_path)
         assert code == 3 and err.startswith("error:") and out == ""
 
     def test_unknown_flag_exit_three(self, files, capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from permutoid_lab.coset import _Enumeration, enumerate_cosets
+from permutoid_lab.coset import _verify, enumerate_cosets
 from permutoid_lab.errors import OutOfBounds, ParseError, RelatorNotKilled, UsageError
 from permutoid_lab.groups import (
     FreeGroup,
@@ -381,14 +381,11 @@ class TestBrokenInvariantsRaise:
 
     def test_coset_verify_rejects_a_corrupted_table(self):
         # Z2's complete table, checked against a^3 instead of a^2
-        enum = _Enumeration(1, [[0, 0, 0]], 10, 100)
-        enum.table = [[1, 1], [0, 0]]
         with pytest.raises(RelatorNotKilled) as ei:
-            enum._verify()
+            _verify([[1, 1], [0, 0]], [[0, 0, 0]])
         assert ei.value.details == {"relator": 0, "coset": 0}
-        enum.table = [[1, None], [0, 0]]
         with pytest.raises(OutOfBounds):
-            enum._verify()
+            _verify([[1, None], [0, 0]], [[0, 0, 0]])
 
     def test_ball_missing_an_inverse(self):
         ball = cayley_ball(FreeGroup(1), 1)  # a^0, a, a^-1
