@@ -17,7 +17,7 @@ from permutoid_lab.errors import ValidationError
 # of {0, ..., n-1}.  Composition applies the right-hand map first and is
 # only defined where the ranges and domains overlap.
 p = PartialPermutation.from_pairs(3, [(0, 1), (1, 2)])
-print("p =", p.pairs)
+print("p =", p.pairs, "on the domain", sorted(p.domain))
 print("p.p =", compose_partial(p, p).pairs)
 
 q = PartialPermutation.from_pairs(2, [(0, 1)])
@@ -34,7 +34,9 @@ print("\nvalidated permutoid with", len(remark.elements), "elements,",
 
 # The composition of the two restrictions fixes a point, so its unique
 # extension in the set is the identity: that is a "witness triple".
-print("witness for elements 1,2:", remark.witness(1, 2))
+one, left, right = remark.elements
+print("witness for elements 1,2:", remark.witness(1, 2),
+      f"(the identity extends their composite: {one.extends(compose_partial(left, right))})")
 
 # The unique-extension axiom has teeth.  If one element's composition with
 # itself is extended by two different elements, validation pinpoints them.

@@ -103,14 +103,6 @@ class PartialPermutation:
     def inverse(self) -> "PartialPermutation":
         return PartialPermutation(self.ground_size, tuple((y, x) for x, y in self.pairs))
 
-    def restrict(self, points: Iterable[int]) -> Union["PartialPermutation", None]:
-        """Restriction to ``points``; None when the restriction is empty."""
-        keep = set(points)
-        sub = tuple((x, y) for x, y in self.pairs if x in keep)
-        if not sub:
-            return None
-        return PartialPermutation(self.ground_size, sub)
-
     def extends(self, other: "PartialPermutation") -> bool:
         """True when this map agrees with ``other`` on all of other's domain."""
         if self.ground_size != other.ground_size:

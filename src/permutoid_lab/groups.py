@@ -1,11 +1,13 @@
 """Marked groups, word-problem backends, and ball-based permutoids.
 
-Three backends can answer "which short words are equal, and what are their
-products": a finite group realized by coset enumeration, a free group using
-reduced words, and an explicit multiplication table loaded from a file.  On
-top of them sit Cayley balls, the permutoids of left multiplications by ball
-elements, the triangulation of a presentation, and the universal group of a
-permutoid.
+A backend answers one question: where does an element go when multiplied on
+the right by a generator or its inverse.  A finite group realized by coset
+enumeration (or loaded as an explicit multiplication table) answers it by a
+table lookup, a free group by appending to or cancelling from a reduced
+word.  On top of that sit Cayley balls, which keep the edges their
+breadth-first search followed, the permutoids of left multiplications by
+ball elements, the triangulation of a presentation, and the universal group
+of a permutoid.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ def free_reduce(word: Word) -> Word:
         else:
             stack.append((g, s))
     return Word(tuple(stack))
+
+
+def _letter(x: int) -> Letter:
+    """The letter of table column x: column 2g is generator g and column
+    2g + 1 its inverse, as in coset tables."""
+    return (x >> 1, -1 if x & 1 else 1)
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
@@ -222,12 +230,13 @@ class RealizedGroup:
         n = self.order
         if n < 1 or len(self.table) != n or any(len(row) != n for row in self.table):
             raise UsageError(f"multiplication table is not {n}x{n}")
-        for i in range(n):
+        everything = list(range(n))
+        for i, column in enumerate(zip(*self.table)):
             if self.table[0][i] != i or self.table[i][0] != i:
                 raise UsageError("element 0 is not an identity")
-            if sorted(self.table[i]) != list(range(n)):
+            if sorted(self.table[i]) != everything:
                 raise UsageError(f"row {i} is not a permutation")
-            if sorted(self.table[j][i] for j in range(n)) != list(range(n)):
+            if sorted(column) != everything:
                 raise UsageError(f"column {i} is not a permutation")
         for i in range(n):
             j = self.table[i].index(0)
@@ -261,19 +270,18 @@ class RealizedGroup:
     def inverses(self) -> tuple[int, ...]:
         return tuple(row.index(0) for row in self.table)
 
-    # handle interface used by CayleyBall (handles are element indices)
+    @property
+    def num_generators(self) -> int:
+        return len(self.generator_images)
+
     @property
     def identity_handle(self) -> int:
         return 0
 
-    def handle_mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def handle_inv(self, a: int) -> int:
-        return self.inverses[a]
-
-    def generator_handle(self, g: int) -> int:
-        return self.generator_images[g]
+    def step(self, h: int, x: int) -> int:
+        """The element h times column x's letter (handles are element indices)."""
+        g = self.generator_images[x >> 1]
+        return self.table[h][self.inverses[g] if x & 1 else g]
 
 
 @dataclass(frozen=True)
@@ -286,23 +294,15 @@ class FreeGroup:
     def identity_handle(self) -> tuple:
         return ()
 
-    def handle_mul(self, a: tuple, b: tuple) -> tuple:
-        return free_reduce(Word(a + b)).letters
-
-    def handle_inv(self, a: tuple) -> tuple:
-        return tuple((g, -s) for g, s in reversed(a))
-
-    def generator_handle(self, g: int) -> tuple:
-        return ((g, 1),)
+    def step(self, h: tuple, x: int) -> tuple:
+        """The reduced word h times column x's letter."""
+        g, s = _letter(x)
+        if h and h[-1] == (g, -s):
+            return h[:-1]
+        return h + ((g, s),)
 
 
 Backend = Union[RealizedGroup, FreeGroup]
-
-
-def _num_generators(group: Backend) -> int:
-    if isinstance(group, FreeGroup):
-        return group.num_generators
-    return len(group.generator_images)
 
 
 def todd_coxeter(p: Presentation, max_cosets: int) -> RealizedGroup:
@@ -347,6 +347,12 @@ class CayleyBall:
 
     Elements are listed in breadth-first order, so positions with distance
     <= r form a prefix; each element carries a geodesic representative word.
+    The ball keeps the edges its search followed: ``edges[i][x]`` is the
+    position of element i times column x's letter (x = 2g for generator g,
+    2g + 1 for its inverse), recorded for every element short of the
+    radius, and ``parents[i] = (p, x)`` is the first edge that reached
+    element i (None for the identity), so words[i] is words[p] plus one
+    letter.
     """
 
     group: Backend
@@ -354,6 +360,8 @@ class CayleyBall:
     handles: tuple
     words: tuple[Word, ...]
     distances: tuple[int, ...]
+    edges: tuple[tuple[int, ...], ...]
+    parents: tuple[tuple[int, int] | None, ...]
 
     @cached_property
     def index(self) -> dict:
@@ -375,47 +383,37 @@ class CayleyBall:
     def position(self, handle) -> int | None:
         return self.index.get(handle)
 
-    def product_position(self, i: int, j: int) -> int | None:
-        """Position of the product of elements i and j, None if outside."""
-        return self.position(self.group.handle_mul(self.handles[i], self.handles[j]))
-
-    def inverse_position(self, i: int) -> int:
-        pos = self.position(self.group.handle_inv(self.handles[i]))
-        if pos is None:
-            raise UsageError(f"the inverse of ball element {i} is not in the ball")
-        return pos
-
 
 def cayley_ball(group: Backend, radius: int) -> CayleyBall:
-    """Breadth-first closure of {1} under generator multiplication."""
+    """Breadth-first closure of {1} under right multiplication by the
+    generators and their inverses, one ``group.step`` per edge."""
     if radius < 1:
         raise UsageError("radius must be >= 1")
-    k = _num_generators(group)
-    start = group.identity_handle
-    handles = [start]
+    columns = range(2 * group.num_generators)
+    handles = [group.identity_handle]
+    index = {handles[0]: 0}
     words: list[Word] = [Word(())]
     dist = [0]
-    index = {start: 0}
-    frontier = [0]
-    for d in range(1, radius + 1):
-        next_frontier = []
-        for i in frontier:
-            for g in range(k):
-                for s in (1, -1):
-                    h = group.handle_mul(
-                        handles[i],
-                        group.generator_handle(g) if s == 1 else group.handle_inv(group.generator_handle(g)),
-                    )
-                    if h not in index:
-                        index[h] = len(handles)
-                        handles.append(h)
-                        words.append(Word(words[i].letters + ((g, s),)))
-                        dist.append(d)
-                        next_frontier.append(index[h])
-        if not next_frontier:
+    parents: list = [None]
+    edges = []
+    for i, h in enumerate(handles):
+        if dist[i] == radius:
             break
-        frontier = next_frontier
-    return CayleyBall(group, radius, tuple(handles), tuple(words), tuple(dist))
+        row = []
+        for x in columns:
+            t = group.step(h, x)
+            j = index.get(t)
+            if j is None:
+                j = index[t] = len(handles)
+                handles.append(t)
+                words.append(Word(words[i].letters + (_letter(x),)))
+                dist.append(dist[i] + 1)
+                parents.append((i, x))
+            row.append(j)
+        edges.append(tuple(row))
+    return CayleyBall(
+        group, radius, tuple(handles), tuple(words), tuple(dist), tuple(edges), tuple(parents)
+    )
 
 
 # -- ball permutoids -------------------------------------------------------------
@@ -438,14 +436,19 @@ class CameronPermutoid:
 
     def element_for_generator(self, g: int) -> int:
         """Index of the element that is left multiplication by generator g."""
-        pos = self.ball.position(self.ball.group.generator_handle(g))
-        if pos is None or pos >= len(self.permutoid.elements):
+        pos = self.ball.edges[0][2 * g]
+        if pos >= len(self.permutoid.elements):
             raise UsageError(f"generator {g} is not an element of the ball permutoid")
         return pos
 
 
 def cameron_permutoid(group: Backend, rho: int) -> CameronPermutoid:
     """Build the radius-rho ball permutoid of a marked group.
+
+    Row b lists b*x for the inner-ball elements x in ball order, read off
+    the carrier ball's edges: x's geodesic word is its parent's plus one
+    letter, so b*x = (b*parent(x)) * letter, and b*parent(x) lies within
+    2*rho - 1 of the identity, where the ball has recorded its edges.
 
     The output always validates: left multiplication is cancellative, so a
     defined composition has the product as its unique extension when the
@@ -455,27 +458,26 @@ def cameron_permutoid(group: Backend, rho: int) -> CameronPermutoid:
         raise UsageError("rho must be >= 1")
     ball = cayley_ball(group, 2 * rho)
     inner = ball.prefix_size(rho)
-    ground = ball.size
-    names = ["a%d" % g for g in range(_num_generators(group))]
+    edges, parents = ball.edges, ball.parents
+    names = ["a%d" % g for g in range(group.num_generators)]
+    labels = tuple(render_word(w, names) for w in ball.words[:inner])
 
-    elements: list = [identity_map(ground)]
-    labels = [render_word(ball.words[0], names)]
+    elements: list = [identity_map(ball.size)]
     for b in range(1, inner):
-        pairs = []
-        for x in range(inner):
-            y = ball.product_position(b, x)
-            if y is None:
+        row = [b]
+        for x in range(1, inner):
+            p, letter = parents[x]
+            if row[p] >= len(edges):
                 raise UsageError(
                     f"product of inner-ball elements {b} and {x} left the carrier ball"
                 )
-            pairs.append((x, y))
-        elements.append(tuple(pairs))
-        labels.append(render_word(ball.words[b], names))
+            row.append(edges[row[p]][letter])
+        elements.append(tuple(enumerate(row)))
 
-    permutoid = validate_permutoid(ground, elements)
+    permutoid = validate_permutoid(ball.size, elements)
     if permutoid.identity_index != 0:
         raise ValidationError("MissingIdentity", "element 0 of a ball permutoid must be the identity")
-    return CameronPermutoid(permutoid, ball, rho, tuple(labels))
+    return CameronPermutoid(permutoid, ball, rho, labels)
 
 
 def radius_extension(group: Backend, rho_small: int, rho_big: int) -> Morphism:
@@ -523,17 +525,18 @@ def triangulate(p: Presentation, m: int, max_cosets: int = 10_000) -> Presentati
     ball = cayley_ball(group, m)
     size = ball.size
     names = tuple("b%d" % i for i in range(size))
+    table = group.table
     signed = []
     for i in range(size):
         signed.append((i, 1, ball.handles[i]))
-        signed.append((i, -1, group.handle_inv(ball.handles[i])))
+        signed.append((i, -1, group.inverses[ball.handles[i]]))
     relators = []
     seen = set()
     for i1, s1, h1 in signed:
         for i2, s2, h2 in signed:
-            h12 = group.handle_mul(h1, h2)
+            h12 = table[h1][h2]
             for i3, s3, h3 in signed:
-                if group.handle_mul(h12, h3) == group.identity_handle:
+                if table[h12][h3] == 0:
                     w = free_reduce(Word(((i1, s1), (i2, s2), (i3, s3))))
                     if w.letters and w.letters not in seen:
                         seen.add(w.letters)

@@ -1,5 +1,7 @@
 """Ball permutoids, radius extensions, triangulation, universal groups."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from permutoid_lab.core import (
@@ -16,12 +18,15 @@ from permutoid_lab.errors import (
 )
 from permutoid_lab.groups import (
     FreeGroup,
+    Presentation,
     Word,
     cameron_permutoid,
     cayley_ball,
     format_presentation,
+    free_reduce,
     parse_presentation,
     radius_extension,
+    render_word,
     todd_coxeter,
     triangulate,
     universal_group,
@@ -174,7 +179,7 @@ class TestUniversalGroup:
                 for rel in uni.relators:
                     img = 0
                     for g, s in rel.letters:
-                        h = handles[g] if s > 0 else group.handle_inv(handles[g])
+                        h = handles[g] if s > 0 else group.inverses[handles[g]]
                         img = group.table[img][h]
                     assert img == 0
                 ball_gens = set(handles)
@@ -183,7 +188,7 @@ class TestUniversalGroup:
                 while frontier:
                     x = frontier.pop()
                     for h in ball_gens:
-                        for y in (group.table[x][h], group.table[x][group.handle_inv(h)]):
+                        for y in (group.table[x][h], group.table[x][group.inverses[h]]):
                             if y not in reached:
                                 reached.add(y)
                                 frontier.append(y)
@@ -224,3 +229,130 @@ class TestVerifyQuotientHom:
         assert str(ei.value) == f"subgroup closure exceeded cap {cap}"
         ev = verify_quotient_hom(pool_presentations["z5"], {"a": [1, 2, 3, 4, 0]}, closure_cap=5)
         assert ev.group_order == 5
+
+
+# -- the ball permutoid against the product-per-entry construction ---------------
+
+def _oracle_arithmetic(group):
+    """Multiplication, inversion and generator elements of a backend, as the
+    ball permutoid was once built from: a table lookup on realized groups,
+    reduction of the concatenated words on free groups."""
+    if isinstance(group, FreeGroup):
+        return (
+            lambda a, b: free_reduce(Word(a + b)).letters,
+            lambda a: tuple((g, -s) for g, s in reversed(a)),
+            lambda g: ((g, 1),),
+            group.num_generators,
+        )
+    return (
+        lambda a, b: group.table[a][b],
+        lambda a: group.inverses[a],
+        lambda g: group.generator_images[g],
+        len(group.generator_images),
+    )
+
+
+def oracle_cameron(group, rho):
+    """The ball permutoid's graphs, labels and generator elements, each
+    product looked up in the carrier ball by its handle."""
+    mul, inv, gen, k = _oracle_arithmetic(group)
+    handles, words, dist = [group.identity_handle], [Word(())], [0]
+    index = {handles[0]: 0}
+    frontier = [0]
+    for d in range(1, 2 * rho + 1):
+        next_frontier = []
+        for i in frontier:
+            for g in range(k):
+                for s in (1, -1):
+                    h = mul(handles[i], gen(g) if s == 1 else inv(gen(g)))
+                    if h not in index:
+                        index[h] = len(handles)
+                        handles.append(h)
+                        words.append(Word(words[i].letters + ((g, s),)))
+                        dist.append(d)
+                        next_frontier.append(index[h])
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    inner = sum(1 for d in dist if d <= rho)
+    names = ["a%d" % g for g in range(k)]
+    graphs = [tuple((x, x) for x in range(len(handles)))]
+    for b in range(1, inner):
+        graphs.append(tuple((x, index[mul(handles[b], handles[x])]) for x in range(inner)))
+    labels = tuple(render_word(w, names) for w in words[:inner])
+    return graphs, labels, [index[gen(g)] for g in range(k)]
+
+
+def oracle_triangulate(p, m):
+    group = todd_coxeter(p, 10_000)
+    mul, inv, _, _ = _oracle_arithmetic(group)
+    handles = cayley_ball(group, m).handles
+    signed = [(i, s, h if s == 1 else inv(h)) for i, h in enumerate(handles) for s in (1, -1)]
+    relators, seen = [], set()
+    for i1, s1, h1 in signed:
+        for i2, s2, h2 in signed:
+            for i3, s3, h3 in signed:
+                if mul(mul(h1, h2), h3) == 0:
+                    w = free_reduce(Word(((i1, s1), (i2, s2), (i3, s3))))
+                    if w.letters and w.letters not in seen:
+                        seen.add(w.letters)
+                        relators.append(w)
+    return format_presentation(Presentation(tuple("b%d" % i for i in range(len(handles))), tuple(relators)))
+
+
+# the free balls of the benchmark's balls workload, and F1 up to radius 4
+FREE_BALLS = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
+
+
+class TestBallPermutoidAgainstProducts:
+    def _assert_agrees(self, group, rho):
+        cam = cameron_permutoid(group, rho)
+        graphs, labels, generators = oracle_cameron(group, rho)
+        assert [e.pairs for e in cam.permutoid.elements] == graphs
+        assert cam.labels == labels
+        assert [cam.element_for_generator(g) for g in range(len(generators))] == generators
+
+    @pytest.mark.parametrize("rho", [1, 2, 3])
+    def test_pool_groups(self, pool_groups, rho):
+        for group in pool_groups.values():
+            self._assert_agrees(group, rho)
+
+    def test_group_where_inverting_the_generators_is_no_automorphism(self):
+        # on the pool groups, a backend that swaps the columns of a generator
+        # and its inverse builds the same permutoids; here it would not
+        group = todd_coxeter(parse_presentation("gens: a, b\nrels: a^7, b^3, b^-1 a b a^-2"), 100)
+        assert group.order == 21
+        for rho in (1, 2, 3):
+            self._assert_agrees(group, rho)
+
+    @pytest.mark.parametrize("rank,rho", FREE_BALLS, ids=[f"f{k}-rho{r}" for k, r in FREE_BALLS])
+    def test_free_groups(self, rank, rho):
+        self._assert_agrees(FreeGroup(rank), rho)
+
+    def test_triangulate(self, pool_presentations):
+        for name in ("z3", "z5", "s3", "q8"):
+            p = pool_presentations[name]
+            m = p.max_relator_length // 2 + 1
+            assert format_presentation(triangulate(p, m)) == oracle_triangulate(p, m)
+
+
+@dataclass(frozen=True)
+class CyclicBackend:
+    """Z/n on the integers 0..n-1: the least a ball needs of a backend."""
+
+    n: int
+    num_generators = 1
+    identity_handle = 0
+
+    def step(self, h, x):
+        return (h + (-1 if x & 1 else 1)) % self.n
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_minimal_backend_builds_the_same_ball_permutoid(n):
+    realized = todd_coxeter(parse_presentation(f"gens: a\nrels: a^{n}"), 100)
+    for rho in (1, 2, 3, 4):
+        mine, theirs = cameron_permutoid(CyclicBackend(n), rho), cameron_permutoid(realized, rho)
+        assert mine.permutoid.elements == theirs.permutoid.elements
+        assert mine.labels == theirs.labels
+        assert mine.element_for_generator(0) == theirs.element_for_generator(0)

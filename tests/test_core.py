@@ -1,11 +1,13 @@
 """Partial permutations, permutoid validation, witnesses, rigidity."""
 
 import ast
+import importlib
 import random
 from pathlib import Path
 
 import pytest
 
+import permutoid_lab
 from permutoid_lab import coset, core, develop, groups, pseudogroup
 from permutoid_lab.core import (
     EMPTY_COMPOSITION,
@@ -46,15 +48,9 @@ class TestPartialPermutation:
         with pytest.raises(ValidationError):
             pp(2, [(0, 2)])
 
-    def test_inverse_and_restrict(self):
+    def test_inverse(self):
         p = pp(3, [(0, 1), (1, 2)])
         assert p.inverse().pairs == ((1, 0), (2, 1))
-        assert p.restrict([0]).pairs == ((0, 1),)
-        assert p.restrict([2]) is None
-
-    def test_restrict_accepts_an_iterator(self):
-        p = pp(3, [(0, 1), (1, 2)])
-        assert p.restrict(iter([0, 1])).pairs == ((0, 1), (1, 2))
 
     def test_extends(self):
         swap = pp(2, [(0, 1), (1, 0)])
@@ -218,7 +214,7 @@ class TestExtensionWitness:
         p_a = cam.element_for_generator(0)
         # ball order: 1, a, a^-1, a^2, a^-2; left multiplication by a twice
         # is left multiplication by a^2
-        a2 = cam.ball.position(cam.ball.group.handle_mul(cam.ball.handles[p_a], cam.ball.handles[p_a]))
+        a2 = cam.ball.edges[p_a][0]
         assert cam.permutoid.witness(p_a, p_a) == a2
         assert cam.labels[a2] == "a0^2"
 
@@ -395,6 +391,54 @@ class TestNoUnusedImports:
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
         assert unused == [], f"{path.name} never uses {unused}"
+
+
+def _referenced_names() -> set:
+    """Every name read, or attribute taken, in ``src/``, ``demos/`` and
+    ``perfbench/``; tests do not count."""
+    root = Path(__file__).resolve().parent.parent
+    names = set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+class TestNoUncalledFunctions:
+    """Every function and method in the package is referenced somewhere in
+    the program, its demos or its benchmark.  Dunders, names the package
+    exports from ``__init__`` and methods overriding one a base class
+    defines (those are called through the base) are exempt.  A reference
+    is matched by name alone, so a method sharing its name with another
+    one passes."""
+
+    @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=[p.stem for p in PACKAGE_MODULES])
+    def test_module_has_no_uncalled_function(self, path):
+        module = importlib.import_module(f"permutoid_lab.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = set(vars(permutoid_lab))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                bases = getattr(module, node.name).__mro__[1:]
+                exempt.update(
+                    fn.name
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef) and any(fn.name in vars(b) for b in bases)
+                )
+        referenced = _referenced_names()
+        uncalled = sorted(
+            f"{fn.name} (line {fn.lineno})"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and fn.name not in exempt
+            and fn.name not in referenced
+        )
+        assert uncalled == [], f"{path.name} defines functions nothing calls: {uncalled}"
 
 
 class TestNoSelfCalls:
