@@ -36,7 +36,6 @@ from .groups import (
     FreeGroup,
     Presentation,
     RealizedGroup,
-    Word,
     cameron_permutoid,
     cayley_ball,
     format_presentation,

@@ -60,12 +60,12 @@ def _emit_json(obj, out_path: str | None):
     _emit(serialize.canonical_json(obj), out_path)
 
 
-def _load_backend(args) -> tuple[groups.Backend, tuple[str, ...]]:
+def _load_backend(args) -> groups.Backend:
     if args.presentation:
         pres = groups.parse_presentation(_read_text(args.presentation))
-        return groups.realize_backend(pres, args.max_cosets), pres.generators
-    group, names = serialize.realized_group_from_obj(_read_json(args.table))
-    return group, names
+        return groups.realize_backend(pres, args.max_cosets)
+    group, _ = serialize.realized_group_from_obj(_read_json(args.table))
+    return group
 
 
 def _cmd_validate(args) -> int:
@@ -88,7 +88,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_cameron(args) -> int:
-    backend, _ = _load_backend(args)
+    backend = _load_backend(args)
     cam = groups.cameron_permutoid(backend, args.radius)
     _emit_json(serialize.permutoid_to_obj(cam.permutoid, cam.labels), args.output)
     return 0

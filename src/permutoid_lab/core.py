@@ -62,15 +62,21 @@ class PartialPermutation:
     pairs: Graph
 
     def __post_init__(self):
-        if self.ground_size < 1:
-            raise ValidationError("BadGroundSize", f"ground_size must be >= 1, got {self.ground_size}")
-        pairs = tuple(sorted((int(x), int(y)) for x, y in self.pairs))
+        n = self.ground_size
+        if not (type(n) is int and n >= 1):  # `type(...) is int` also rejects bools
+            raise ValidationError("BadGroundSize", f"ground_size must be >= 1, got {n!r}")
+        pairs = [(x, y) for x, y in self.pairs]
+        try:
+            pairs.sort()
+        except TypeError:  # a point that does not compare with ints, named below
+            pass
+        pairs = tuple(pairs)
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise ValidationError("EmptyElement", "a partial permutation must be non-empty")
         seen_x, seen_y = set(), set()
         for x, y in pairs:
-            if not (0 <= x < self.ground_size and 0 <= y < self.ground_size):
+            if not (type(x) is int and type(y) is int and 0 <= x < n and 0 <= y < n):
                 raise ValidationError("OutOfRange", f"pair ({x},{y}) outside ground set", pair=(x, y))
             if x in seen_x:
                 raise ValidationError("NotFunctional", f"point {x} has two images", point=x)
@@ -206,11 +212,14 @@ class Permutoid:
         return len(self.elements) == 1
 
     @cached_property
-    def witness_table(self) -> dict[tuple[int, int], object]:
-        """(i, j) -> witness index, NO_WITNESS, or UNDEFINED, for all pairs.
+    def witness_table(self) -> dict[tuple[int, int], int]:
+        """(i, j) -> k for each defined composite p_i.p_j that element k
+        extends; pairs whose composite is undefined or has no extension are
+        absent.  Filled in (i, j) order, so its items are the sorted
+        witness triples.
 
         Each composite is ANDed straight into the pair-holder masks of an
-        :class:`_ExtenderIndex`: -1 is UNDEFINED, 0 is NO_WITNESS and one
+        :class:`_ExtenderIndex`: -1 is undefined, 0 is no extension and one
         bit names the witness.  Computing the table checks the
         unique-extension clause: a mask of two or more bits raises
         ValidationError naming its two lowest indices.
@@ -218,16 +227,14 @@ class Permutoid:
         index = _ExtenderIndex(self.ground_size, self.elements)
         composite = index.composite
         count = len(self.elements)
-        table: dict[tuple[int, int], object] = {}
+        table: dict[tuple[int, int], int] = {}
         for i, p in enumerate(self.elements):
             image = index.image(p)
             for j in range(count):
                 mask = composite(image, j)
-                if mask < 0:
-                    table[(i, j)] = UNDEFINED
-                elif not mask:
-                    table[(i, j)] = NO_WITNESS
-                elif mask & (mask - 1):
+                if mask <= 0:
+                    continue
+                if mask & (mask - 1):
                     rest = mask & (mask - 1)  # mask less its lowest bit
                     r1 = (mask ^ rest).bit_length() - 1
                     r2 = (rest & -rest).bit_length() - 1
@@ -240,26 +247,27 @@ class Permutoid:
                         r1=r1,
                         r2=r2,
                     )
-                else:
-                    table[(i, j)] = mask.bit_length() - 1
+                table[(i, j)] = mask.bit_length() - 1
         return table
 
-    @cached_property
-    def _witness_triples(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(sorted(
-            (i, j, k)
-            for (i, j), k in self.witness_table.items()
-            if isinstance(k, int)
-        ))
-
     def witness(self, i: int, j: int):
-        return self.witness_table[(i, j)]
+        """The index of the element extending p_i.p_j; UNDEFINED when the
+        composite is empty, NO_WITNESS when no element extends it, and
+        KeyError when i or j is not an element index."""
+        k = self.witness_table.get((i, j))
+        if k is not None:
+            return k
+        if not (0 <= i < len(self.elements) and 0 <= j < len(self.elements)):
+            raise KeyError((i, j))
+        if compose_partial(self.elements[i], self.elements[j]) is EMPTY_COMPOSITION:
+            return UNDEFINED
+        return NO_WITNESS
 
 
 def witness_triples(P: Permutoid) -> list[tuple[int, int, int]]:
-    """All (p, q, r) with r the unique element extending p.q, sorted; the
-    list is sorted once per permutoid and copied on each call."""
-    return list(P._witness_triples)
+    """All (p, q, r) with r the unique element extending p.q, sorted: the
+    witness table's items, which it holds in (p, q) order."""
+    return [(i, j, k) for (i, j), k in P.witness_table.items()]
 
 
 ElementsInput = Sequence[Union[PartialPermutation, Iterable[Iterable[int]]]]
@@ -380,8 +388,8 @@ def validate_morphism(m: Morphism) -> MorphismKind:
 
     # f(k) extends a defined f(i).f(j) iff it is that composite's witness
     table, f = tgt.witness_table, m.element_map
-    for i, j, k in witness_triples(src):
-        if table[(f[i], f[j])] != f[k]:
+    for (i, j), k in src.witness_table.items():
+        if table.get((f[i], f[j])) != f[k]:
             raise MorphismError(
                 "CompositionNotPreserved",
                 f"triple ({i},{j},{k}) is not preserved",

@@ -18,6 +18,7 @@ nothing more than "inconclusive at this bound".
 from __future__ import annotations
 
 from collections import deque
+from typing import Sequence
 
 from .errors import OutOfBounds, RelatorNotKilled, UsageError
 
@@ -41,7 +42,7 @@ def _verify(table: list[list[int | None]], relators: list[list[int]]):
 
 def enumerate_cosets(
     num_gens: int,
-    relators: list[list[tuple[int, int]]],
+    relators: Sequence[Sequence[tuple[int, int]]],
     max_cosets: int,
 ) -> list[list[int]]:
     """Run the enumeration; returns the completed coset table.

@@ -37,29 +37,19 @@ from .errors import (
     ValidationError,
 )
 
-Letter = tuple[int, int]  # (generator index, sign)
+#: A letter is (generator index, +1 or -1); a word is a tuple of letters.
+Letter = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word in the generators: a tuple of (generator index, +1 or -1)."""
-
-    letters: tuple[Letter, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.letters)
-
-
-def free_reduce(word: Word) -> Word:
+def free_reduce(word: Sequence[Letter]) -> tuple[Letter, ...]:
     """Cancel adjacent inverse pairs until none remain.  Idempotent."""
     stack: list[Letter] = []
-    for g, s in word.letters:
+    for g, s in word:
         if stack and stack[-1][0] == g and stack[-1][1] == -s:
             stack.pop()
         else:
             stack.append((g, s))
-    return Word(tuple(stack))
+    return tuple(stack)
 
 
 def _letter(x: int) -> Letter:
@@ -73,11 +63,12 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
 @dataclass(frozen=True)
 class Presentation:
-    """A finite group presentation.  Relators are stored freely reduced;
-    relators that reduce to the empty word are dropped with a warning."""
+    """A finite group presentation.  Relators are words, stored freely
+    reduced; relators that reduce to the empty word are dropped with a
+    warning."""
 
     generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    relators: tuple[tuple[Letter, ...], ...]
 
     def __post_init__(self):
         if not self.generators:
@@ -89,11 +80,11 @@ class Presentation:
                 raise ParseError("BadGeneratorName", f"invalid generator name {name!r}")
         kept = []
         for w in self.relators:
-            for g, _ in w.letters:
+            for g, _ in w:
                 if not (0 <= g < len(self.generators)):
                     raise ParseError("UnknownGenerator", f"letter index {g} out of range")
             r = free_reduce(w)
-            if r.length == 0:
+            if not r:
                 warnings.warn("dropping relator that freely reduces to the empty word")
                 continue
             kept.append(r)
@@ -102,7 +93,7 @@ class Presentation:
 
     @property
     def max_relator_length(self) -> int:
-        return max((r.length for r in self.relators), default=0)
+        return max(map(len, self.relators), default=0)
 
 
 def _parse_term(term: str, gen_index: Mapping[str, int]) -> list[Letter]:
@@ -153,23 +144,22 @@ def parse_presentation(text: str) -> Presentation:
         letters: list[Letter] = []
         for term in chunk.split():
             letters.extend(_parse_term(term, gen_index))
-        relators.append(Word(tuple(letters)))
+        relators.append(tuple(letters))
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         return Presentation(tuple(generators), tuple(relators))
 
 
-def render_word(word: Word, names: Sequence[str]) -> str:
+def render_word(word: Sequence[Letter], names: Sequence[str]) -> str:
     """Render with runs collapsed into powers; the empty word is "1"."""
-    if not word.letters:
+    if not word:
         return "1"
     parts = []
     i = 0
-    letters = word.letters
-    while i < len(letters):
-        g, s = letters[i]
+    while i < len(word):
+        g, s = word[i]
         j = i
-        while j < len(letters) and letters[j] == (g, s):
+        while j < len(word) and word[j] == (g, s):
             j += 1
         k = s * (j - i)
         parts.append(names[g] if k == 1 else f"{names[g]}^{k}")
@@ -314,9 +304,7 @@ def todd_coxeter(p: Presentation, max_cosets: int) -> RealizedGroup:
     letter.  Raises OutOfBounds when enumeration does not complete within
     ``max_cosets`` live cosets -- which is never a proof of infiniteness.
     """
-    table = coset.enumerate_cosets(
-        len(p.generators), [list(r.letters) for r in p.relators], max_cosets
-    )
+    table = coset.enumerate_cosets(len(p.generators), p.relators, max_cosets)
     n = len(table)
     # cols[j][i] is the product i * j; coset j is first reached as alpha * x
     cols: list[list[int] | None] = [None] * n
@@ -346,26 +334,23 @@ class CayleyBall:
     """The ball of a given radius in the word metric of a marked group.
 
     Elements are listed in breadth-first order, so positions with distance
-    <= r form a prefix; each element carries a geodesic representative word.
-    The ball keeps the edges its search followed: ``edges[i][x]`` is the
-    position of element i times column x's letter (x = 2g for generator g,
-    2g + 1 for its inverse), recorded for every element short of the
-    radius, and ``parents[i] = (p, x)`` is the first edge that reached
-    element i (None for the identity), so words[i] is words[p] plus one
-    letter.
+    <= r form a prefix, and the ball of any smaller radius is a prefix of
+    this one (see :func:`radius_extension`).  ``words[i]`` is a geodesic
+    representative of element i, a tuple of letters.  The ball keeps the
+    edges its search followed: ``edges[i][x]`` is the position of element
+    i times column x's letter (x = 2g for generator g, 2g + 1 for its
+    inverse), recorded for every element short of the radius, and
+    ``parents[i] = (p, x)`` is the first edge that reached element i (None
+    for the identity), so words[i] is words[p] plus one letter.
     """
 
     group: Backend
     radius: int
     handles: tuple
-    words: tuple[Word, ...]
+    words: tuple[tuple[Letter, ...], ...]
     distances: tuple[int, ...]
     edges: tuple[tuple[int, ...], ...]
     parents: tuple[tuple[int, int] | None, ...]
-
-    @cached_property
-    def index(self) -> dict:
-        return {h: i for i, h in enumerate(self.handles)}
 
     @property
     def size(self) -> int:
@@ -380,9 +365,6 @@ class CayleyBall:
             count += 1
         return count
 
-    def position(self, handle) -> int | None:
-        return self.index.get(handle)
-
 
 def cayley_ball(group: Backend, radius: int) -> CayleyBall:
     """Breadth-first closure of {1} under right multiplication by the
@@ -392,7 +374,7 @@ def cayley_ball(group: Backend, radius: int) -> CayleyBall:
     columns = range(2 * group.num_generators)
     handles = [group.identity_handle]
     index = {handles[0]: 0}
-    words: list[Word] = [Word(())]
+    words: list[tuple[Letter, ...]] = [()]
     dist = [0]
     parents: list = [None]
     edges = []
@@ -406,7 +388,7 @@ def cayley_ball(group: Backend, radius: int) -> CayleyBall:
             if j is None:
                 j = index[t] = len(handles)
                 handles.append(t)
-                words.append(Word(words[i].letters + (_letter(x),)))
+                words.append(words[i] + (_letter(x),))
                 dist.append(dist[i] + 1)
                 parents.append((i, x))
             row.append(j)
@@ -481,28 +463,32 @@ def cameron_permutoid(group: Backend, rho: int) -> CameronPermutoid:
 
 
 def radius_extension(group: Backend, rho_small: int, rho_big: int) -> Morphism:
-    """The extension of ball permutoids induced by growing the radius."""
+    """The extension of ball permutoids induced by growing the radius.
+
+    Point i and element i of the small ball permutoid go to point i and
+    element i of the big one, because a smaller Cayley ball is a prefix of
+    a larger one.  Both breadth-first searches start from the identity and
+    expand elements in list order, calling ``group.step`` on the same
+    handle with the same columns in the same order, so they append the
+    same handles in the same order until the smaller search stops at its
+    first element on its radius.  By then it has expanded every element
+    inside its radius, so its list is its whole ball, and the larger search
+    only appends after that.  Distances agree on the prefix, so the inner
+    balls, whose elements are the permutoids' elements, are prefixes too.
+    :func:`validate_morphism` checks the result.
+    """
     if not 0 < rho_small < rho_big:
         raise PreconditionRadius(
             f"need 0 < rho' < rho, got rho'={rho_small}, rho={rho_big}"
         )
     small = cameron_permutoid(group, rho_small)
     big = cameron_permutoid(group, rho_big)
-    point_map = []
-    for h in small.ball.handles:
-        pos = big.ball.position(h)
-        if pos is None:
-            raise MorphismError("BadPointMap", "a point of the small ball is missing from the big ball")
-        point_map.append(pos)
-    element_map = []
-    for i in range(len(small.permutoid.elements)):
-        pos = big.ball.position(small.ball.handles[i])
-        if pos is None or pos >= len(big.permutoid.elements):
-            raise MorphismError(
-                "BadElementMap", f"element {i} of the small ball permutoid has no image", element=i
-            )
-        element_map.append(pos)
-    morphism = Morphism(small.permutoid, big.permutoid, tuple(point_map), tuple(element_map))
+    morphism = Morphism(
+        small.permutoid,
+        big.permutoid,
+        tuple(range(small.ball.size)),
+        tuple(range(len(small.permutoid.elements))),
+    )
     if not validate_morphism(morphism).is_extension:
         raise MorphismError("NotAnExtension", "the radius inclusion is not an extension")
     return morphism
@@ -537,9 +523,9 @@ def triangulate(p: Presentation, m: int, max_cosets: int = 10_000) -> Presentati
             h12 = table[h1][h2]
             for i3, s3, h3 in signed:
                 if table[h12][h3] == 0:
-                    w = free_reduce(Word(((i1, s1), (i2, s2), (i3, s3))))
-                    if w.letters and w.letters not in seen:
-                        seen.add(w.letters)
+                    w = free_reduce(((i1, s1), (i2, s2), (i3, s3)))
+                    if w and w not in seen:
+                        seen.add(w)
                         relators.append(w)
     return Presentation(names, tuple(relators))
 
@@ -550,9 +536,9 @@ def universal_group(P: Permutoid) -> Presentation:
     relators = []
     seen = set()
     for i, j, k in witness_triples(P):
-        w = free_reduce(Word(((i, 1), (j, 1), (k, -1))))
-        if w.letters and w.letters not in seen:
-            seen.add(w.letters)
+        w = free_reduce(((i, 1), (j, 1), (k, -1)))
+        if w and w not in seen:
+            seen.add(w)
             relators.append(w)
     names = tuple("p%d" % i for i in range(len(P.elements)))
     return Presentation(names, tuple(relators))
@@ -602,7 +588,7 @@ def verify_quotient_hom(
 
     for ridx, rel in enumerate(p.relators):
         image = identity
-        for g, s in rel.letters:
+        for g, s in rel:
             image = _perm_compose(image, perms[g] if s > 0 else inverses[g])
         if image != identity:
             raise RelatorNotKilled(

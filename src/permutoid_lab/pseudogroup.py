@@ -231,15 +231,15 @@ def extend_to_maximal(pi: Permutoid, H: Pseudogroup | None = None) -> Morphism:
     in the generated pseudogroup (identity on points)."""
     if H is None:
         H = generate_pseudogroup(pi.ground_size, pi.elements)
-    target = maximal_permutoid(H)  # its elements are H's, in H's order
+    # its elements are H's, in H's order; H is rigid, so no pair lies in two
+    # of them and each element has at most one maximal extension
+    target = maximal_permutoid(H)
     element_map = []
-    for i, p in enumerate(pi.elements):
+    for p in pi.elements:
         # a map on another ground set extends nothing in H
         hits = H._extenders.extending(p.pairs) if pi.ground_size == H.ground_size else 0
         if not hits:
             raise PseudogroupError("NotAMember", "an element has no maximal extension in H")
-        if hits & (hits - 1):
-            raise NotRigid(f"element {i} has two maximal extensions", element=i)
         element_map.append(hits.bit_length() - 1)
     morphism = Morphism(
         pi, target, tuple(range(pi.ground_size)), tuple(element_map)

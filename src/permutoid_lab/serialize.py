@@ -31,17 +31,12 @@ def default_names(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(count))
 
 
-def _is_int(value) -> bool:
-    """JSON integers only: ``true`` and ``false`` load as bools, which
-    Python counts as ints."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _require(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise FormatError(f"{where}: missing key {key!r}")
     value = obj[key]
-    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+    # `type(v) is int` rejects JSON's true and false, which load as bools
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
         raise FormatError(f"{where}: key {key!r} has wrong type")
     return value
 
@@ -54,7 +49,7 @@ def _parse_elements(obj, key: str, where: str):
         pairs = _require(entry, "map", list, f"{where} element {i}")
         graph = []
         for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2 and all(_is_int(v) for v in pair)):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)):
                 raise FormatError(f"{where} element {i}: map entries must be [x, y] pairs")
             graph.append((pair[0], pair[1]))
         graphs.append(tuple(graph))
@@ -132,7 +127,7 @@ def development_from_obj(obj, names: Sequence[str]) -> Development:
     out = []
     for name in names:
         perm = maps[name]
-        if not (isinstance(perm, list) and all(_is_int(v) for v in perm)):
+        if not (isinstance(perm, list) and all(type(v) is int for v in perm)):
             raise FormatError(f"development: map {name!r} must be a list of integers")
         out.append(tuple(perm))
     return Development(m, tuple(out))
@@ -156,12 +151,12 @@ def realized_group_from_obj(obj) -> tuple[RealizedGroup, tuple[str, ...]]:
     images = _require(obj, "generator_images", dict, "group table")
     rows = []
     for row in table:
-        if not (isinstance(row, list) and all(_is_int(v) for v in row)):
+        if not (isinstance(row, list) and all(type(v) is int for v in row)):
             raise FormatError("group table: table rows must be lists of integers")
         rows.append(tuple(row))
     names = tuple(sorted(images))
     for name in names:
-        if not _is_int(images[name]):
+        if type(images[name]) is not int:
             raise FormatError("group table: generator images must be integers")
     group = RealizedGroup(order, tuple(rows), tuple(images[name] for name in names))
     return group, names

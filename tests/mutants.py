@@ -1,0 +1,147 @@
+"""A standing mutation check: each mutant must make its test file fail.
+
+Each entry is (file, exact old text, new text, test file).  A mutant
+replaces the old text, which must occur exactly once in its file, in a
+copy of the checkout (less ``.git``) made in a temporary directory, and
+runs its test file there with ``pytest -x``; the working tree is never
+touched.  The mutant is killed when that run fails or times out.  Each
+test file is first run unmutated in such a copy and must pass, so that a
+failure the copy would show anyway never counts as a kill.  This script
+exits 1 when an entry no longer applies, a test file fails unmutated or a
+mutant survives, so a refactor updates the list instead of silently
+weakening the tests behind it.
+
+    python3 tests/mutants.py
+
+``tests/test_mutants.py`` checks in tier-1 that every entry still applies;
+the full run stays outside tier-1 (18 mutants, about 50 s in all).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+DEVELOP = "src/permutoid_lab/develop.py"
+COSET = "src/permutoid_lab/coset.py"
+CORE = "src/permutoid_lab/core.py"
+GROUPS = "src/permutoid_lab/groups.py"
+PSEUDOGROUP = "src/permutoid_lab/pseudogroup.py"
+
+MUTANTS: list[tuple[str, str, str, str]] = [
+    # _close: drop the forward conflict test
+    (DEVELOP, "if cur != -1 or rows[c ^ 1][w] != -1:", "if False:", "tests/test_develop.py"),
+    # _close: drop the backward conflict test
+    (DEVELOP, "if rows[a ^ 1][w] != -1:", "if False:", "tests/test_develop.py"),
+    # _close: drop the backward branch
+    (DEVELOP, "if w != -1:  # f_a(j) = w", "if False:  # f_a(j) = w", "tests/test_develop.py"),
+    # _rules: drop one of the six forms
+    (DEVELOP, "        rules[r ^ 1].append((q, p ^ 1))\n", "", "tests/test_develop.py"),
+    # _filed_triples: drop a triple without the "sorts before" test
+    (DEVELOP, "if any(f < (p, q, r) and f in known for f in forms):",
+     "if any(f in known for f in forms):", "tests/test_develop.py"),
+    # the node budget: stop one node early
+    (DEVELOP, "nodes > budget", "nodes >= budget", "tests/test_develop.py"),
+    # enumerate_cosets: keep scanning a coset killed while closing its row
+    (COSET, "            if p[alpha] != alpha:\n                return True\n", "", "tests/test_coset.py"),
+    # enumerate_cosets: drop one coincidence branch
+    (COSET, "                elif table[nu][x ^ 1] is not None:\n"
+            "                    merge(mu, table[nu][x ^ 1], queue)\n", "", "tests/test_coset.py"),
+    # Close-by-One: accept every join
+    (CORE, "if all(joined[c] != joined[d] for c, d in earlier):", "if True:",
+     "tests/test_quotient_enumeration.py"),
+    # witness_table: store the no-extension entries
+    (CORE, "                if mask <= 0:\n                    continue\n",
+     "                if mask < 0:\n                    continue\n", "tests/test_core.py"),
+    # witness: answer NO_WITNESS for an undefined composite
+    (CORE, "            return UNDEFINED\n", "            return NO_WITNESS\n", "tests/test_core.py"),
+    # validate_morphism: let a triple with no target witness pass
+    (CORE, "if table.get((f[i], f[j])) != f[k]:",
+     "if (f[i], f[j]) in table and table[(f[i], f[j])] != f[k]:",
+     "tests/test_morphisms_canonical.py"),
+    # PartialPermutation: stop checking that images are ints
+    (CORE, "if not (type(x) is int and type(y) is int and 0 <= x < n and 0 <= y < n):",
+     "if not (type(x) is int and 0 <= x < n and 0 <= y < n):", "tests/test_core.py"),
+    # PartialPermutation: stop checking that the ground size is an int
+    (CORE, "if not (type(n) is int and n >= 1):", "if not n >= 1:", "tests/test_core.py"),
+    # radius_extension: a point map that is not the initial segment
+    (GROUPS, "tuple(range(small.ball.size)),", "tuple(range(small.ball.size))[::-1],",
+     "tests/test_cameron.py"),
+    # cayley_ball: words lose their inverse letters
+    (GROUPS, "words.append(words[i] + (_letter(x),))", "words.append(words[i] + ((x >> 1, 1),))",
+     "tests/test_groups.py"),
+    # free_reduce: cancel equal letters instead of inverse ones
+    (GROUPS, "stack[-1][1] == -s", "stack[-1][1] == s", "tests/test_groups.py"),
+    # verify_rigid_development: accept a permutation outside the closure
+    (PSEUDOGROUP, "if perm not in rd.group_permutations:", "if False:", "tests/test_pseudogroup.py"),
+]
+
+
+def problems() -> list[str]:
+    """Entries whose old text does not occur exactly once in its file."""
+    out = []
+    for n, (path, old, _, test) in enumerate(MUTANTS):
+        count = (ROOT / path).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            out.append(f"mutant {n}: {path} holds its old text {count} times")
+        if not (ROOT / test).is_file():
+            out.append(f"mutant {n}: no test file {test}")
+    return out
+
+
+def run_tests(test: str, path: str = "", old: str = "", new: str = "") -> tuple[bool, str]:
+    """Run one test file in a fresh copy of the checkout, with the old text
+    of ``path`` replaced by the new when a path is given; returns (passed,
+    how)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        ignore = shutil.ignore_patterns(".git", "__pycache__", "*.egg-info", ".pytest_cache", ".perfbench")
+        shutil.copytree(ROOT, copy, ignore=ignore)
+        if path:
+            target = copy / path
+            target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env["PYTHONPATH"] = str(copy / "src")
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", test]
+        try:
+            result = subprocess.run(
+                command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            return False, f"timed out after {TIMEOUT_S} s"
+    lines = result.stdout.strip().splitlines()
+    return result.returncode == 0, lines[-1] if lines else f"exit {result.returncode}"
+
+
+def main() -> int:
+    found = problems()
+    for test in sorted({entry[3] for entry in MUTANTS}):
+        passed, how = run_tests(test)
+        if not passed:
+            found.append(f"{test} fails unmutated: {how}")
+    for line in found:
+        print(line)
+    if found:
+        return 1
+    survivors = 0
+    for n, (path, old, new, test) in enumerate(MUTANTS):
+        start = time.monotonic()
+        passed, how = run_tests(test, path, old, new)
+        survivors += passed
+        first = old.strip().splitlines()[0]
+        print(f"{n:2d} {'SURVIVED' if passed else 'killed'} {time.monotonic() - start:5.1f} s  "
+              f"{Path(path).name}: {first!r} [{Path(test).name}] {how}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

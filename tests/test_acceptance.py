@@ -127,7 +127,7 @@ def test_criterion_4_triangulation_preserves_the_group():
         for text, expected in ((POOL["z5"], 5), (POOL["s3"], 6)):
             pres = parse_presentation(text)
             tri = triangulate(pres, 3)
-            assert all(r.length <= 3 for r in tri.relators)
+            assert all(len(r) <= 3 for r in tri.relators)
             assert todd_coxeter(tri, 10_000).order == expected
 
 

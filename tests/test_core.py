@@ -48,6 +48,24 @@ class TestPartialPermutation:
         with pytest.raises(ValidationError):
             pp(2, [(0, 2)])
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [((0.5, 1.9),), ((0, 1.5),), (("1", 2),), ((True, 0),), ((0, 1), ("1", 2))],
+        ids=["float", "float-image", "str", "bool", "str-among-ints"],
+    )
+    def test_rejects_non_int_points(self, pairs):
+        # not coerced: int() would read (0.5, 1.9) as (0, 1)
+        with pytest.raises(ValidationError) as ei:
+            PartialPermutation(3, pairs)
+        assert ei.value.code == "OutOfRange"
+        assert ei.value.details["pair"] == pairs[-1]
+
+    @pytest.mark.parametrize("n", [0, 3.0, "3", True])
+    def test_rejects_bad_ground_size(self, n):
+        with pytest.raises(ValidationError) as ei:
+            PartialPermutation(n, ((0, 0),))
+        assert ei.value.code == "BadGroundSize"
+
     def test_inverse(self):
         p = pp(3, [(0, 1), (1, 2)])
         assert p.inverse().pairs == ((1, 0), (2, 1))
@@ -136,6 +154,20 @@ class TestValidatePermutoid:
         err = ei.value
         assert err.code == "DuplicateElement"
         assert (err.details["first"], err.details["second"]) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "elements, code, details",
+        [
+            ([], "MissingIdentity", {}),
+            ([[(0, 0), (1, 1)], PartialPermutation(3, ((0, 1),))], "OutOfRange", {"element": 1}),
+            ([[(0, 0), (1, 1)], [(0.5, 1.9)]], "OutOfRange", {"element": 1, "pair": (0.5, 1.9)}),
+        ],
+        ids=["no-elements", "element-on-another-ground-size", "non-int-point"],
+    )
+    def test_rejects(self, elements, code, details):
+        with pytest.raises(ValidationError) as ei:
+            validate_permutoid(2, elements)
+        assert (ei.value.code, ei.value.details) == (code, details)
 
     def test_no_element_restricts_another(self):
         # any pair p strictly inside q makes both extend p.1_X
@@ -232,6 +264,12 @@ class TestExtensionWitness:
         P = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)]])
         assert P.witness(1, 1) is UNDEFINED
 
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, 3)])
+    def test_indices_out_of_range(self, i, j):
+        P = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
+        with pytest.raises(KeyError):
+            P.witness(i, j)
+
     def test_identity_triples_always_present(self):
         P = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
         triples = witness_triples(P)
@@ -273,6 +311,25 @@ def parent_scans(elements):
     return ("table", table)
 
 
+def assert_matches_parent_scans(n, graphs):
+    """Validate ``graphs`` and compare with :func:`parent_scans`: the same
+    error, or ``witness()`` equal to the full table on every pair and
+    ``witness_table`` equal to its witnessed entries, in (i, j) order."""
+    expected = parent_scans([pp(n, g) for g in graphs])
+    try:
+        P = validate_permutoid(n, graphs)
+    except ValidationError as exc:
+        assert exc.code == "UniqueExtensionViolated"
+        assert ("error", str(exc), exc.details) == expected, (n, graphs)
+        return expected
+    assert expected[0] == "table", (n, graphs)
+    table = expected[1]
+    assert {ij: P.witness(*ij) for ij in table} == table, (n, graphs)
+    witnessed = [(ij, k) for ij, k in table.items() if isinstance(k, int)]
+    assert list(P.witness_table.items()) == witnessed, (n, graphs)
+    return expected
+
+
 class TestSingleWitnessScan:
     def test_matches_parent_scans_on_random_element_lists(self):
         rng = random.Random(314159)
@@ -289,16 +346,7 @@ class TestSingleWitnessScan:
                 graphs.add(tuple(sorted((x, perm[x]) for x in xs)))
             graphs = sorted(graphs)
             rng.shuffle(graphs)
-            elements = [pp(n, g) for g in graphs]
-            expected = parent_scans(elements)
-            kinds[expected[0]] += 1
-            try:
-                P = validate_permutoid(n, graphs)
-                got = ("table", P.witness_table)
-            except ValidationError as exc:
-                assert exc.code == "UniqueExtensionViolated"
-                got = ("error", str(exc), exc.details)
-            assert got == expected, (n, graphs)
+            kinds[assert_matches_parent_scans(n, graphs)[0]] += 1
         assert min(kinds.values()) >= 40, kinds
 
     def test_matches_parent_scans_beyond_64_elements(self):
@@ -314,15 +362,10 @@ class TestSingleWitnessScan:
                 g = rng.randrange(64, n)
                 xs = rng.sample(range(n), rng.randint(1, 3))
                 graphs.insert(rng.randint(64, len(graphs)), tuple(sorted((x, (x + g) % n) for x in xs)))
-            expected = parent_scans([pp(n, g) for g in graphs])
+            expected = assert_matches_parent_scans(n, graphs)
             assert expected[0] == ("error" if restrictions else "table")
-            try:
-                got = ("table", validate_permutoid(n, graphs).witness_table)
-            except ValidationError as exc:
-                assert exc.code == "UniqueExtensionViolated"
-                got = ("error", str(exc), exc.details)
-                high += exc.details["r1"] > 63
-            assert got == expected, (n, graphs)
+            if restrictions:
+                high += expected[2]["r1"] > 63
         assert high == 4
 
     def test_validated_permutoid_holds_its_table(self):

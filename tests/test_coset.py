@@ -17,7 +17,7 @@ import pytest
 
 from permutoid_lab.coset import enumerate_cosets
 from permutoid_lab.errors import OutOfBounds, PermutoidLabError, RelatorNotKilled
-from permutoid_lab.groups import Presentation, Word, free_reduce, parse_presentation, todd_coxeter
+from permutoid_lab.groups import Presentation, free_reduce, parse_presentation, todd_coxeter
 
 from conftest import POOL_PRESENTATIONS
 
@@ -277,7 +277,7 @@ def random_presentation(rng):
         words += [((g, 1),) * rng.randint(2, 6) for g in range(num_gens)]
     for _ in range(rng.randint(1, 3)):
         letters = [(rng.randrange(num_gens), rng.choice((1, -1))) for _ in range(rng.randint(2, 8))]
-        words.append(free_reduce(Word(tuple(letters))).letters)
+        words.append(free_reduce(letters))
     return num_gens, [list(w) for w in words if w]
 
 
@@ -298,9 +298,7 @@ class TestAgainstEarlierEngine:
             assert enumerate_outcome(num_gens, relators, cap) == expected, (relators, cap)
             kinds[_outcome_kind(expected, lookaheads)] += 1
             if expected[0] == "table":
-                p = Presentation(
-                    tuple("abc"[:num_gens]), tuple(Word(tuple(r)) for r in relators)
-                )
+                p = Presentation(tuple("abc"[:num_gens]), tuple(map(tuple, relators)))
                 group = todd_coxeter(p, cap)
                 assert group.table == oracle_multiplication(expected[1], num_gens), (relators, cap)
         assert set(kinds) == {
@@ -311,7 +309,7 @@ class TestAgainstEarlierEngine:
     def test_todd_coxeter_tables(self, name):
         p = parse_presentation({**POOL_PRESENTATIONS, **BENCH_PRESENTATIONS}[name])
         group = todd_coxeter(p, 1000)
-        relators = [list(r.letters) for r in p.relators]
+        relators = [list(r) for r in p.relators]
         (kind, table), _ = oracle_enumerate(len(p.generators), relators, 1000)
         assert kind == "table"
         assert group.table == oracle_multiplication(table, len(p.generators))

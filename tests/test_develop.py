@@ -281,6 +281,16 @@ class TestVerifyDevelopment:
             broken += 1
         assert broken > 30
 
+    @pytest.mark.parametrize(
+        "dev",
+        [Development(1, ((0,), (0,), (0,))), Development(2, ((0, 1), (1, 0)))],
+        ids=["target-below-source", "map-missing"],
+    )
+    def test_wrong_shape(self, dev):
+        with pytest.raises(DevelopmentError) as ei:
+            verify_development(REMARK, dev)
+        assert ei.value.code == "WrongShape"
+
     def test_not_a_permutation(self):
         with pytest.raises(DevelopmentError) as ei:
             verify_development(REMARK, Development(2, ((0, 1), (1, 1), (1, 0))))

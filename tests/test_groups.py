@@ -10,7 +10,6 @@ from permutoid_lab.groups import (
     FreeGroup,
     Presentation,
     RealizedGroup,
-    Word,
     cayley_ball,
     format_presentation,
     free_reduce,
@@ -24,18 +23,18 @@ from conftest import POOL_PRESENTATIONS, saturating_radius
 
 class TestFreeReduce:
     def test_cancels_adjacent_inverse_pair(self):
-        w = Word(((0, 1), (0, -1), (1, 1)))
-        assert free_reduce(w).letters == ((1, 1),)
+        w = ((0, 1), (0, -1), (1, 1))
+        assert free_reduce(w) == ((1, 1),)
 
     def test_empty_stays_empty(self):
-        assert free_reduce(Word(())).letters == ()
+        assert free_reduce(()) == ()
 
     def test_nested_cancellation(self):
-        w = Word(((0, 1), (1, 1), (1, -1), (0, -1)))
-        assert free_reduce(w).letters == ()
+        w = ((0, 1), (1, 1), (1, -1), (0, -1))
+        assert free_reduce(w) == ()
 
     def test_idempotent(self):
-        w = Word(((0, 1), (0, 1), (1, -1)))
+        w = ((0, 1), (0, 1), (1, -1))
         assert free_reduce(free_reduce(w)) == free_reduce(w)
 
 
@@ -44,11 +43,11 @@ class TestParsePresentation:
         p = parse_presentation("gens: a\nrels: a^5")
         assert p.generators == ("a",)
         assert len(p.relators) == 1
-        assert p.relators[0].length == 5
+        assert len(p.relators[0]) == 5
 
     def test_three_relators(self):
         p = parse_presentation("gens: a,b\nrels: a^2, b^3, a b a b")
-        assert [r.length for r in p.relators] == [2, 3, 4]
+        assert [len(r) for r in p.relators] == [2, 3, 4]
 
     def test_reducible_relator_dropped_with_warning(self):
         with pytest.warns(UserWarning):
@@ -72,7 +71,32 @@ class TestParsePresentation:
 
     def test_negative_exponent(self):
         p = parse_presentation("gens: a, b\nrels: a b^-2")
-        assert p.relators[0].letters == ((0, 1), (1, -1), (1, -1))
+        assert p.relators[0] == ((0, 1), (1, -1), (1, -1))
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [("gens: a\ngens: b", "DuplicateGensLine"), ("gens: a\nrelators: a^2", "BadLine")],
+        ids=["DuplicateGensLine", "BadLine"],
+    )
+    def test_rejects_lines(self, text, code):
+        with pytest.raises(ParseError) as ei:
+            parse_presentation(text)
+        assert ei.value.code == code
+
+    @pytest.mark.parametrize(
+        "generators, relators, code",
+        [
+            ((), (), "EmptyGeneratorList"),
+            (("a", "a"), (), "DuplicateGenerator"),
+            (("a", "2b"), (), "BadGeneratorName"),
+            (("a",), (((1, 1),),), "UnknownGenerator"),
+        ],
+        ids=["EmptyGeneratorList", "DuplicateGenerator", "BadGeneratorName", "UnknownGenerator"],
+    )
+    def test_direct_construction_rejects(self, generators, relators, code):
+        with pytest.raises(ParseError) as ei:
+            Presentation(generators, relators)
+        assert ei.value.code == code
 
     def test_comments_and_blank_lines(self):
         p = parse_presentation("# cyclic\n\ngens: a\nrels: a^3\n")
@@ -83,8 +107,8 @@ class TestParsePresentation:
         assert format_presentation(parse_presentation(text)) == text
 
     def test_render_word_collapses_runs(self):
-        assert render_word(Word(((0, 1), (0, 1), (1, -1))), ("a", "b")) == "a^2 b^-1"
-        assert render_word(Word(()), ("a",)) == "1"
+        assert render_word(((0, 1), (0, 1), (1, -1)), ("a", "b")) == "a^2 b^-1"
+        assert render_word((), ("a",)) == "1"
 
 
 class TestToddCoxeter:
@@ -173,7 +197,7 @@ class TestAgainstSympy:
         relators = []
         for r in p.relators:
             w = F.identity
-            for g, s in r.letters:
+            for g, s in r:
                 w *= gens[g] ** s
             relators.append(w)
         assert todd_coxeter(p, 1000).order == fp_groups.FpGroup(F, relators).order()
@@ -191,6 +215,19 @@ class TestRealizedGroupChecks:
         )
         with pytest.raises(UsageError):
             RealizedGroup(5, table, (1,))
+
+    @pytest.mark.parametrize(
+        "order, table, images, message",
+        [
+            (2, ((0, 1),), (1,), "not 2x2"),
+            (2, ((0, 1), (1,)), (1,), "not 2x2"),
+            (2, ((0, 1), (1, 0)), (2,), "generator image out of range"),
+        ],
+        ids=["too-few-rows", "short-row", "image-out-of-range"],
+    )
+    def test_rejects_malformed_input(self, order, table, images, message):
+        with pytest.raises(UsageError, match=message):
+            RealizedGroup(order, table, images)
 
     def test_rejects_non_generating_images(self):
         table = tuple(
@@ -342,11 +379,19 @@ class TestCayleyBall:
             assert cayley_ball(g, r).size == 1
 
     def test_nesting(self, pool_groups):
-        g = pool_groups["s3"]
-        b2, b3 = cayley_ball(g, 2), cayley_ball(g, 3)
-        assert set(b2.handles) <= set(b3.handles)
-        # breadth-first prefix ordering agrees between radii
-        assert b3.handles[: b2.size] == b2.handles
+        # a smaller ball is a prefix of a larger one, which radius_extension's
+        # initial-segment maps rest on
+        cases = [(g, range(1, saturating_radius(g) + 2)) for g in pool_groups.values()]
+        cases += [(FreeGroup(k), range(1, 7 - k)) for k in (1, 2, 3)]
+        for group, radii in cases:
+            balls = [cayley_ball(group, r) for r in radii]
+            for i, small in enumerate(balls):
+                for big in balls[i + 1:]:
+                    assert big.handles[: small.size] == small.handles
+                    assert big.words[: small.size] == small.words
+                    assert big.distances[: small.size] == small.distances
+                    assert big.parents[: small.size] == small.parents
+                    assert big.edges[: len(small.edges)] == small.edges
 
     def test_inverse_closure(self, pool_groups):
         # the inverted geodesic word of each element walks, along the
@@ -356,7 +401,7 @@ class TestCayleyBall:
             ball = cayley_ball(group, 2)
             for i in range(ball.size):
                 j = 0
-                for g, s in reversed(ball.words[i].letters):
+                for g, s in reversed(ball.words[i]):
                     j = ball.edges[j][2 * g + (s > 0)]
                 assert group.table[ball.handles[i]][ball.handles[j]] == 0
                 assert ball.distances[j] <= ball.distances[i]
@@ -365,7 +410,11 @@ class TestCayleyBall:
         for group in (pool_groups["q8"], FreeGroup(2)):
             ball = cayley_ball(group, 2)
             for i in range(ball.size):
-                assert ball.words[i].length == ball.distances[i]
+                assert len(ball.words[i]) == ball.distances[i]
+
+    def test_bad_radius(self):
+        with pytest.raises(UsageError, match="radius must be >= 1"):
+            cayley_ball(FreeGroup(1), 0)
 
     def test_prefix_size(self, pool_groups):
         ball = cayley_ball(pool_groups["z6"], 4)

@@ -48,6 +48,21 @@ class TestValidateMorphism:
             validate_morphism(m)
         assert ei.value.code == "IdentityNotPreserved"
 
+    @pytest.mark.parametrize(
+        "point_map, element_map, code",
+        [
+            ((0,), (0, 1, 1), "BadPointMap"),
+            ((0, 2), (0, 1, 1), "BadPointMap"),
+            ((0, 1), (0, 1), "BadElementMap"),
+            ((0, 1), (0, 1, 2), "BadElementMap"),
+        ],
+        ids=["point-map-short", "point-out-of-range", "element-map-short", "element-out-of-range"],
+    )
+    def test_maps_must_be_total(self, point_map, element_map, code):
+        with pytest.raises(MorphismError) as ei:
+            validate_morphism(Morphism(REMARK, SWAP_TARGET, point_map, element_map))
+        assert ei.value.code == code
+
     def test_equivariance_violated(self):
         # send the 0->1 restriction to the identity: images stop commuting
         m = Morphism(REMARK, SWAP_TARGET, (0, 1), (0, 0, 1))

@@ -1,5 +1,6 @@
 """Pseudogroup generation, rigidity, and rigid developments."""
 
+import dataclasses
 import itertools
 import random
 
@@ -128,6 +129,11 @@ class TestMembership:
 
     def test_empty_antichain_has_no_members(self):
         assert not Pseudogroup(3, ()).member(pp(3, [(0, 1)]))
+
+    def test_map_on_another_ground_set_rejected(self):
+        H = generate_pseudogroup(3, [pp(3, [(0, 1)])])
+        with pytest.raises(GroundSetMismatch):
+            H.member(pp(4, [(0, 1)]))
 
     def test_a_pair_no_member_holds(self):
         H = generate_pseudogroup(3, [pp(3, [(0, 1)])])
@@ -290,6 +296,13 @@ class TestExtendToMaximal:
         morphism = extend_to_maximal(T)
         assert validate_morphism(morphism).is_isomorphism
 
+    def test_element_with_two_maximal_extensions(self):
+        # both generators stay maximal and hold 0 -> 1, so H is not rigid
+        H = generate_pseudogroup(4, [pp(4, [(0, 1), (1, 0)]), pp(4, [(0, 1), (2, 3)])])
+        Pi = validate_permutoid(4, [[(0, 0), (1, 1), (2, 2), (3, 3)], [(0, 1)]])
+        with pytest.raises(NotRigid, match="two maximal elements agree at a point"):
+            extend_to_maximal(Pi, H)
+
     def test_smaller_ground_set_is_not_a_member(self):
         # every graph of Pi also lies in a maximal element of H, but on
         # three points rather than two
@@ -326,6 +339,19 @@ class TestGroupActionPseudogroup:
         with pytest.raises(NotAnAction):
             group_action_pseudogroup(pool_groups["z2"], [(0, 1), (1, 0), (0, 1)])
 
+    @pytest.mark.parametrize(
+        "action, message",
+        [
+            ([(0, 1), (1, 1)], "image of element 1 is not a permutation"),
+            ([(1, 0), (1, 0)], "identity element must act as the identity"),
+            ([(0, 1, 2), (1, 2, 0)], r"action breaks at product \(1,1\)"),
+        ],
+        ids=["not-a-permutation", "identity-moves", "product-broken"],
+    )
+    def test_rejects_non_actions(self, pool_groups, action, message):
+        with pytest.raises(NotAnAction, match=message):
+            group_action_pseudogroup(pool_groups["z2"], action)
+
 
 class TestSearchRigidDevelopment:
     def test_single_arrow_finds_three_cycle(self):
@@ -353,6 +379,25 @@ class TestSearchRigidDevelopment:
         )
         with pytest.raises(NotRigid):
             search_rigid_development(H, 6)
+
+    @pytest.mark.parametrize(
+        "forge, code",
+        [
+            (lambda a, arrow: a[:-1], "WrongShape"),
+            (lambda a, arrow: a[:arrow] + ((0, 1, 2),) + a[arrow + 1:], "NotExtending"),
+            # extends 0 -> 1, but is a transposition outside the 3-cycles
+            (lambda a, arrow: a[:arrow] + ((1, 0, 2),) + a[arrow + 1:], "NotInGroup"),
+        ],
+        ids=["WrongShape", "NotExtending", "NotInGroup"],
+    )
+    def test_forged_certificates_rejected(self, forge, code):
+        H = generate_pseudogroup(3, [pp(3, [(0, 1)])])
+        rd = search_rigid_development(H, 5).development
+        arrow = [m.pairs for m in H.maximal_elements].index(((0, 1),))
+        forged = dataclasses.replace(rd, assignment=forge(rd.assignment, arrow))
+        with pytest.raises(PseudogroupError) as ei:
+            verify_rigid_development(H, forged)
+        assert ei.value.code == code
 
     def test_action_pseudogroups_redevelop(self, pool_groups):
         for name in ("z2", "z3", "s3"):
