@@ -7,9 +7,12 @@ inputs give bit-identical tables.  When a lookahead frees cosets,
 processing resumes at the coset where the cap stopped it: every live coset
 before it has each relator scanned to completion and its row filled, and a
 completed scan stays complete under coincidences.  Dead cosets keep their
-rows until the standardization, which is the only renumbering.  Follows the
-classical presentation in Holt, "Handbook of Computational Group Theory",
-ch. 5.
+rows until the standardization, which is the only renumbering.  A relator
+whose trace from the coset being closed is already defined and returns to
+it is passed over without a scan, since the scan would change nothing.
+The finished table is verified by composing whole columns, one relator at a
+time over every coset at once.  Follows the classical presentation in
+Holt, "Handbook of Computational Group Theory", ch. 5.
 
 Failure to close within the cap is reported as OutOfBounds and means
 nothing more than "inconclusive at this bound".
@@ -18,6 +21,7 @@ nothing more than "inconclusive at this bound".
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import OutOfBounds, RelatorNotKilled, UsageError
@@ -25,10 +29,30 @@ from .errors import OutOfBounds, RelatorNotKilled, UsageError
 
 def _verify(table: list[list[int | None]], relators: list[list[int]]):
     """Check that a table is complete and that every relator closes at
-    every coset; relators are lists of table columns."""
+    every coset; relators are lists of table columns.
+
+    Each relator is traced from every coset at once, as a composition of
+    whole columns: the getter of column x takes the images so far to their
+    images under x, so the getters run in reversed relator order.  Only
+    when that finds a relator that does not close does the coset-by-coset
+    loop run, to name the first coset and relator that fail.  A
+    one-coset table goes straight to the loop, since an itemgetter of one
+    point returns a bare value.
+    """
     for gamma, row in enumerate(table):
         if None in row:
             raise OutOfBounds(f"coset {gamma} has an undefined image", coset=gamma)
+    if len(table) > 1:
+        getters = [itemgetter(*column) for column in zip(*table)]
+        identity = tuple(range(len(table)))
+        for rel in relators:
+            image = identity
+            for x in reversed(rel):
+                image = getters[x](image)
+            if image != identity:
+                break
+        else:
+            return
     for gamma in range(len(table)):
         for r, rel in enumerate(relators):
             delta = gamma
@@ -152,6 +176,17 @@ def enumerate_cosets(
         """Scan every relator at alpha, then fill its row; False when the
         live-coset cap stops a definition."""
         for rel in relators:
+            # A relator whose trace from alpha is defined throughout and
+            # returns to alpha already closes: its scan would run forward to
+            # the end with f == b, defining nothing and merging nothing, so
+            # skipping it leaves the table, p and every count as they were.
+            f = alpha
+            for x in rel:
+                f = table[f][x]
+                if f is None:
+                    break
+            if f == alpha:
+                continue
             if not scan(alpha, rel, True):
                 return False
             if p[alpha] != alpha:

@@ -24,6 +24,8 @@ from .groups import (
     CameronPermutoid,
     FiniteQuotientEvidence,
     Presentation,
+    _is_permutation,
+    _perm_compose,
     cameron_permutoid,
     realize_backend,
     verify_quotient_hom,
@@ -304,15 +306,19 @@ def verify_development(P: Permutoid, D: Development) -> None:
         raise DevelopmentError("WrongShape", "target smaller than the source ground set")
     if len(D.maps) != len(P.elements):
         raise DevelopmentError("WrongShape", "one permutation per element required")
+    points = set(range(m))
+    maps = []
     for e, perm in enumerate(D.maps):
-        if len(perm) != m or sorted(perm) != list(range(m)):
+        perm = tuple(perm)
+        if not _is_permutation(perm, points):
             raise DevelopmentError("NotAPermutation", f"map {e} is not a permutation", element=e)
+        maps.append(perm)
     identity = tuple(range(m))
-    if tuple(D.maps[P.identity_index]) != identity:
+    if maps[P.identity_index] != identity:
         raise DevelopmentError("IdentityNotFull", "identity element must extend to the identity")
     for e, el in enumerate(P.elements):
         for x, y in el.pairs:
-            if D.maps[e][x] != y:
+            if maps[e][x] != y:
                 raise DevelopmentError(
                     "NotExtending",
                     f"map {e} does not extend its element at point {x}",
@@ -320,8 +326,8 @@ def verify_development(P: Permutoid, D: Development) -> None:
                     point=x,
                 )
     for i, j, k in witness_triples(P):
-        fp, fq, fr = D.maps[i], D.maps[j], D.maps[k]
-        if [fp[x] for x in fq] == list(fr):
+        fp, fq, fr = maps[i], maps[j], maps[k]
+        if _perm_compose(fp, fq) == fr:
             continue
         y = next(y for y in range(m) if fp[fq[y]] != fr[y])
         raise DevelopmentError(

@@ -45,7 +45,7 @@ from .errors import (
     NotRigid,
     PseudogroupError,
 )
-from .groups import _generated_group
+from .groups import _generated_group, _is_permutation, _perm_compose
 
 
 @dataclass(frozen=True)
@@ -262,18 +262,18 @@ def group_action_pseudogroup(
     if len(action) != n:
         raise NotAnAction("need one permutation per group element")
     degree = len(action[0])
+    points = set(range(degree))
     perms = []
     for i, perm in enumerate(action):
         perm = tuple(perm)
-        if len(perm) != degree or sorted(perm) != list(range(degree)):
+        if not _is_permutation(perm, points):
             raise NotAnAction(f"image of element {i} is not a permutation", element=i)
         perms.append(perm)
     if perms[0] != tuple(range(degree)):
         raise NotAnAction("identity element must act as the identity", element=0)
     for i in range(n):
         for j in range(n):
-            composed = tuple(perms[i][perms[j][x]] for x in range(degree))
-            if composed != perms[group.table[i][j]]:
+            if _perm_compose(perms[i], perms[j]) != perms[group.table[i][j]]:
                 raise NotAnAction(f"action breaks at product ({i},{j})", g=i, h=j)
     for i in range(1, n):
         for y in range(degree):

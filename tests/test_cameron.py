@@ -254,6 +254,18 @@ class TestVerifyQuotientHom:
         with pytest.raises(UsageError):
             verify_quotient_hom(pool_presentations["z5"], {"a": [0, 0, 1, 2, 3]})
 
+    @pytest.mark.parametrize(
+        "image", [(True, False), (1.0, 0), (1, False)], ids=["bools", "float", "mixed"]
+    )
+    def test_non_int_points_rejected(self, image):
+        # True == 1 and 1.0 == 1, so only the type tells these from (1, 0)
+        with pytest.raises(UsageError, match="image of 'a' is not a permutation of 2 points"):
+            verify_quotient_hom(parse_presentation("gens: a\nrels: a^2"), {"a": image})
+
+    def test_degree_zero_images(self):
+        ev = verify_quotient_hom(parse_presentation("gens: a"), {"a": ()})
+        assert (ev.degree, ev.images, ev.group_order) == (0, ((),), 1)
+
     @pytest.mark.parametrize("cap", [1, 4])
     def test_closure_cap(self, pool_presentations, cap):
         with pytest.raises(ClosureCapExceeded) as ei:

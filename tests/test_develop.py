@@ -296,6 +296,19 @@ class TestVerifyDevelopment:
             verify_development(REMARK, Development(2, ((0, 1), (1, 1), (1, 0))))
         assert ei.value.code == "NotAPermutation"
 
+    @pytest.mark.parametrize(
+        "swap", [(1.0, 0), (True, False), (1, False), ["1", 0]], ids=["float", "bools", "mixed", "str"]
+    )
+    def test_non_int_points_rejected(self, swap):
+        # True == 1 and 1.0 == 1, so only the type tells these from (1, 0)
+        P = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1), (1, 0)]])
+        verify_development(P, Development(2, ((0, 1), (1, 0))))
+        with pytest.raises(DevelopmentError) as ei:
+            verify_development(P, Development(2, ((0, 1), swap)))
+        assert (ei.value.code, str(ei.value), ei.value.details) == (
+            "NotAPermutation", "map 1 is not a permutation", {"element": 1}
+        )
+
 
 class TestOracleEquivalence:
     def test_randomized_ground_four_instances(self):

@@ -229,6 +229,21 @@ class TestRealizedGroupChecks:
         with pytest.raises(UsageError, match=message):
             RealizedGroup(order, table, images)
 
+    @pytest.mark.parametrize(
+        "table, images, message",
+        [
+            (((False, True), (True, False)), (1,), "row 0 is not a permutation"),
+            (((0, 1), (1.0, 0)), (1,), "row 1 is not a permutation"),
+            (((0, 1), (1, 0)), (True,), "generator image out of range"),
+        ],
+        ids=["bool-entries", "float-entry", "bool-image"],
+    )
+    def test_rejects_non_int_entries(self, table, images, message):
+        # True == 1 and 1.0 == 1, so only the type tells these from Z2's table
+        RealizedGroup(2, ((0, 1), (1, 0)), (1,))
+        with pytest.raises(UsageError, match=message):
+            RealizedGroup(2, table, images)
+
     def test_rejects_non_generating_images(self):
         table = tuple(
             tuple((i + j) % 4 for j in range(4)) for i in range(4)

@@ -322,6 +322,11 @@ class TestGroupActionPseudogroup:
         ]
         assert is_rigid_pseudogroup(H)
 
+    @pytest.mark.parametrize("swap", [(True, False), (1.0, 0)], ids=["bools", "float"])
+    def test_non_int_points_rejected(self, pool_groups, swap):
+        with pytest.raises(NotAnAction, match="image of element 1 is not a permutation"):
+            group_action_pseudogroup(pool_groups["z2"], [(0, 1), swap])
+
     def test_trivial_action_not_free(self, pool_groups):
         with pytest.raises(NotFree):
             group_action_pseudogroup(pool_groups["z2"], [(0, 1), (0, 1)])
