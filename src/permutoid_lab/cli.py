@@ -207,7 +207,7 @@ def _cmd_pseudogroup(args) -> int:
         args,
         names,
         H.ground_size,
-        lambda: pseudogroup.search_rigid_development(H, args.max_size, args.budget, args.group_cap),
+        lambda: pseudogroup.search_rigid_development(H, args.max_size, args.budget),
     )
 
 
@@ -222,7 +222,7 @@ def _add_backend_source(p):
     p.add_argument(
         "--max-cosets",
         type=int,
-        default=10_000,
+        default=groups.MAX_COSETS,
         help="live-coset cap for coset enumeration (default 10000)",
     )
 
@@ -274,13 +274,13 @@ def build_parser() -> _ArgumentParser:
     p = sub.add_parser("triangulate", help="length-three re-presentation")
     p.add_argument("--presentation", required=True)
     p.add_argument("-m", type=int, required=True, help="ball radius for the new generators")
-    p.add_argument("--max-cosets", type=int, default=10_000)
+    p.add_argument("--max-cosets", type=int, default=groups.MAX_COSETS)
     _add_output(p)
     p.set_defaults(func=_cmd_triangulate)
 
     p = sub.add_parser("coset-enum", help="realize a finite presentation")
     p.add_argument("--presentation", required=True)
-    p.add_argument("--max-cosets", type=int, default=10_000)
+    p.add_argument("--max-cosets", type=int, default=groups.MAX_COSETS)
     _add_output(p)
     p.set_defaults(func=_cmd_coset_enum)
 
@@ -292,7 +292,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--max-cosets", type=int, default=10_000)
+    p.add_argument("--max-cosets", type=int, default=groups.MAX_COSETS)
     p.add_argument("--deterministic", action="store_true")
     _add_output(p)
     p.set_defaults(func=_cmd_probe)
@@ -302,7 +302,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("file")
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--group-cap", type=int, default=100_000)
     p.add_argument("--deterministic", action="store_true")
     _add_output(p)
     p.set_defaults(func=_cmd_pseudogroup)

@@ -21,6 +21,7 @@ from .core import (
 )
 from .errors import DevelopmentError, PreconditionRadius, UsageError
 from .groups import (
+    MAX_COSETS,
     CameronPermutoid,
     FiniteQuotientEvidence,
     Presentation,
@@ -370,7 +371,7 @@ def quotient_evidence(
     rho: int,
     morphism: Morphism,
     development: Development,
-    max_cosets: int = 10_000,
+    max_cosets: int = MAX_COSETS,
 ) -> FiniteQuotientEvidence:
     """Turn a development of a quotient of the ball permutoid into certified
     finite-quotient evidence for the presented group.
@@ -391,7 +392,7 @@ def probe_finite_quotient(
     rho: int,
     max_ground: int,
     node_budget: int | None = None,
-    max_cosets: int = 10_000,
+    max_cosets: int = MAX_COSETS,
 ) -> ProbeReport:
     """Search for certified evidence that the presented group has a
     non-trivial finite quotient.

@@ -84,10 +84,6 @@ class ClosureCapExceeded(Inconclusive):
     code = "ClosureCapExceeded"
 
 
-class GroupClosureCapExceeded(Inconclusive):
-    code = "GroupClosureCapExceeded"
-
-
 # -- usage errors ------------------------------------------------------------
 
 class ParseError(_Coded, UsageError):

@@ -41,6 +41,9 @@ from .errors import (
 #: A letter is (generator index, +1 or -1); a word is a tuple of letters.
 Letter = tuple[int, int]
 
+#: The default live-coset cap of coset enumeration.
+MAX_COSETS = 10_000
+
 
 def free_reduce(word: Sequence[Letter]) -> tuple[Letter, ...]:
     """Cancel adjacent inverse pairs until none remain.  Idempotent."""
@@ -250,6 +253,9 @@ class RealizedGroup:
     generator_images: tuple[int, ...]
 
     def __post_init__(self):
+        # tuples, so the checked table cannot change afterwards and the group hashes
+        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
+        object.__setattr__(self, "generator_images", tuple(self.generator_images))
         n = self.order
         if n < 1 or len(self.table) != n or any(len(row) != n for row in self.table):
             raise UsageError(f"multiplication table is not {n}x{n}")
@@ -357,7 +363,7 @@ def todd_coxeter(p: Presentation, max_cosets: int) -> RealizedGroup:
     return RealizedGroup(n, mult, images)
 
 
-def realize_backend(p: Presentation, max_cosets: int = 10_000) -> Backend:
+def realize_backend(p: Presentation, max_cosets: int = MAX_COSETS) -> Backend:
     """Pick the word-problem backend for a presentation: reduced words when
     there are no relators, coset enumeration otherwise."""
     if not p.relators:
@@ -532,7 +538,7 @@ def radius_extension(group: Backend, rho_small: int, rho_big: int) -> Morphism:
     return morphism
 
 
-def triangulate(p: Presentation, m: int, max_cosets: int = 10_000) -> Presentation:
+def triangulate(p: Presentation, m: int, max_cosets: int = MAX_COSETS) -> Presentation:
     """Re-present the same group with one generator per ball element of
     radius m and all length-three relations among them.
 

@@ -34,11 +34,9 @@ from .develop import (
     DevelopmentProblem,
     SearchVerdict,
     _first_certified,
-    verify_development,
 )
 from .errors import (
     GroundSetMismatch,
-    GroupClosureCapExceeded,
     MorphismError,
     NotAnAction,
     NotFree,
@@ -312,7 +310,25 @@ class RigidDevelopment:
 
 
 def verify_rigid_development(H: Pseudogroup, rd: RigidDevelopment) -> None:
-    """Independent check of the rigid development invariants."""
+    """Independent check of the rigid development invariants.
+
+    Past the four checks on listed freeness and on the assignment's shape,
+    extension and membership, it checks that every listed entry and every
+    assigned permutation is a permutation of the points, that the
+    identity is listed first and no entry twice, that the list is closed
+    under a . g for every assigned a, and that it has as many entries as
+    the orbit of point 0 under the assignment.  These force the list to be
+    the group G the assignment generates.  Closure puts G inside the list,
+    since in a finite group each a^-1 is a power of a.  The entries are
+    free, so G acts freely and its orbit of 0 has |G| points.  The count
+    leaves no room for another entry.
+
+    Freeness and extension then give every composition constraint of a
+    development.  If m_i . m_j is defined and m_k extends it, then
+    a_k^-1 a_i a_j is in G and fixes each point of dom(m_i . m_j), so it is
+    the identity.  The full identity element likewise gets the identity,
+    which fixes its points.  So no ``verify_development`` call is needed.
+    """
     identity = tuple(range(rd.ground_size))
     for perm in rd.group_permutations:
         if perm != identity and any(perm[y] == y for y in range(rd.ground_size)):
@@ -324,30 +340,54 @@ def verify_rigid_development(H: Pseudogroup, rd: RigidDevelopment) -> None:
             raise PseudogroupError("NotExtending", "assigned permutation does not extend its element")
         if perm not in rd.group_permutations:
             raise PseudogroupError("NotInGroup", "assigned permutation missing from the closure")
+    points = set(identity)
+    entries = itertools.chain(rd.group_permutations, rd.assignment)
+    if not all(_is_permutation(p, points) for p in entries):
+        raise PseudogroupError("NotTheGroup", "a listed or assigned entry is not a permutation")
+    listed = set(rd.group_permutations)
+    if rd.group_permutations[:1] != (identity,) or len(listed) != len(rd.group_permutations):
+        raise PseudogroupError("NotTheGroup", "the identity must be listed first and no entry twice")
+    if any(_perm_compose(a, g) not in listed for a in set(rd.assignment) for g in listed):
+        raise PseudogroupError("NotTheGroup", "the list is not closed under the assigned permutations")
+    orbit = {0}
+    frontier = [0]
+    while frontier:
+        y = frontier.pop()
+        for a in rd.assignment:
+            if a[y] not in orbit:
+                orbit.add(a[y])
+                frontier.append(a[y])
+    if len(orbit) != len(listed):
+        raise PseudogroupError("NotTheGroup", "the list is larger than the orbit of point 0")
 
 
 def search_rigid_development(
     H: Pseudogroup,
     max_ground: int,
     node_budget: int | None = None,
-    group_cap: int = 100_000,
 ) -> SearchVerdict:
     """Search for a development whose assigned permutations generate a
     fixed-point-free (on non-identity elements) group.
 
     Runs the development search on the maximal-element permutoid and filters
     complete assignments by closing them into a permutation group and
-    checking freeness at the leaves.
+    checking freeness at the leaves.  A free group on m points has at most
+    m elements: its point stabilisers are trivial, so by orbit-stabiliser
+    each orbit has as many points as the group has elements.  The closure
+    therefore stops past m elements, where some non-identity element fixes
+    a point, and the leaf is skipped.  A leaf's cost is bounded by its point
+    count, and the search never stops on group size.
     """
     target = maximal_permutoid(H)  # NotRigid propagates
 
     def certify(dev) -> RigidDevelopment | None:
-        closure = _generated_group(dev.maps, dev.ground_size, group_cap)
+        m = dev.ground_size
+        closure = _generated_group(dev.maps, m, m)
         if closure is None:
-            raise GroupClosureCapExceeded(f"group closure exceeded cap {group_cap}")
-        identity = tuple(range(dev.ground_size))
+            return None
+        identity = tuple(range(m))
         rd = RigidDevelopment(
-            ground_size=dev.ground_size,
+            ground_size=m,
             group_permutations=(identity,)
             + tuple(sorted(p for p in closure if p != identity)),
             assignment=dev.maps,
@@ -356,7 +396,6 @@ def search_rigid_development(
             verify_rigid_development(H, rd)
         except NotFree:
             return None
-        verify_development(target, dev)
         return rd
 
     return _first_certified(DevelopmentProblem(target, max_ground, node_budget), certify)

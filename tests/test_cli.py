@@ -456,35 +456,6 @@ class TestPseudogroupCli:
         assert obj["verdict"] == "found"
         assert obj["rigid_development"]["group_order"] == 3
 
-    def test_develop_group_cap_exit_two(self, files, capsys, tmp_path):
-        # the saturated Z4 ball develops only onto the order-4 group
-        cam_path, h_path = str(tmp_path / "cam.json"), str(tmp_path / "h.json")
-        z4 = files("z4.txt", "gens: a\nrels: a^4\n")
-        assert run_cli(["cameron", "--presentation", z4, "--radius", "2", "-o", cam_path]) == 0
-        assert run_cli(["pseudogroup", "generate", cam_path, "-o", h_path]) == 0
-        code, out, _ = run(
-            capsys,
-            "pseudogroup",
-            "develop",
-            h_path,
-            "--max-size",
-            "6",
-            "--group-cap",
-            "2",
-            "--deterministic",
-        )
-        assert code == 2
-        assert out == (
-            "{\n"
-            '  "error": {\n'
-            '    "code": "GroupClosureCapExceeded",\n'
-            '    "details": {},\n'
-            '    "message": "group closure exceeded cap 2"\n'
-            "  },\n"
-            '  "status": "inconclusive"\n'
-            "}\n"
-        )
-
     def test_develop_requires_max_size(self, files, capsys, tmp_path):
         gens = {"ground_set_size": 3, "elements": [{"name": "g", "map": [[0, 1]]}]}
         out_path = str(tmp_path / "h.json")
@@ -556,6 +527,7 @@ class TestCliContract:
             (["develop", remark], 3),                                 # missing flag
             (["develop", remark, "--max-size", "1"], 3),              # bound below ground
             (["develop", remark, "--max-size", "4", "--budget", "-1"], 3),  # negative budget
+            (["pseudogroup", "develop", nonrigid, "--max-size", "6", "--group-cap", "2"], 3),  # removed flag
         ]
         for argv, expected in rows:
             code = run_cli(argv)

@@ -479,6 +479,30 @@ class TestNoUncalledFunctions:
         assert uncalled == [], f"{path.name} defines functions nothing calls: {uncalled}"
 
 
+class TestNoUnraisedErrors:
+    """Every exception class in ``errors.py`` is raised by name somewhere in
+    the package.  The root class, the three verdict families and the
+    ``_Coded`` mixin are exempt: callers catch them by family."""
+
+    EXEMPT = {"PermutoidLabError", "NegativeVerdict", "Inconclusive", "UsageError", "_Coded"}
+
+    def test_every_error_class_is_raised(self):
+        errors = Path(core.__file__).parent / "errors.py"
+        defined = {
+            node.name
+            for node in ast.parse(errors.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ClassDef)
+        }
+        raised = set()
+        for path in PACKAGE_MODULES:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+        unraised = sorted(defined - self.EXEMPT - raised)
+        assert unraised == [], f"errors.py defines classes nothing raises: {unraised}"
+
+
 class TestNoSelfCalls:
     """No function calls itself, by name or as ``self.<name>``: a search
     that recurses per decision stops at the interpreter's recursion limit on

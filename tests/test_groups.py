@@ -204,6 +204,14 @@ class TestAgainstSympy:
 
 
 class TestRealizedGroupChecks:
+    def test_list_inputs_stored_as_tuples(self):
+        rows, images = [[0, 1], [1, 0]], [1]
+        g = RealizedGroup(2, rows, images)
+        assert hash(g) == hash(RealizedGroup(2, ((0, 1), (1, 0)), (1,)))
+        rows[0][1], rows[1][1], images[0] = 0, 1, 0
+        assert g.table == ((0, 1), (1, 0)) and g.generator_images == (1,)
+        assert (g.step(0, 0), g.step(1, 0)) == (1, 0)
+
     def test_rejects_broken_associativity(self):
         # Latin square with identity that is not a group table
         table = (

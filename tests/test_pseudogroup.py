@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from permutoid_lab.core import (
 from permutoid_lab import pseudogroup
 from permutoid_lab.develop import (
     BudgetExceeded,
+    Development,
     DevelopmentProblem,
     ExhaustedUpTo,
     Found,
@@ -23,8 +25,8 @@ from permutoid_lab.develop import (
     verify_development,
 )
 from permutoid_lab.errors import (
+    DevelopmentError,
     GroundSetMismatch,
-    GroupClosureCapExceeded,
     NotAnAction,
     NotFree,
     NotRigid,
@@ -419,28 +421,70 @@ class TestSearchRigidDevelopment:
         verdict = search_rigid_development(H, 2)
         assert isinstance(verdict, Found) and verdict.development.ground_size == 2
 
-    def test_group_cap_exceeded(self, pool_groups):
-        from permutoid_lab.errors import GroupClosureCapExceeded
 
-        group = pool_groups["z4"]
-        cam = cameron_permutoid(group, saturating_radius(group))
-        H = generate_pseudogroup(4, cam.permutoid.elements)
-        with pytest.raises(GroupClosureCapExceeded):
-            search_rigid_development(H, 6, group_cap=2)
+# the assignment extends the three maximal elements of the arrow 0 -> 1 on
+# four points and is free on its own, but generates a group of order 8
+FORGED_ASSIGNMENT = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 0, 3, 1))
+KLEIN = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+
+
+class TestVerifyRigidDevelopment:
+    """A certificate must list exactly the group its assignment generates."""
+
+    @pytest.mark.parametrize(
+        "listed",
+        [FORGED_ASSIGNMENT, FORGED_ASSIGNMENT + ((3, 2, 1, 0),)],
+        ids=["forged", "padded-to-the-orbit"],
+    )
+    def test_forged_closure_rejected(self, listed):
+        H = generate_pseudogroup(4, [pp(4, [(0, 1)])])
+        with pytest.raises(PseudogroupError, match="not closed") as ei:
+            verify_rigid_development(H, RigidDevelopment(4, listed, FORGED_ASSIGNMENT))
+        assert ei.value.code == "NotTheGroup"
+        with pytest.raises(DevelopmentError) as ei:
+            verify_development(maximal_permutoid(H), Development(4, FORGED_ASSIGNMENT))
+        assert ei.value.code == "CompositionBroken"
+
+    @pytest.mark.parametrize(
+        "n, generator, forge, message",
+        [
+            (3, [(0, 1)], lambda listed: listed + ((1, 0, 1),), "not a permutation"),
+            (3, [(0, 1)], lambda listed: listed + ((1, 2, 0),), "no entry twice"),
+            (3, [(0, 1)], lambda listed: listed[::-1], "identity must be listed first"),
+            # Z2 on four points, with a free permutation outside it
+            (4, [(0, 1), (1, 0), (2, 3), (3, 2)], lambda listed: listed + ((2, 3, 0, 1),), "not closed"),
+            # free and closed under the swap, but twice Z2
+            (4, [(0, 1), (1, 0), (2, 3), (3, 2)], lambda listed: KLEIN, "larger than the orbit"),
+        ],
+        ids=["not-a-permutation", "repeated", "identity-last", "extra-free", "klein"],
+    )
+    def test_wrong_list_rejected(self, n, generator, forge, message):
+        H = generate_pseudogroup(n, [pp(n, generator)])
+        rd = search_rigid_development(H, n).development
+        forged = dataclasses.replace(rd, group_permutations=forge(rd.group_permutations))
+        with pytest.raises(PseudogroupError, match=message) as ei:
+            verify_rigid_development(H, forged)
+        assert ei.value.code == "NotTheGroup"
 
 
 # -- oracle: the previous rigid search --------------------------------------------
 
-def oracle_search_rigid(H, max_ground, node_budget=None, group_cap=100_000, skipped=None):
-    """The previous ``search_rigid_development``: each leaf's closure is
+class GroupCapHit(Exception):
+    """The oracle's closure of a leaf passed its ``group_cap``."""
+
+
+def oracle_search_rigid(H, max_ground, node_budget=None, group_cap=math.inf, skipped=None):
+    """An earlier ``search_rigid_development``: each leaf's closure is
     scanned for fixed points before the RigidDevelopment is built and
-    verified.  Leaves skipped as not free are counted in ``skipped[0]``."""
+    verified, and the search stops with GroupCapHit when a closure passes
+    ``group_cap``.  Leaves skipped as not free are counted in
+    ``skipped[0]``."""
     target = maximal_permutoid(H)
 
     def certify(dev):
         closure = _generated_group(dev.maps, dev.ground_size, group_cap)
         if closure is None:
-            raise GroupClosureCapExceeded(f"group closure exceeded cap {group_cap}")
+            raise GroupCapHit(group_cap)
         identity = tuple(range(dev.ground_size))
         if any(
             perm != identity and any(perm[y] == y for y in range(dev.ground_size))
@@ -504,20 +548,32 @@ def _summary(verdict):
 
 
 class TestRigidSearchAgainstOracle:
-    """The search certifies each leaf by building its RigidDevelopment and
-    skipping it on NotFree; verdicts must equal the previous search's."""
+    """The search bounds each leaf's closure by its point count and skips
+    the leaf past it, or on NotFree from the verifier; verdicts must equal
+    those of an earlier search that closed every leaf in full."""
 
     def test_verdicts_and_skipped_leaves_agree(self, rigid_search_inputs, monkeypatch):
         skipped_new = [0]
+        not_free = [0]  # skipped leaves that reached the verifier
+        first_certified = pseudogroup._first_certified
         verify = pseudogroup.verify_rigid_development
+
+        def counting_first_certified(prob, certify):
+            def counting_certify(dev):
+                rd = certify(dev)
+                skipped_new[0] += rd is None
+                return rd
+
+            return first_certified(prob, counting_certify)
 
         def counting_verify(H, rd):
             try:
                 verify(H, rd)
             except NotFree:
-                skipped_new[0] += 1
+                not_free[0] += 1
                 raise
 
+        monkeypatch.setattr(pseudogroup, "_first_certified", counting_first_certified)
         monkeypatch.setattr(pseudogroup, "verify_rigid_development", counting_verify)
         skipped_old = [0]
         kinds = set()
@@ -532,22 +588,21 @@ class TestRigidSearchAgainstOracle:
                     assert new == old, (H, max_ground, budget)
                     kinds.add(old[0])
         assert skipped_new == skipped_old
-        assert skipped_new[0] > 0
+        # the point-count bound stops some leaves before the verifier
+        assert 0 < not_free[0] < skipped_new[0]
         assert kinds == {"found", "budget", "exhausted"}
 
-    @pytest.mark.parametrize("cap", [1, 2, 3])
-    def test_group_cap_agrees(self, rigid_search_inputs, cap):
-        raised = 0
+    def test_decides_where_a_group_cap_stopped(self, rigid_search_inputs):
+        capped = 0
         for H in rigid_search_inputs:
-            outcomes = []
-            for search in (oracle_search_rigid, search_rigid_development):
-                try:
-                    outcomes.append(_summary(search(H, H.ground_size + 3, None, cap)))
-                except GroupClosureCapExceeded as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1], (H, cap)
-            raised += isinstance(outcomes[0], str)
-        assert 0 < raised < len(rigid_search_inputs)
+            max_ground = H.ground_size + 3
+            new = _summary(search_rigid_development(H, max_ground))
+            assert new == _summary(oracle_search_rigid(H, max_ground)), H
+            try:
+                oracle_search_rigid(H, max_ground, group_cap=2)
+            except GroupCapHit:
+                capped += 1
+        assert capped > 0
 
 
 class TestQuotientChain:
