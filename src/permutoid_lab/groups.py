@@ -44,6 +44,10 @@ Letter = tuple[int, int]
 #: The default live-coset cap of coset enumeration.
 MAX_COSETS = 10_000
 
+#: The largest image subgroup ``verify_quotient_hom`` closes before it
+#: raises ClosureCapExceeded.
+CLOSURE_CAP = 10**6
+
 
 def free_reduce(word: Sequence[Letter]) -> tuple[Letter, ...]:
     """Cancel adjacent inverse pairs until none remain.  Idempotent."""
@@ -84,7 +88,9 @@ class Presentation:
                 raise ParseError("BadGeneratorName", f"invalid generator name {name!r}")
         kept = []
         for w in self.relators:
-            for g, _ in w:
+            for g, s in w:
+                if not (type(g) is int and type(s) is int and s in (1, -1)):
+                    raise ParseError("BadLetter", f"letter {(g, s)!r} is not (int index, +1 or -1)")
                 if not (0 <= g < len(self.generators)):
                     raise ParseError("UnknownGenerator", f"letter index {g} out of range")
             r = free_reduce(w)
@@ -608,10 +614,10 @@ class FiniteQuotientEvidence:
 def verify_quotient_hom(
     p: Presentation,
     images: Mapping[str, Sequence[int]],
-    closure_cap: int = 10**6,
 ) -> FiniteQuotientEvidence:
     """Certify that generator images define a homomorphism to a permutation
-    group, and measure the image subgroup by closure."""
+    group, and measure the image subgroup by closure (at most
+    ``CLOSURE_CAP`` elements)."""
     missing = [g for g in p.generators if g not in images]
     if missing:
         raise UsageError(f"missing images for generators {missing}")
@@ -642,9 +648,9 @@ def verify_quotient_hom(
                 word=render_word(rel, p.generators),
             )
 
-    closure = _generated_group(perms, degree, closure_cap)
+    closure = _generated_group(perms, degree, CLOSURE_CAP)
     if closure is None:
-        raise ClosureCapExceeded(f"subgroup closure exceeded cap {closure_cap}")
+        raise ClosureCapExceeded(f"subgroup closure exceeded cap {CLOSURE_CAP}")
     return FiniteQuotientEvidence(
         generators=p.generators,
         images=tuple(perms),

@@ -18,6 +18,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq
 from typing import Iterable, Sequence
 
 from .core import (
@@ -31,9 +32,11 @@ from .core import (
     validate_permutoid,
 )
 from .develop import (
+    Development,
     DevelopmentProblem,
     SearchVerdict,
     _first_certified,
+    verify_development,
 )
 from .errors import (
     GroundSetMismatch,
@@ -293,72 +296,57 @@ def group_action_pseudogroup(
 
 @dataclass(frozen=True)
 class RigidDevelopment:
-    """A free action extending every maximal element.
+    """A free action extending every maximal element, given by its
+    assignment: per maximal element, the permutation of the m =
+    ``ground_size`` points that extends it.
 
-    ``group_permutations`` is the closure of the assigned permutations
-    (identity first, then sorted); ``assignment`` gives, per maximal
-    element, the unique group permutation extending it.
+    The group is derived, never stored.  ``group_permutations`` closes the
+    assignment (identity first, then sorted) and raises NotFree when the
+    closure passes m elements: a free group on m points has trivial point
+    stabilisers, so by orbit-stabiliser it has at most m elements.  The
+    closure takes the entries to be permutations of the points, which
+    ``verify_rigid_development`` checks first.
     """
 
     ground_size: int
-    group_permutations: tuple[tuple[int, ...], ...]
     assignment: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def group_permutations(self) -> tuple[tuple[int, ...], ...]:
+        m = self.ground_size
+        group = _generated_group(self.assignment, m, m)
+        if group is None:
+            raise NotFree(f"the assignment generates more than {m} permutations of {m} points")
+        identity = tuple(range(m))
+        group.discard(identity)
+        return (identity,) + tuple(sorted(group))
 
     @property
     def group_order(self) -> int:
         return len(self.group_permutations)
 
 
-def verify_rigid_development(H: Pseudogroup, rd: RigidDevelopment) -> None:
-    """Independent check of the rigid development invariants.
-
-    Past the four checks on listed freeness and on the assignment's shape,
-    extension and membership, it checks that every listed entry and every
-    assigned permutation is a permutation of the points, that the
-    identity is listed first and no entry twice, that the list is closed
-    under a . g for every assigned a, and that it has as many entries as
-    the orbit of point 0 under the assignment.  These force the list to be
-    the group G the assignment generates.  Closure puts G inside the list,
-    since in a finite group each a^-1 is a power of a.  The entries are
-    free, so G acts freely and its orbit of 0 has |G| points.  The count
-    leaves no room for another entry.
-
-    Freeness and extension then give every composition constraint of a
-    development.  If m_i . m_j is defined and m_k extends it, then
-    a_k^-1 a_i a_j is in G and fixes each point of dom(m_i . m_j), so it is
-    the identity.  The full identity element likewise gets the identity,
-    which fixes its points.  So no ``verify_development`` call is needed.
-    """
+def _check_free(rd: RigidDevelopment) -> None:
+    """Raise NotFree unless the derived group acts freely: the closure stays
+    within the point count and no non-identity element fixes a point."""
     identity = tuple(range(rd.ground_size))
-    for perm in rd.group_permutations:
-        if perm != identity and any(perm[y] == y for y in range(rd.ground_size)):
+    for perm in rd.group_permutations[1:]:
+        if any(map(eq, perm, identity)):
             raise NotFree("a non-identity group element has a fixed point")
-    if len(rd.assignment) != len(H.maximal_elements):
-        raise PseudogroupError("WrongShape", "one assigned permutation per maximal element")
-    for m, perm in zip(H.maximal_elements, rd.assignment):
-        if any(perm[x] != y for x, y in m.pairs):
-            raise PseudogroupError("NotExtending", "assigned permutation does not extend its element")
-        if perm not in rd.group_permutations:
-            raise PseudogroupError("NotInGroup", "assigned permutation missing from the closure")
-    points = set(identity)
-    entries = itertools.chain(rd.group_permutations, rd.assignment)
-    if not all(_is_permutation(p, points) for p in entries):
-        raise PseudogroupError("NotTheGroup", "a listed or assigned entry is not a permutation")
-    listed = set(rd.group_permutations)
-    if rd.group_permutations[:1] != (identity,) or len(listed) != len(rd.group_permutations):
-        raise PseudogroupError("NotTheGroup", "the identity must be listed first and no entry twice")
-    if any(_perm_compose(a, g) not in listed for a in set(rd.assignment) for g in listed):
-        raise PseudogroupError("NotTheGroup", "the list is not closed under the assigned permutations")
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        y = frontier.pop()
-        for a in rd.assignment:
-            if a[y] not in orbit:
-                orbit.add(a[y])
-                frontier.append(a[y])
-    if len(orbit) != len(listed):
-        raise PseudogroupError("NotTheGroup", "the list is larger than the orbit of point 0")
+
+
+def verify_rigid_development(H: Pseudogroup, rd: RigidDevelopment) -> None:
+    """Independent check of a rigid development: its assignment is a
+    development of the maximal-element permutoid, and the group it
+    generates acts freely.
+
+    ``verify_development`` runs first, so every entry is known to be a
+    permutation of the points before anything indexes it; it raises
+    DevelopmentError, and NotRigid comes from ``maximal_permutoid`` on a
+    non-rigid H.  The freeness check then raises NotFree.
+    """
+    verify_development(maximal_permutoid(H), Development(rd.ground_size, rd.assignment))
+    _check_free(rd)
 
 
 def search_rigid_development(
@@ -369,33 +357,24 @@ def search_rigid_development(
     """Search for a development whose assigned permutations generate a
     fixed-point-free (on non-identity elements) group.
 
-    Runs the development search on the maximal-element permutoid and filters
-    complete assignments by closing them into a permutation group and
-    checking freeness at the leaves.  A free group on m points has at most
-    m elements: its point stabilisers are trivial, so by orbit-stabiliser
-    each orbit has as many points as the group has elements.  The closure
-    therefore stops past m elements, where some non-identity element fixes
-    a point, and the leaf is skipped.  A leaf's cost is bounded by its point
-    count, and the search never stops on group size.
+    Runs the development search on the maximal-element permutoid and
+    filters complete assignments at the leaves.  Each leaf is tested for
+    freeness first: its closure stops past m elements on m points, where
+    some non-identity element must fix a point (orbit-stabiliser), and
+    otherwise its group is scanned for fixed points.  A leaf that is not
+    free is skipped.  Only the accepted leaf goes through
+    ``verify_development``.  A leaf's cost is bounded by its point count,
+    and the search never stops on group size.
     """
     target = maximal_permutoid(H)  # NotRigid propagates
 
-    def certify(dev) -> RigidDevelopment | None:
-        m = dev.ground_size
-        closure = _generated_group(dev.maps, m, m)
-        if closure is None:
-            return None
-        identity = tuple(range(m))
-        rd = RigidDevelopment(
-            ground_size=m,
-            group_permutations=(identity,)
-            + tuple(sorted(p for p in closure if p != identity)),
-            assignment=dev.maps,
-        )
+    def certify(dev: Development) -> RigidDevelopment | None:
+        rd = RigidDevelopment(dev.ground_size, dev.maps)
         try:
-            verify_rigid_development(H, rd)
+            _check_free(rd)
         except NotFree:
             return None
+        verify_development(target, dev)
         return rd
 
     return _first_certified(DevelopmentProblem(target, max_ground, node_budget), certify)

@@ -14,7 +14,7 @@ weakening the tests behind it.
     python3 tests/mutants.py
 
 ``tests/test_mutants.py`` checks in tier-1 that every entry still applies;
-the full run stays outside tier-1 (27 mutants, about 50 s in all).
+the full run stays outside tier-1 (29 mutants, about 55 s in all).
 """
 
 from __future__ import annotations
@@ -92,17 +92,26 @@ MUTANTS: list[tuple[str, str, str, str]] = [
      "tests/test_composition.py"),
     # free_reduce: cancel equal letters instead of inverse ones
     (GROUPS, "stack[-1][1] == -s", "stack[-1][1] == s", "tests/test_groups.py"),
-    # verify_rigid_development: accept a permutation outside the closure
-    (PSEUDOGROUP, "if perm not in rd.group_permutations:", "if False:", "tests/test_pseudogroup.py"),
-    # verify_rigid_development: drop the closure check (test_forged_closure_rejected[padded-to-the-orbit])
-    (PSEUDOGROUP, "if any(_perm_compose(a, g) not in listed for a in set(rd.assignment) for g in listed):",
-     "if False:", "tests/test_pseudogroup.py"),
-    # verify_rigid_development: drop the orbit-size check (test_wrong_list_rejected[klein])
-    (PSEUDOGROUP, "if len(orbit) != len(listed):", "if False:", "tests/test_pseudogroup.py"),
-    # search_rigid_development: bound a leaf's closure by m - 1, which rejects regular
-    # developments (test_z4_cameron_pseudogroup_regular)
-    (PSEUDOGROUP, "closure = _generated_group(dev.maps, m, m)", "closure = _generated_group(dev.maps, m, m - 1)",
-     "tests/test_pseudogroup.py"),
+    # group_permutations: bound the closure by m - 1, which rejects regular developments
+    # (test_z4_cameron_pseudogroup_regular)
+    (PSEUDOGROUP, "group = _generated_group(self.assignment, m, m)",
+     "group = _generated_group(self.assignment, m, m - 1)", "tests/test_pseudogroup.py"),
+    # verify_rigid_development: drop the freeness check (test_coded_errors[fixes-a-point])
+    (PSEUDOGROUP, "Development(rd.ground_size, rd.assignment))\n    _check_free(rd)\n",
+     "Development(rd.ground_size, rd.assignment))\n", "tests/test_pseudogroup.py"),
+    # verify_rigid_development: drop the verify_development call
+    # (test_coded_errors[short-entry] and [forged-group-of-order-8])
+    (PSEUDOGROUP, "    verify_development(maximal_permutoid(H), Development(rd.ground_size, rd.assignment))\n",
+     "", "tests/test_pseudogroup.py"),
+    # search_rigid_development: certify skips freeness (test_verdicts_and_skipped_leaves_agree)
+    (PSEUDOGROUP, "        try:\n            _check_free(rd)\n        except NotFree:\n            return None\n",
+     "", "tests/test_pseudogroup.py"),
+    # _generated_group: close over the generators only (test_five_cycle)
+    (GROUPS, "                group.add(y)\n                frontier.append(y)\n",
+     "                group.add(y)\n", "tests/test_cameron.py"),
+    # Presentation: stop checking that a letter's sign is +1 or -1 (test_direct_construction_rejects)
+    (GROUPS, "if not (type(g) is int and type(s) is int and s in (1, -1)):", "if not type(g) is int:",
+     "tests/test_groups.py"),
     # RealizedGroup: keep list inputs as given (test_list_inputs_stored_as_tuples)
     (GROUPS, '        object.__setattr__(self, "table", tuple(map(tuple, self.table)))\n', "",
      "tests/test_groups.py"),

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from permutoid_lab import groups
 from permutoid_lab.core import (
     is_rigid_permutoid,
     validate_morphism,
@@ -267,11 +268,13 @@ class TestVerifyQuotientHom:
         assert (ev.degree, ev.images, ev.group_order) == (0, ((),), 1)
 
     @pytest.mark.parametrize("cap", [1, 4])
-    def test_closure_cap(self, pool_presentations, cap):
+    def test_closure_cap(self, pool_presentations, cap, monkeypatch):
+        monkeypatch.setattr(groups, "CLOSURE_CAP", cap)
         with pytest.raises(ClosureCapExceeded) as ei:
-            verify_quotient_hom(pool_presentations["z5"], {"a": [1, 2, 3, 4, 0]}, closure_cap=cap)
+            verify_quotient_hom(pool_presentations["z5"], {"a": [1, 2, 3, 4, 0]})
         assert str(ei.value) == f"subgroup closure exceeded cap {cap}"
-        ev = verify_quotient_hom(pool_presentations["z5"], {"a": [1, 2, 3, 4, 0]}, closure_cap=5)
+        monkeypatch.setattr(groups, "CLOSURE_CAP", 5)
+        ev = verify_quotient_hom(pool_presentations["z5"], {"a": [1, 2, 3, 4, 0]})
         assert ev.group_order == 5
 
 

@@ -90,8 +90,12 @@ class TestParsePresentation:
             (("a", "a"), (), "DuplicateGenerator"),
             (("a", "2b"), (), "BadGeneratorName"),
             (("a",), (((1, 1),),), "UnknownGenerator"),
+            # enumerate_cosets would read sign 2 as +1, format_presentation as a square
+            (("a",), (((0, 2), (0, 2)),), "BadLetter"),
+            (("a", "b"), (((True, 1),),), "BadLetter"),
         ],
-        ids=["EmptyGeneratorList", "DuplicateGenerator", "BadGeneratorName", "UnknownGenerator"],
+        ids=["EmptyGeneratorList", "DuplicateGenerator", "BadGeneratorName", "UnknownGenerator",
+             "BadLetter-sign", "BadLetter-bool-index"],
     )
     def test_direct_construction_rejects(self, generators, relators, code):
         with pytest.raises(ParseError) as ei:

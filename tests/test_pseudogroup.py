@@ -17,7 +17,6 @@ from permutoid_lab.core import (
 from permutoid_lab import pseudogroup
 from permutoid_lab.develop import (
     BudgetExceeded,
-    Development,
     DevelopmentProblem,
     ExhaustedUpTo,
     Found,
@@ -368,7 +367,7 @@ class TestSearchRigidDevelopment:
         rd = verdict.development
         assert rd.ground_size == 3
         assert rd.group_order == 3
-        assert (1, 2, 0) in rd.group_permutations
+        assert rd.group_permutations == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
         verify_rigid_development(H, rd)
 
     def test_z4_cameron_pseudogroup_regular(self, pool_groups):
@@ -392,17 +391,15 @@ class TestSearchRigidDevelopment:
         [
             (lambda a, arrow: a[:-1], "WrongShape"),
             (lambda a, arrow: a[:arrow] + ((0, 1, 2),) + a[arrow + 1:], "NotExtending"),
-            # extends 0 -> 1, but is a transposition outside the 3-cycles
-            (lambda a, arrow: a[:arrow] + ((1, 0, 2),) + a[arrow + 1:], "NotInGroup"),
         ],
-        ids=["WrongShape", "NotExtending", "NotInGroup"],
+        ids=["WrongShape", "NotExtending"],
     )
     def test_forged_certificates_rejected(self, forge, code):
         H = generate_pseudogroup(3, [pp(3, [(0, 1)])])
         rd = search_rigid_development(H, 5).development
         arrow = [m.pairs for m in H.maximal_elements].index(((0, 1),))
         forged = dataclasses.replace(rd, assignment=forge(rd.assignment, arrow))
-        with pytest.raises(PseudogroupError) as ei:
+        with pytest.raises(DevelopmentError) as ei:
             verify_rigid_development(H, forged)
         assert ei.value.code == code
 
@@ -425,46 +422,43 @@ class TestSearchRigidDevelopment:
 # the assignment extends the three maximal elements of the arrow 0 -> 1 on
 # four points and is free on its own, but generates a group of order 8
 FORGED_ASSIGNMENT = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 0, 3, 1))
-KLEIN = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
 
 class TestVerifyRigidDevelopment:
-    """A certificate must list exactly the group its assignment generates."""
+    """The verifier is ``verify_development`` on the maximal-element
+    permutoid, then freeness of the group the assignment generates."""
 
     @pytest.mark.parametrize(
-        "listed",
-        [FORGED_ASSIGNMENT, FORGED_ASSIGNMENT + ((3, 2, 1, 0),)],
-        ids=["forged", "padded-to-the-orbit"],
-    )
-    def test_forged_closure_rejected(self, listed):
-        H = generate_pseudogroup(4, [pp(4, [(0, 1)])])
-        with pytest.raises(PseudogroupError, match="not closed") as ei:
-            verify_rigid_development(H, RigidDevelopment(4, listed, FORGED_ASSIGNMENT))
-        assert ei.value.code == "NotTheGroup"
-        with pytest.raises(DevelopmentError) as ei:
-            verify_development(maximal_permutoid(H), Development(4, FORGED_ASSIGNMENT))
-        assert ei.value.code == "CompositionBroken"
-
-    @pytest.mark.parametrize(
-        "n, generator, forge, message",
+        "n, generators, rd, error, code",
         [
-            (3, [(0, 1)], lambda listed: listed + ((1, 0, 1),), "not a permutation"),
-            (3, [(0, 1)], lambda listed: listed + ((1, 2, 0),), "no entry twice"),
-            (3, [(0, 1)], lambda listed: listed[::-1], "identity must be listed first"),
-            # Z2 on four points, with a free permutation outside it
-            (4, [(0, 1), (1, 0), (2, 3), (3, 2)], lambda listed: listed + ((2, 3, 0, 1),), "not closed"),
-            # free and closed under the swap, but twice Z2
-            (4, [(0, 1), (1, 0), (2, 3), (3, 2)], lambda listed: KLEIN, "larger than the orbit"),
+            (3, [[(0, 1)]], RigidDevelopment(3, ((0, 1, 2), (1,), (2, 0, 1))),
+             DevelopmentError, "NotAPermutation"),
+            (3, [[(0, 1)]], RigidDevelopment(3, ((0, 1, 2), (1.0, 2, 0), (2, 0, 1))),
+             DevelopmentError, "NotAPermutation"),
+            (3, [[(0, 1)]], RigidDevelopment(2, ((0, 1), (1, 0), (1, 0))),
+             DevelopmentError, "WrongShape"),
+            (4, [[(0, 1)]], RigidDevelopment(4, FORGED_ASSIGNMENT),
+             DevelopmentError, "CompositionBroken"),
+            # a development of the swap on {0, 1} whose group fixes point 2
+            (3, [[(0, 1), (1, 0)]], RigidDevelopment(3, ((0, 1, 2), (1, 0, 2))),
+             NotFree, "NotFree"),
+            (4, [[(0, 1), (1, 0)], [(0, 1), (2, 3)]], RigidDevelopment(4, ()),
+             NotRigid, "NotRigid"),
         ],
-        ids=["not-a-permutation", "repeated", "identity-last", "extra-free", "klein"],
+        ids=["short-entry", "float-entry", "target-too-small", "forged-group-of-order-8",
+             "fixes-a-point", "not-rigid"],
     )
-    def test_wrong_list_rejected(self, n, generator, forge, message):
-        H = generate_pseudogroup(n, [pp(n, generator)])
-        rd = search_rigid_development(H, n).development
-        forged = dataclasses.replace(rd, group_permutations=forge(rd.group_permutations))
-        with pytest.raises(PseudogroupError, match=message) as ei:
-            verify_rigid_development(H, forged)
-        assert ei.value.code == "NotTheGroup"
+    def test_coded_errors(self, n, generators, rd, error, code):
+        H = generate_pseudogroup(n, [pp(n, g) for g in generators])
+        with pytest.raises(error) as ei:
+            verify_rigid_development(H, rd)
+        assert ei.value.code == code
+
+    def test_group_past_the_point_count_not_free(self):
+        # S3 has 6 > 3 elements, so it cannot act freely on three points
+        rd = RigidDevelopment(3, ((0, 1, 2), (1, 0, 2), (0, 2, 1)))
+        with pytest.raises(NotFree):
+            rd.group_permutations
 
 
 # -- oracle: the previous rigid search --------------------------------------------
@@ -477,7 +471,8 @@ def oracle_search_rigid(H, max_ground, node_budget=None, group_cap=math.inf, ski
     """An earlier ``search_rigid_development``: each leaf's closure is
     scanned for fixed points before the RigidDevelopment is built and
     verified, and the search stops with GroupCapHit when a closure passes
-    ``group_cap``.  Leaves skipped as not free are counted in
+    ``group_cap``.  The certificate's derived group must be the closure,
+    listed identity first.  Leaves skipped as not free are counted in
     ``skipped[0]``."""
     target = maximal_permutoid(H)
 
@@ -494,11 +489,9 @@ def oracle_search_rigid(H, max_ground, node_budget=None, group_cap=math.inf, ski
                 skipped[0] += 1
             return None
         verify_development(target, dev)
-        rd = RigidDevelopment(
-            ground_size=dev.ground_size,
-            group_permutations=(identity,)
-            + tuple(sorted(p for p in closure if p != identity)),
-            assignment=dev.maps,
+        rd = RigidDevelopment(dev.ground_size, dev.maps)
+        assert rd.group_permutations == (identity,) + tuple(
+            sorted(p for p in closure if p != identity)
         )
         verify_rigid_development(H, rd)
         return rd
@@ -549,32 +542,26 @@ def _summary(verdict):
 
 class TestRigidSearchAgainstOracle:
     """The search bounds each leaf's closure by its point count and skips
-    the leaf past it, or on NotFree from the verifier; verdicts must equal
-    those of an earlier search that closed every leaf in full."""
+    the leaf past it, or when a non-identity element fixes a point; verdicts
+    must equal those of an earlier search that closed every leaf in full."""
 
     def test_verdicts_and_skipped_leaves_agree(self, rigid_search_inputs, monkeypatch):
         skipped_new = [0]
-        not_free = [0]  # skipped leaves that reached the verifier
+        past_bound = [0]  # skipped leaves whose closure passed the point count
         first_certified = pseudogroup._first_certified
-        verify = pseudogroup.verify_rigid_development
 
         def counting_first_certified(prob, certify):
             def counting_certify(dev):
                 rd = certify(dev)
-                skipped_new[0] += rd is None
+                if rd is None:
+                    m = dev.ground_size
+                    skipped_new[0] += 1
+                    past_bound[0] += _generated_group(dev.maps, m, m) is None
                 return rd
 
             return first_certified(prob, counting_certify)
 
-        def counting_verify(H, rd):
-            try:
-                verify(H, rd)
-            except NotFree:
-                not_free[0] += 1
-                raise
-
         monkeypatch.setattr(pseudogroup, "_first_certified", counting_first_certified)
-        monkeypatch.setattr(pseudogroup, "verify_rigid_development", counting_verify)
         skipped_old = [0]
         kinds = set()
         for H in rigid_search_inputs:
@@ -588,8 +575,9 @@ class TestRigidSearchAgainstOracle:
                     assert new == old, (H, max_ground, budget)
                     kinds.add(old[0])
         assert skipped_new == skipped_old
-        # the point-count bound stops some leaves before the verifier
-        assert 0 < not_free[0] < skipped_new[0]
+        # some skipped leaves stop at the closure bound, the others fail
+        # the fixed-point scan
+        assert 0 < past_bound[0] < skipped_new[0]
         assert kinds == {"found", "budget", "exhausted"}
 
     def test_decides_where_a_group_cap_stopped(self, rigid_search_inputs):
