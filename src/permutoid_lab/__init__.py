@@ -3,7 +3,6 @@
 from .core import (
     EMPTY_COMPOSITION,
     NO_WITNESS,
-    UNDEFINED,
     Morphism,
     MorphismKind,
     PartialPermutation,

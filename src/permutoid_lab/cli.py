@@ -188,6 +188,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_pseudogroup(args) -> int:
+    if args.action == "develop" and args.max_size is None:
+        raise UsageError("pseudogroup develop requires --max-size")
     if args.action == "generate":
         n, gens, _ = serialize.generators_from_obj(_read_json(args.file))
         H = pseudogroup.generate_pseudogroup(n, gens)
@@ -318,10 +320,6 @@ def run_cli(argv) -> int:
         return 3
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 3
-    if getattr(args, "command", None) == "pseudogroup" and args.action == "develop":
-        if args.max_size is None:
-            sys.stderr.write("error: pseudogroup develop requires --max-size\n")
-            return 3
     try:
         try:
             return args.func(args)

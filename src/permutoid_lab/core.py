@@ -3,9 +3,9 @@
 A partial permutation of X = {0, ..., n-1} is an injective map between two
 non-empty subsets of X.  A permutoid is a finite set of partial permutations
 containing the full identity, in which every defined composition p.q has at
-most one extension inside the set.  That unique extension (the "witness") is
-always *derived* from the graphs; it is never stored as independent data, so
-it cannot be asserted falsely.
+most one extension inside the set.  That unique extension (the "witness"),
+like the index of the identity, is always *derived* from the graphs; it is
+never stored as independent data, so it cannot be asserted falsely.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ EMPTY_COMPOSITION = _Sentinel("EMPTY_COMPOSITION")
 
 #: The composition is defined but no element of the permutoid extends it.
 NO_WITNESS = _Sentinel("NO_WITNESS")
-
-#: The composition itself is undefined (empty overlap).
-UNDEFINED = _Sentinel("UNDEFINED")
 
 Pair = tuple[int, int]
 Graph = tuple[Pair, ...]
@@ -199,17 +196,26 @@ class Permutoid:
     """A validated set of partial permutations with the unique-extension rule.
 
     Construct through :func:`validate_permutoid`, which fills the witness
-    table; reading the table checks the unique-extension clause, so direct
-    construction defers that check to the first read.
+    table; reading the table checks the unique-extension clause, and reading
+    ``identity_index`` checks that the identity is present, so direct
+    construction defers those checks to the first read.
     """
 
     ground_size: int
     elements: tuple[PartialPermutation, ...]
-    identity_index: int
 
     @property
     def is_trivial(self) -> bool:
         return len(self.elements) == 1
+
+    @cached_property
+    def identity_index(self) -> int:
+        """The index of the first full identity among the elements;
+        ValidationError("MissingIdentity") when there is none."""
+        for i, el in enumerate(self.elements):
+            if el.is_identity():
+                return i
+        raise ValidationError("MissingIdentity", "the full identity map is not among the elements")
 
     @cached_property
     def witness_table(self) -> dict[tuple[int, int], int]:
@@ -251,16 +257,16 @@ class Permutoid:
         return table
 
     def witness(self, i: int, j: int):
-        """The index of the element extending p_i.p_j; UNDEFINED when the
-        composite is empty, NO_WITNESS when no element extends it, and
-        KeyError when i or j is not an element index."""
+        """The index of the element extending p_i.p_j; EMPTY_COMPOSITION
+        when the composite is empty, NO_WITNESS when no element extends it,
+        and KeyError when i or j is not an element index."""
         k = self.witness_table.get((i, j))
         if k is not None:
             return k
         if not (0 <= i < len(self.elements) and 0 <= j < len(self.elements)):
             raise KeyError((i, j))
         if compose_partial(self.elements[i], self.elements[j]) is EMPTY_COMPOSITION:
-            return UNDEFINED
+            return EMPTY_COMPOSITION
         return NO_WITNESS
 
 
@@ -294,13 +300,8 @@ def validate_permutoid(ground_size: int, elements: ElementsInput) -> Permutoid:
             except ValidationError as exc:
                 raise ValidationError(exc.code, f"element {i}: {exc}", element=i, **exc.details) from None
 
-    identity_index = None
-    for i, el in enumerate(parsed):
-        if el.is_identity():
-            identity_index = i
-            break
-    if identity_index is None:
-        raise ValidationError("MissingIdentity", "the full identity map is not among the elements")
+    P = Permutoid(ground_size, tuple(parsed))
+    P.identity_index  # raises MissingIdentity before the duplicate check
 
     seen: dict[Graph, int] = {}
     for i, el in enumerate(parsed):
@@ -313,7 +314,6 @@ def validate_permutoid(ground_size: int, elements: ElementsInput) -> Permutoid:
             )
         seen[el.pairs] = i
 
-    P = Permutoid(ground_size, tuple(parsed), identity_index)
     P.witness_table  # checks the unique-extension clause and caches the table
     return P
 
@@ -361,12 +361,13 @@ def validate_morphism(m: Morphism) -> MorphismKind:
     checks its unique-extension clause (ValidationError).
     """
     src, tgt = m.source, m.target
+    # `type(v) is int` also rejects bools and floats equal to an index
     if len(m.point_map) != src.ground_size or any(
-        not (0 <= v < tgt.ground_size) for v in m.point_map
+        not (type(v) is int and 0 <= v < tgt.ground_size) for v in m.point_map
     ):
         raise MorphismError("BadPointMap", "point_map is not a total map into the target ground set")
     if len(m.element_map) != len(src.elements) or any(
-        not (0 <= v < len(tgt.elements)) for v in m.element_map
+        not (type(v) is int and 0 <= v < len(tgt.elements)) for v in m.element_map
     ):
         raise MorphismError("BadElementMap", "element_map is not a total map into the target elements")
 
@@ -409,10 +410,11 @@ def validate_morphism(m: Morphism) -> MorphismKind:
 
     is_iso = False
     if point_injective and point_surjective and elem_injective and elem_surjective:
-        # conjugation condition: image of p equals point_map . p . point_map^-1
+        # conjugation condition: image of p equals point_map . p . point_map^-1.
+        # Clause 2 put the relabelled graph of p inside its image, and the
+        # injective point map keeps its pair count, so equal counts suffice.
         is_iso = all(
-            tgt.elements[m.element_map[i]].pairs
-            == tuple(sorted((m.point_map[x], m.point_map[y]) for x, y in p.pairs))
+            len(p.pairs) == len(tgt.elements[m.element_map[i]].pairs)
             for i, p in enumerate(src.elements)
         )
 

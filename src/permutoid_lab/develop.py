@@ -59,7 +59,7 @@ class Development:
 
 @dataclass(frozen=True)
 class Found:
-    development: object  # Development, or RigidDevelopment for rigid search
+    development: Development  # a RigidDevelopment for the rigid search
     nodes_explored: int
 
 
@@ -299,6 +299,20 @@ def search_development(prob: DevelopmentProblem) -> SearchVerdict:
     return _first_certified(prob, verified)
 
 
+def _as_permutations(maps, m: int) -> list[tuple[int, ...]]:
+    """The maps as tuples, each checked to be a permutation of the m points
+    with int entries; DevelopmentError("NotAPermutation") names the first
+    that is not."""
+    points = set(range(m))
+    out = []
+    for e, perm in enumerate(maps):
+        perm = tuple(perm)
+        if not _is_permutation(perm, points):
+            raise DevelopmentError("NotAPermutation", f"map {e} is not a permutation", element=e)
+        out.append(perm)
+    return out
+
+
 def verify_development(P: Permutoid, D: Development) -> None:
     """Re-derive every constraint from the graphs and check D against them,
     independently of the search engine.  Raises DevelopmentError."""
@@ -307,13 +321,7 @@ def verify_development(P: Permutoid, D: Development) -> None:
         raise DevelopmentError("WrongShape", "target smaller than the source ground set")
     if len(D.maps) != len(P.elements):
         raise DevelopmentError("WrongShape", "one permutation per element required")
-    points = set(range(m))
-    maps = []
-    for e, perm in enumerate(D.maps):
-        perm = tuple(perm)
-        if not _is_permutation(perm, points):
-            raise DevelopmentError("NotAPermutation", f"map {e} is not a permutation", element=e)
-        maps.append(perm)
+    maps = _as_permutations(D.maps, m)
     identity = tuple(range(m))
     if maps[P.identity_index] != identity:
         raise DevelopmentError("IdentityNotFull", "identity element must extend to the identity")
@@ -347,8 +355,7 @@ def verify_development(P: Permutoid, D: Development) -> None:
 class ProbeReport:
     verdict: str  # "found-quotient" | "definitively-none" | "inconclusive"
     evidence: FiniteQuotientEvidence | None = None
-    quotient: Permutoid | None = None
-    quotient_morphism: Morphism | None = None
+    quotient_morphism: Morphism | None = None  # its target is the quotient developed
     development: Development | None = None
     statistics: Mapping = field(default_factory=dict)
 
@@ -446,7 +453,6 @@ def probe_finite_quotient(
             return ProbeReport(
                 verdict="found-quotient",
                 evidence=evidence,
-                quotient=quotient,
                 quotient_morphism=morphism,
                 development=verdict.development,
                 statistics=stats,

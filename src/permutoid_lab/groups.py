@@ -394,7 +394,6 @@ class CayleyBall:
     for the identity), so words[i] is words[p] plus one letter.
     """
 
-    group: Backend
     radius: int
     handles: tuple
     words: tuple[tuple[Letter, ...], ...]
@@ -443,9 +442,7 @@ def cayley_ball(group: Backend, radius: int) -> CayleyBall:
                 parents.append((i, x))
             row.append(j)
         edges.append(tuple(row))
-    return CayleyBall(
-        group, radius, tuple(handles), tuple(words), tuple(dist), tuple(edges), tuple(parents)
-    )
+    return CayleyBall(radius, tuple(handles), tuple(words), tuple(dist), tuple(edges), tuple(parents))
 
 
 # -- ball permutoids -------------------------------------------------------------
@@ -454,16 +451,15 @@ def cayley_ball(group: Backend, radius: int) -> CayleyBall:
 class CameronPermutoid:
     """The permutoid of left multiplications by inner-ball elements.
 
-    The ground set is the ball of radius 2*rho (indexed in breadth-first
-    order); element i (for i < |inner ball|) is left multiplication by ball
-    element i restricted to the inner ball, except element 0 which is the
-    identity on the whole ground set.  ``labels`` gives a geodesic word per
-    element.
+    The ground set is ``ball``, of radius 2*rho (indexed in breadth-first
+    order), so rho is ``ball.radius // 2``; element i (for i < |inner
+    ball|) is left multiplication by ball element i restricted to the inner
+    ball, except element 0 which is the identity on the whole ground set.
+    ``labels`` gives a geodesic word per element.
     """
 
     permutoid: Permutoid
     ball: CayleyBall
-    rho: int
     labels: tuple[str, ...]
 
     def element_for_generator(self, g: int) -> int:
@@ -509,7 +505,7 @@ def cameron_permutoid(group: Backend, rho: int) -> CameronPermutoid:
     permutoid = validate_permutoid(ball.size, elements)
     if permutoid.identity_index != 0:
         raise ValidationError("MissingIdentity", "element 0 of a ball permutoid must be the identity")
-    return CameronPermutoid(permutoid, ball, rho, labels)
+    return CameronPermutoid(permutoid, ball, labels)
 
 
 def radius_extension(group: Backend, rho_small: int, rho_big: int) -> Morphism:

@@ -9,7 +9,9 @@ maximal elements.
 Rigidity means no two distinct maximal elements agree at any point;
 equivalently every member has a unique maximal extension.  A development of
 a rigid pseudogroup embeds the ground set into a finite set carrying a free
-group action whose transformations extend all maximal elements.
+group action whose transformations extend all maximal elements.  It is a
+development of the maximal-element permutoid (a :class:`RigidDevelopment`
+is a ``Development``), and its group is derived from its maps, never stored.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .develop import (
     Development,
     DevelopmentProblem,
     SearchVerdict,
+    _as_permutations,
     _first_certified,
     verify_development,
 )
@@ -294,31 +297,30 @@ def group_action_pseudogroup(
 
 # -- rigid developments -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class RigidDevelopment:
-    """A free action extending every maximal element, given by its
-    assignment: per maximal element, the permutation of the m =
-    ``ground_size`` points that extends it.
+class RigidDevelopment(Development):
+    """A development of the maximal-element permutoid whose maps, one
+    permutation of the m = ``ground_size`` points per maximal element,
+    generate a free action.
 
-    The group is derived, never stored.  ``group_permutations`` closes the
-    assignment (identity first, then sorted) and raises NotFree when the
-    closure passes m elements: a free group on m points has trivial point
-    stabilisers, so by orbit-stabiliser it has at most m elements.  The
-    closure takes the entries to be permutations of the points, which
-    ``verify_rigid_development`` checks first.
+    The group is derived, never stored.  ``group_permutations`` checks that
+    every map is a permutation of the points (DevelopmentError
+    "NotAPermutation"), closes the maps (identity first, then sorted) and
+    raises NotFree when the closure passes m elements, since a free group
+    on m points has trivial point stabilisers and so, by orbit-stabiliser,
+    at most m elements, or when a non-identity element fixes a point.
     """
-
-    ground_size: int
-    assignment: tuple[tuple[int, ...], ...]
 
     @cached_property
     def group_permutations(self) -> tuple[tuple[int, ...], ...]:
         m = self.ground_size
-        group = _generated_group(self.assignment, m, m)
+        group = _generated_group(_as_permutations(self.maps, m), m, m)
         if group is None:
-            raise NotFree(f"the assignment generates more than {m} permutations of {m} points")
+            raise NotFree(f"the maps generate more than {m} permutations of {m} points")
         identity = tuple(range(m))
         group.discard(identity)
+        for perm in group:
+            if any(map(eq, perm, identity)):
+                raise NotFree("a non-identity group element has a fixed point")
         return (identity,) + tuple(sorted(group))
 
     @property
@@ -326,27 +328,16 @@ class RigidDevelopment:
         return len(self.group_permutations)
 
 
-def _check_free(rd: RigidDevelopment) -> None:
-    """Raise NotFree unless the derived group acts freely: the closure stays
-    within the point count and no non-identity element fixes a point."""
-    identity = tuple(range(rd.ground_size))
-    for perm in rd.group_permutations[1:]:
-        if any(map(eq, perm, identity)):
-            raise NotFree("a non-identity group element has a fixed point")
-
-
 def verify_rigid_development(H: Pseudogroup, rd: RigidDevelopment) -> None:
-    """Independent check of a rigid development: its assignment is a
-    development of the maximal-element permutoid, and the group it
-    generates acts freely.
+    """Independent check of a rigid development: it is a development of
+    the maximal-element permutoid, and its derived group acts freely.
 
-    ``verify_development`` runs first, so every entry is known to be a
-    permutation of the points before anything indexes it; it raises
-    DevelopmentError, and NotRigid comes from ``maximal_permutoid`` on a
-    non-rigid H.  The freeness check then raises NotFree.
+    NotRigid comes from ``maximal_permutoid`` on a non-rigid H, then
+    ``verify_development`` raises DevelopmentError, and reading
+    ``group_permutations`` raises NotFree.
     """
-    verify_development(maximal_permutoid(H), Development(rd.ground_size, rd.assignment))
-    _check_free(rd)
+    verify_development(maximal_permutoid(H), rd)
+    rd.group_permutations  # raises NotFree unless the group acts freely
 
 
 def search_rigid_development(
@@ -371,10 +362,10 @@ def search_rigid_development(
     def certify(dev: Development) -> RigidDevelopment | None:
         rd = RigidDevelopment(dev.ground_size, dev.maps)
         try:
-            _check_free(rd)
+            rd.group_permutations
         except NotFree:
             return None
-        verify_development(target, dev)
+        verify_development(target, rd)
         return rd
 
     return _first_certified(DevelopmentProblem(target, max_ground, node_budget), certify)

@@ -187,17 +187,15 @@ def verdict_to_obj(v, names: Sequence[str], start_size: int) -> dict:
         dev = v.development
         obj = {"verdict": "found", "nodes": v.nodes_explored}
         last = dev.ground_size
-        if isinstance(dev, Development):
-            obj["development"] = development_to_obj(dev, names)
-        elif isinstance(dev, RigidDevelopment):
+        if isinstance(dev, RigidDevelopment):
             obj["rigid_development"] = {
                 "ground_size": dev.ground_size,
                 "group_order": dev.group_order,
                 "group_permutations": [list(p) for p in dev.group_permutations],
-                "assignment": {
-                    names[i]: list(p) for i, p in enumerate(dev.assignment)
-                },
+                "assignment": {names[i]: list(p) for i, p in enumerate(dev.maps)},
             }
+        else:
+            obj["development"] = development_to_obj(dev, names)
     elif isinstance(v, ExhaustedUpTo):
         obj = {
             "verdict": "exhausted-up-to",
@@ -222,9 +220,8 @@ def probe_report_to_obj(r: ProbeReport) -> dict:
     obj: dict = {"verdict": r.verdict, "statistics": dict(r.statistics)}
     if r.evidence is not None:
         obj["evidence"] = evidence_to_obj(r.evidence)
-    if r.quotient is not None:
-        obj["quotient"] = permutoid_to_obj(r.quotient)
     if r.quotient_morphism is not None:
+        obj["quotient"] = permutoid_to_obj(r.quotient_morphism.target)
         obj["quotient_morphism"] = morphism_to_obj(r.quotient_morphism)
     if r.development is not None:
         obj["development"] = development_to_obj(

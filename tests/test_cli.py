@@ -460,8 +460,13 @@ class TestPseudogroupCli:
         gens = {"ground_set_size": 3, "elements": [{"name": "g", "map": [[0, 1]]}]}
         out_path = str(tmp_path / "h.json")
         run_cli(["pseudogroup", "generate", files("g.json", gens), "-o", out_path])
-        code, _, err = run(capsys, "pseudogroup", "develop", out_path)
-        assert code == 3
+        code, out, err = run(capsys, "pseudogroup", "develop", out_path)
+        assert (code, out, err) == (3, "", "error: pseudogroup develop requires --max-size\n")
+        # the missing option is reported before the file is read
+        missing = str(tmp_path / "missing.json")
+        assert run(capsys, "pseudogroup", "develop", missing) == (
+            3, "", "error: pseudogroup develop requires --max-size\n"
+        )
 
 
 class TestCliContract:

@@ -1,6 +1,7 @@
 """Partial permutations, permutoid validation, witnesses, rigidity."""
 
 import ast
+import dataclasses
 import importlib
 import random
 from pathlib import Path
@@ -12,8 +13,8 @@ from permutoid_lab import core
 from permutoid_lab.core import (
     EMPTY_COMPOSITION,
     NO_WITNESS,
-    UNDEFINED,
     PartialPermutation,
+    Permutoid,
     compose_partial,
     identity_map,
     is_rigid_permutoid,
@@ -148,6 +149,14 @@ class TestValidatePermutoid:
             validate_permutoid(2, [[(0, 0)]])
         assert ei.value.code == "MissingIdentity"
 
+    def test_identity_index_is_derived(self):
+        # a directly built permutoid may list the identity anywhere
+        swap = PartialPermutation(2, ((0, 1), (1, 0)))
+        assert Permutoid(2, (swap, identity_map(2))).identity_index == 1
+        with pytest.raises(ValidationError) as ei:
+            Permutoid(2, (swap,)).identity_index
+        assert ei.value.code == "MissingIdentity"
+
     def test_duplicate_elements(self):
         with pytest.raises(ValidationError) as ei:
             validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)], [(0, 1)]])
@@ -262,7 +271,7 @@ class TestExtensionWitness:
 
     def test_undefined_composition(self):
         P = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)]])
-        assert P.witness(1, 1) is UNDEFINED
+        assert P.witness(1, 1) is EMPTY_COMPOSITION
 
     @pytest.mark.parametrize("i, j", [(-1, 0), (0, 3)])
     def test_indices_out_of_range(self, i, j):
@@ -300,7 +309,7 @@ def parent_scans(elements):
         for j, q in enumerate(elements):
             comp = compose_partial(p, q)
             if comp is EMPTY_COMPOSITION:
-                table[(i, j)] = UNDEFINED
+                table[(i, j)] = EMPTY_COMPOSITION
                 continue
             found = NO_WITNESS
             for k, r in enumerate(elements):
@@ -477,6 +486,41 @@ class TestNoUncalledFunctions:
             and fn.name not in referenced
         )
         assert uncalled == [], f"{path.name} defines functions nothing calls: {uncalled}"
+
+
+def _attributes_read() -> set:
+    """Every attribute name read in ``src/``, ``demos/``, ``perfbench/``
+    and ``tests/``."""
+    root = Path(__file__).resolve().parent.parent
+    return {
+        node.attr
+        for folder in ("src", "demos", "perfbench", "tests")
+        for path in (root / folder).rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+class TestNoUnreadFields:
+    """Every dataclass field in the package is read as an attribute
+    somewhere in the program, its demos, its benchmark or its tests.  A read
+    is matched by name alone, so a field sharing its name with another
+    attribute passes."""
+
+    @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=[p.stem for p in PACKAGE_MODULES])
+    def test_module_has_no_unread_field(self, path):
+        module = importlib.import_module(f"permutoid_lab.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = _attributes_read()
+        unread = sorted(
+            f"{node.name}.{field.target.id} (line {field.lineno})"
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and dataclasses.is_dataclass(getattr(module, node.name))
+            for field in node.body
+            if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+            and field.target.id not in read
+        )
+        assert unread == [], f"{path.name} defines fields nothing reads: {unread}"
 
 
 class TestNoUnraisedErrors:

@@ -18,7 +18,13 @@ import sys
 
 import pytest
 
-from permutoid_lab.core import validate_permutoid, witness_triples
+from permutoid_lab.core import (
+    PartialPermutation,
+    Permutoid,
+    identity_map,
+    validate_permutoid,
+    witness_triples,
+)
 from permutoid_lab.develop import (
     BudgetExceeded,
     Development,
@@ -176,9 +182,18 @@ class TestSearchDevelopment:
         # a directly constructed permutoid with duplicate graphs fails the
         # entry revalidation
         valid = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)]])
-        bad = valid.__class__(2, valid.elements + (valid.elements[1],), 0)
+        bad = valid.__class__(2, valid.elements + (valid.elements[1],))
         with pytest.raises(ValidationError):
             search_development(DevelopmentProblem(bad, 4))
+
+    def test_directly_built_source_with_identity_second(self):
+        # the identity index is derived from the elements, so the search
+        # fixes the identity's row, not the swap's
+        swap = PartialPermutation(2, ((0, 1), (1, 0)))
+        P = Permutoid(2, (swap, identity_map(2)))
+        assert P.identity_index == 1
+        v = search_development(DevelopmentProblem(P, 3))
+        assert v == Found(Development(2, ((1, 0), (0, 1))), 0)
 
     def test_max_ground_below_source_rejected(self):
         with pytest.raises(UsageError):

@@ -55,13 +55,27 @@ class TestValidateMorphism:
             ((0, 2), (0, 1, 1), "BadPointMap"),
             ((0, 1), (0, 1), "BadElementMap"),
             ((0, 1), (0, 1, 2), "BadElementMap"),
+            # entries equal to an int index are not one
+            ((0, 1.0), (0, 1, 1), "BadPointMap"),
+            ((0, True), (0, 1, 1), "BadPointMap"),
+            ((0, 1), (0, 1.0, 1), "BadElementMap"),
+            ((0, 1), (False, 1, 1), "BadElementMap"),
         ],
-        ids=["point-map-short", "point-out-of-range", "element-map-short", "element-out-of-range"],
+        ids=["point-map-short", "point-out-of-range", "element-map-short", "element-out-of-range",
+             "float-point", "bool-point", "float-element", "bool-element"],
     )
     def test_maps_must_be_total(self, point_map, element_map, code):
         with pytest.raises(MorphismError) as ei:
             validate_morphism(Morphism(REMARK, SWAP_TARGET, point_map, element_map))
         assert ei.value.code == code
+
+    def test_bijection_onto_larger_graphs_is_not_isomorphism(self):
+        # 0->1 goes to the swap: bijective on points and elements, but the
+        # swap's graph holds one more pair
+        arrow = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)]])
+        kind = validate_morphism(Morphism(arrow, SWAP_TARGET, (0, 1), (0, 1)))
+        assert kind.is_quotient and kind.is_extension
+        assert not kind.is_isomorphism
 
     def test_equivariance_violated(self):
         # send the 0->1 restriction to the identity: images stop commuting
@@ -101,7 +115,6 @@ class TestValidateMorphism:
                 PartialPermutation(2, ((1, 0),)),
                 PartialPermutation(2, ((0, 1), (1, 0))),
             ),
-            0,
         )
         with pytest.raises(ValidationError) as ei:
             validate_morphism(Morphism(REMARK, tgt, (0, 1), (0, 1, 2)))

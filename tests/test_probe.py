@@ -79,7 +79,7 @@ class TestProbeFiniteQuotient:
 
     def test_found_development_verifies_against_quotient(self, pool_presentations):
         report = probe_finite_quotient(pool_presentations["z6"], rho=4, max_ground=12)
-        verify_development(report.quotient, report.development)
+        verify_development(report.quotient_morphism.target, report.development)
 
     def test_deterministic_reports_equal(self, pool_presentations):
         r1 = probe_finite_quotient(pool_presentations["z6"], rho=4, max_ground=12)

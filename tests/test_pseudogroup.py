@@ -398,7 +398,7 @@ class TestSearchRigidDevelopment:
         H = generate_pseudogroup(3, [pp(3, [(0, 1)])])
         rd = search_rigid_development(H, 5).development
         arrow = [m.pairs for m in H.maximal_elements].index(((0, 1),))
-        forged = dataclasses.replace(rd, assignment=forge(rd.assignment, arrow))
+        forged = dataclasses.replace(rd, maps=forge(rd.maps, arrow))
         with pytest.raises(DevelopmentError) as ei:
             verify_rigid_development(H, forged)
         assert ei.value.code == code
@@ -419,14 +419,14 @@ class TestSearchRigidDevelopment:
         assert isinstance(verdict, Found) and verdict.development.ground_size == 2
 
 
-# the assignment extends the three maximal elements of the arrow 0 -> 1 on
-# four points and is free on its own, but generates a group of order 8
-FORGED_ASSIGNMENT = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 0, 3, 1))
+# the maps extend the three maximal elements of the arrow 0 -> 1 on four
+# points and are free on their own, but generate a group of order 8
+FORGED_MAPS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 0, 3, 1))
 
 
 class TestVerifyRigidDevelopment:
     """The verifier is ``verify_development`` on the maximal-element
-    permutoid, then freeness of the group the assignment generates."""
+    permutoid, then freeness of the group its maps generate."""
 
     @pytest.mark.parametrize(
         "n, generators, rd, error, code",
@@ -437,7 +437,7 @@ class TestVerifyRigidDevelopment:
              DevelopmentError, "NotAPermutation"),
             (3, [[(0, 1)]], RigidDevelopment(2, ((0, 1), (1, 0), (1, 0))),
              DevelopmentError, "WrongShape"),
-            (4, [[(0, 1)]], RigidDevelopment(4, FORGED_ASSIGNMENT),
+            (4, [[(0, 1)]], RigidDevelopment(4, FORGED_MAPS),
              DevelopmentError, "CompositionBroken"),
             # a development of the swap on {0, 1} whose group fixes point 2
             (3, [[(0, 1), (1, 0)]], RigidDevelopment(3, ((0, 1, 2), (1, 0, 2))),
@@ -454,11 +454,22 @@ class TestVerifyRigidDevelopment:
             verify_rigid_development(H, rd)
         assert ei.value.code == code
 
-    def test_group_past_the_point_count_not_free(self):
-        # S3 has 6 > 3 elements, so it cannot act freely on three points
-        rd = RigidDevelopment(3, ((0, 1, 2), (1, 0, 2), (0, 2, 1)))
-        with pytest.raises(NotFree):
-            rd.group_permutations
+    @pytest.mark.parametrize(
+        "maps, error, code",
+        [
+            (((0, 1, 2), (1,)), DevelopmentError, "NotAPermutation"),
+            (((0, 1, 2), (1.0, 2, 0)), DevelopmentError, "NotAPermutation"),
+            (((0, 1, 2), (1, 0, 2)), NotFree, "NotFree"),
+            # S3 has 6 > 3 elements, so it cannot act freely on three points
+            (((0, 1, 2), (1, 0, 2), (0, 2, 1)), NotFree, "NotFree"),
+        ],
+        ids=["short-entry", "float-entry", "fixes-a-point", "past-the-point-count"],
+    )
+    def test_group_raises_coded_errors(self, maps, error, code):
+        # the derived group checks its maps itself, without the verifier
+        with pytest.raises(error) as ei:
+            RigidDevelopment(3, maps).group_permutations
+        assert ei.value.code == code
 
 
 # -- oracle: the previous rigid search --------------------------------------------
@@ -597,9 +608,8 @@ class TestQuotientChain:
     def test_finite_quotient_yields_rigid_development_and_back(self, pool_presentations):
         # a presentation with a non-trivial finite quotient has a ball
         # permutoid quotient whose pseudogroup is rigid and develops; the
-        # found development, read as a permutoid development, verifies
+        # found development, a permutoid development, verifies
         from permutoid_lab.core import enumerate_quotients
-        from permutoid_lab.develop import Development, verify_development
         from permutoid_lab.groups import realize_backend
         from permutoid_lab.pseudogroup import maximal_permutoid
 
@@ -615,7 +625,7 @@ class TestQuotientChain:
             hits += 1
             rd = verdict.development
             target = maximal_permutoid(H)
-            verify_development(target, Development(rd.ground_size, rd.assignment))
+            verify_development(target, rd)
         assert hits >= 1
 
 
