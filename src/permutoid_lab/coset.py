@@ -1,5 +1,9 @@
 """Coset enumeration over the trivial subgroup (HLT with lookahead).
 
+Relators are read as given: each is a word of ``groups``, whose letter x
+is table column x, 2g for generator g and 2g + 1 for its inverse, so
+column x ^ 1 is the inverse of column x.
+
 The strategy is fixed for determinism: relator scans in input order at each
 live coset, cosets processed and defined first-in-first-out, lookahead when
 the live-coset cap is hit, and a standardization pass at the end so equal
@@ -27,9 +31,9 @@ from typing import Sequence
 from .errors import OutOfBounds, RelatorNotKilled, UsageError
 
 
-def _verify(table: list[list[int | None]], relators: list[list[int]]):
+def _verify(table: list[list[int | None]], relators: Sequence[Sequence[int]]):
     """Check that a table is complete and that every relator closes at
-    every coset; relators are lists of table columns.
+    every coset.
 
     Each relator is traced from every coset at once, as a composition of
     whole columns: the getter of column x takes the images so far to their
@@ -66,7 +70,7 @@ def _verify(table: list[list[int | None]], relators: list[list[int]]):
 
 def enumerate_cosets(
     num_gens: int,
-    relators: Sequence[Sequence[tuple[int, int]]],
+    relators: Sequence[Sequence[int]],
     max_cosets: int,
 ) -> list[list[int]]:
     """Run the enumeration; returns the completed coset table.
@@ -79,7 +83,6 @@ def enumerate_cosets(
     if max_cosets < 1:
         raise UsageError("max_cosets must be >= 1")
     width = 2 * num_gens
-    relators = [[2 * g if s > 0 else 2 * g + 1 for g, s in rel] for rel in relators]
     max_definitions = 20 * max_cosets + 1000
     table: list[list[int | None]] = [[None] * width]
     p = [0]

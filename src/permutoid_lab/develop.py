@@ -317,6 +317,8 @@ def verify_development(P: Permutoid, D: Development) -> None:
     """Re-derive every constraint from the graphs and check D against them,
     independently of the search engine.  Raises DevelopmentError."""
     m = D.ground_size
+    if type(m) is not int:
+        raise DevelopmentError("WrongShape", f"ground size {m!r} is not an int")
     if m < P.ground_size:
         raise DevelopmentError("WrongShape", "target smaller than the source ground set")
     if len(D.maps) != len(P.elements):

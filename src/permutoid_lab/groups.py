@@ -1,13 +1,15 @@
 """Marked groups, word-problem backends, and ball-based permutoids.
 
-A backend answers one question: where does an element go when multiplied on
-the right by a generator or its inverse.  A finite group realized by coset
-enumeration (or loaded as an explicit multiplication table) answers it by a
-table lookup, a free group by appending to or cancelling from a reduced
-word.  On top of that sit Cayley balls, which keep the edges their
-breadth-first search followed, the permutoids of left multiplications by
-ball elements, the triangulation of a presentation, and the universal group
-of a permutoid.
+A word is a tuple of int letters: 2g is generator g and 2g + 1 its
+inverse, so x ^ 1 is the inverse of letter x, and x is also the column of
+coset tables and ball edges that multiplies by it.  A backend answers one
+question: where does an element go when multiplied on the right by letter
+x.  A finite group realized by coset enumeration (or loaded as an explicit
+multiplication table) answers it by a table lookup, a free group by
+appending to or cancelling from a reduced word.  On top of that sit Cayley
+balls, which keep the edges their breadth-first search followed, the
+permutoids of left multiplications by ball elements, the triangulation of a
+presentation, and the universal group of a permutoid.
 """
 
 from __future__ import annotations
@@ -30,16 +32,11 @@ from .core import (
 )
 from .errors import (
     ClosureCapExceeded,
-    MorphismError,
     ParseError,
     PreconditionRadius,
     RelatorNotKilled,
     UsageError,
-    ValidationError,
 )
-
-#: A letter is (generator index, +1 or -1); a word is a tuple of letters.
-Letter = tuple[int, int]
 
 #: The default live-coset cap of coset enumeration.
 MAX_COSETS = 10_000
@@ -49,21 +46,15 @@ MAX_COSETS = 10_000
 CLOSURE_CAP = 10**6
 
 
-def free_reduce(word: Sequence[Letter]) -> tuple[Letter, ...]:
+def free_reduce(word: Sequence[int]) -> tuple[int, ...]:
     """Cancel adjacent inverse pairs until none remain.  Idempotent."""
-    stack: list[Letter] = []
-    for g, s in word:
-        if stack and stack[-1][0] == g and stack[-1][1] == -s:
+    stack: list[int] = []
+    for x in word:
+        if stack and stack[-1] == x ^ 1:
             stack.pop()
         else:
-            stack.append((g, s))
+            stack.append(x)
     return tuple(stack)
-
-
-def _letter(x: int) -> Letter:
-    """The letter of table column x: column 2g is generator g and column
-    2g + 1 its inverse, as in coset tables."""
-    return (x >> 1, -1 if x & 1 else 1)
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
@@ -73,10 +64,11 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 class Presentation:
     """A finite group presentation.  Relators are words, stored freely
     reduced; relators that reduce to the empty word are dropped with a
-    warning."""
+    warning.  Each letter must be an int x with 0 <= x < 2 * len(generators)
+    (2g for generator g, 2g + 1 for its inverse)."""
 
     generators: tuple[str, ...]
-    relators: tuple[tuple[Letter, ...], ...]
+    relators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if not self.generators:
@@ -87,12 +79,13 @@ class Presentation:
             if not _NAME_RE.match(name):
                 raise ParseError("BadGeneratorName", f"invalid generator name {name!r}")
         kept = []
+        width = 2 * len(self.generators)
         for w in self.relators:
-            for g, s in w:
-                if not (type(g) is int and type(s) is int and s in (1, -1)):
-                    raise ParseError("BadLetter", f"letter {(g, s)!r} is not (int index, +1 or -1)")
-                if not (0 <= g < len(self.generators)):
-                    raise ParseError("UnknownGenerator", f"letter index {g} out of range")
+            for x in w:
+                if type(x) is not int:
+                    raise ParseError("BadLetter", f"letter {x!r} is not an int")
+                if not 0 <= x < width:
+                    raise ParseError("UnknownGenerator", f"letter {x} out of range")
             r = free_reduce(w)
             if not r:
                 warnings.warn("dropping relator that freely reduces to the empty word")
@@ -106,18 +99,17 @@ class Presentation:
         return max(map(len, self.relators), default=0)
 
 
-def _parse_term(term: str, gen_index: Mapping[str, int]) -> list[Letter]:
+def _parse_term(term: str, gen_index: Mapping[str, int]) -> list[int]:
     name, caret, exponent = term.partition("^")
     if name not in gen_index:
         raise ParseError("UnknownGenerator", f"unknown generator {name!r}", token=term)
     if not caret:
-        return [(gen_index[name], 1)]
+        return [2 * gen_index[name]]
     try:
         k = int(exponent)
     except ValueError:
         raise ParseError("BadExponent", f"bad exponent in {term!r}", token=term) from None
-    sign = 1 if k >= 0 else -1
-    return [(gen_index[name], sign)] * abs(k)
+    return [2 * gen_index[name] + (k < 0)] * abs(k)
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -151,7 +143,7 @@ def parse_presentation(text: str) -> Presentation:
     gen_index = {name: i for i, name in enumerate(generators)}
     relators = []
     for chunk in relator_chunks:
-        letters: list[Letter] = []
+        letters: list[int] = []
         for term in chunk.split():
             letters.extend(_parse_term(term, gen_index))
         relators.append(tuple(letters))
@@ -160,19 +152,20 @@ def parse_presentation(text: str) -> Presentation:
         return Presentation(tuple(generators), tuple(relators))
 
 
-def render_word(word: Sequence[Letter], names: Sequence[str]) -> str:
+def render_word(word: Sequence[int], names: Sequence[str]) -> str:
     """Render with runs collapsed into powers; the empty word is "1"."""
     if not word:
         return "1"
     parts = []
     i = 0
     while i < len(word):
-        g, s = word[i]
+        x = word[i]
         j = i
-        while j < len(word) and word[j] == (g, s):
+        while j < len(word) and word[j] == x:
             j += 1
-        k = s * (j - i)
-        parts.append(names[g] if k == 1 else f"{names[g]}^{k}")
+        k = i - j if x & 1 else j - i
+        name = names[x >> 1]
+        parts.append(name if k == 1 else f"{name}^{k}")
         i = j
     return " ".join(parts)
 
@@ -324,7 +317,7 @@ class RealizedGroup:
 
 @dataclass(frozen=True)
 class FreeGroup:
-    """Free group backend: handles are freely reduced letter tuples."""
+    """Free group backend: handles are freely reduced words."""
 
     num_generators: int
 
@@ -333,11 +326,10 @@ class FreeGroup:
         return ()
 
     def step(self, h: tuple, x: int) -> tuple:
-        """The reduced word h times column x's letter."""
-        g, s = _letter(x)
-        if h and h[-1] == (g, -s):
+        """The reduced word h times letter x."""
+        if h and h[-1] == x ^ 1:
             return h[:-1]
-        return h + ((g, s),)
+        return h + (x,)
 
 
 Backend = Union[RealizedGroup, FreeGroup]
@@ -386,17 +378,17 @@ class CayleyBall:
     Elements are listed in breadth-first order, so positions with distance
     <= r form a prefix, and the ball of any smaller radius is a prefix of
     this one (see :func:`radius_extension`).  ``words[i]`` is a geodesic
-    representative of element i, a tuple of letters.  The ball keeps the
-    edges its search followed: ``edges[i][x]`` is the position of element
-    i times column x's letter (x = 2g for generator g, 2g + 1 for its
-    inverse), recorded for every element short of the radius, and
-    ``parents[i] = (p, x)`` is the first edge that reached element i (None
-    for the identity), so words[i] is words[p] plus one letter.
+    representative of element i, a word as in :class:`Presentation`.  The
+    ball keeps the edges its search followed: ``edges[i][x]`` is the
+    position of element i times letter x, recorded for every element short
+    of the radius, and ``parents[i] = (p, x)`` is the first edge that
+    reached element i (None for the identity), so words[i] is words[p]
+    plus letter x.
     """
 
     radius: int
     handles: tuple
-    words: tuple[tuple[Letter, ...], ...]
+    words: tuple[tuple[int, ...], ...]
     distances: tuple[int, ...]
     edges: tuple[tuple[int, ...], ...]
     parents: tuple[tuple[int, int] | None, ...]
@@ -423,7 +415,7 @@ def cayley_ball(group: Backend, radius: int) -> CayleyBall:
     columns = range(2 * group.num_generators)
     handles = [group.identity_handle]
     index = {handles[0]: 0}
-    words: list[tuple[Letter, ...]] = [()]
+    words: list[tuple[int, ...]] = [()]
     dist = [0]
     parents: list = [None]
     edges = []
@@ -437,7 +429,7 @@ def cayley_ball(group: Backend, radius: int) -> CayleyBall:
             if j is None:
                 j = index[t] = len(handles)
                 handles.append(t)
-                words.append(words[i] + (_letter(x),))
+                words.append(words[i] + (x,))
                 dist.append(dist[i] + 1)
                 parents.append((i, x))
             row.append(j)
@@ -463,11 +455,9 @@ class CameronPermutoid:
     labels: tuple[str, ...]
 
     def element_for_generator(self, g: int) -> int:
-        """Index of the element that is left multiplication by generator g."""
-        pos = self.ball.edges[0][2 * g]
-        if pos >= len(self.permutoid.elements):
-            raise UsageError(f"generator {g} is not an element of the ball permutoid")
-        return pos
+        """Index of the element that is left multiplication by generator g,
+        which lies at distance 1 <= rho, so in the inner ball."""
+        return self.ball.edges[0][2 * g]
 
 
 def cameron_permutoid(group: Backend, rho: int) -> CameronPermutoid:
@@ -502,10 +492,8 @@ def cameron_permutoid(group: Backend, rho: int) -> CameronPermutoid:
             row.append(edges[row[p]][letter])
         elements.append(tuple(enumerate(row)))
 
-    permutoid = validate_permutoid(ball.size, elements)
-    if permutoid.identity_index != 0:
-        raise ValidationError("MissingIdentity", "element 0 of a ball permutoid must be the identity")
-    return CameronPermutoid(permutoid, ball, labels)
+    # element 0 is the identity, so it is the permutoid's identity index
+    return CameronPermutoid(validate_permutoid(ball.size, elements), ball, labels)
 
 
 def radius_extension(group: Backend, rho_small: int, rho_big: int) -> Morphism:
@@ -535,8 +523,7 @@ def radius_extension(group: Backend, rho_small: int, rho_big: int) -> Morphism:
         tuple(range(small.ball.size)),
         tuple(range(len(small.permutoid.elements))),
     )
-    if not validate_morphism(morphism).is_extension:
-        raise MorphismError("NotAnExtension", "the radius inclusion is not an extension")
+    validate_morphism(morphism)
     return morphism
 
 
@@ -555,21 +542,18 @@ def triangulate(p: Presentation, m: int, max_cosets: int = MAX_COSETS) -> Presen
         )
     group = todd_coxeter(p, max_cosets)
     ball = cayley_ball(group, m)
-    size = ball.size
-    names = tuple("b%d" % i for i in range(size))
+    names = tuple("b%d" % i for i in range(ball.size))
     table = group.table
-    signed = []
-    for i in range(size):
-        signed.append((i, 1, ball.handles[i]))
-        signed.append((i, -1, group.inverses[ball.handles[i]]))
+    # (letter, element): letter 2i is ball element i and 2i + 1 its inverse
+    signed = list(enumerate(y for h in ball.handles for y in (h, group.inverses[h])))
     relators = []
     seen = set()
-    for i1, s1, h1 in signed:
-        for i2, s2, h2 in signed:
+    for x1, h1 in signed:
+        for x2, h2 in signed:
             h12 = table[h1][h2]
-            for i3, s3, h3 in signed:
+            for x3, h3 in signed:
                 if table[h12][h3] == 0:
-                    w = free_reduce(((i1, s1), (i2, s2), (i3, s3)))
+                    w = free_reduce((x1, x2, x3))
                     if w and w not in seen:
                         seen.add(w)
                         relators.append(w)
@@ -582,7 +566,7 @@ def universal_group(P: Permutoid) -> Presentation:
     relators = []
     seen = set()
     for i, j, k in witness_triples(P):
-        w = free_reduce(((i, 1), (j, 1), (k, -1)))
+        w = free_reduce((2 * i, 2 * j, 2 * k + 1))
         if w and w not in seen:
             seen.add(w)
             relators.append(w)
@@ -626,17 +610,18 @@ def verify_quotient_hom(
             raise UsageError(f"image of {name!r} is not a permutation of {degree} points")
         perms.append(perm)
     identity = tuple(range(degree))
-    inverses = []
+    # rows[x] is the image of letter x: each generator's, then its inverse
+    rows = []
     for perm in perms:
         inverse = [0] * degree
         for x, y in enumerate(perm):
             inverse[y] = x
-        inverses.append(tuple(inverse))
+        rows += [perm, tuple(inverse)]
 
     for ridx, rel in enumerate(p.relators):
         image = identity
-        for g, s in rel:
-            image = _perm_compose(image, perms[g] if s > 0 else inverses[g])
+        for x in rel:
+            image = _perm_compose(image, rows[x])
         if image != identity:
             raise RelatorNotKilled(
                 f"relator {render_word(rel, p.generators)} maps to a non-identity permutation",

@@ -42,8 +42,8 @@ from .develop import (
     verify_development,
 )
 from .errors import (
+    DevelopmentError,
     GroundSetMismatch,
-    MorphismError,
     NotAnAction,
     NotFree,
     NotRigid,
@@ -245,11 +245,11 @@ def extend_to_maximal(pi: Permutoid, H: Pseudogroup | None = None) -> Morphism:
         if not hits:
             raise PseudogroupError("NotAMember", "an element has no maximal extension in H")
         element_map.append(hits.bit_length() - 1)
+    # the identity point map is injective, so a morphism is an extension
     morphism = Morphism(
         pi, target, tuple(range(pi.ground_size)), tuple(element_map)
     )
-    if not validate_morphism(morphism).is_extension:
-        raise MorphismError("NotAnExtension", "the map to maximal elements is not an extension")
+    validate_morphism(morphism)
     return morphism
 
 
@@ -289,10 +289,8 @@ def group_action_pseudogroup(
             key=lambda m: m.pairs,
         )
     )
-    H = Pseudogroup(degree, members)
-    if not is_rigid_pseudogroup(H):
-        raise NotRigid("two group elements agree at a point")
-    return H
+    # rigid: if g(y) = h(y), then h^-1 g fixes y, which the loop above refused
+    return Pseudogroup(degree, members)
 
 
 # -- rigid developments -----------------------------------------------------------
@@ -303,8 +301,8 @@ class RigidDevelopment(Development):
     generate a free action.
 
     The group is derived, never stored.  ``group_permutations`` checks that
-    every map is a permutation of the points (DevelopmentError
-    "NotAPermutation"), closes the maps (identity first, then sorted) and
+    m is an int (DevelopmentError "WrongShape") and every map a permutation
+    of the points ("NotAPermutation"), closes the maps (identity first, then sorted) and
     raises NotFree when the closure passes m elements, since a free group
     on m points has trivial point stabilisers and so, by orbit-stabiliser,
     at most m elements, or when a non-identity element fixes a point.
@@ -313,6 +311,8 @@ class RigidDevelopment(Development):
     @cached_property
     def group_permutations(self) -> tuple[tuple[int, ...], ...]:
         m = self.ground_size
+        if type(m) is not int:
+            raise DevelopmentError("WrongShape", f"ground size {m!r} is not an int")
         group = _generated_group(_as_permutations(self.maps, m), m, m)
         if group is None:
             raise NotFree(f"the maps generate more than {m} permutations of {m} points")

@@ -14,7 +14,8 @@ weakening the tests behind it.
     python3 tests/mutants.py
 
 ``tests/test_mutants.py`` checks in tier-1 that every entry still applies;
-the full run stays outside tier-1 (35 mutants, about 65 s in all).
+the full run stays outside tier-1 (44 mutants, about 57 s in all on an
+Intel Xeon under CPython 3.11).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ COSET = "src/permutoid_lab/coset.py"
 CORE = "src/permutoid_lab/core.py"
 GROUPS = "src/permutoid_lab/groups.py"
 PSEUDOGROUP = "src/permutoid_lab/pseudogroup.py"
+SERIALIZE = "src/permutoid_lab/serialize.py"
+CLI = "src/permutoid_lab/cli.py"
 
 MUTANTS: list[tuple[str, str, str, str]] = [
     # _close: drop the forward conflict test
@@ -80,8 +83,8 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # radius_extension: a point map that is not the initial segment
     (GROUPS, "tuple(range(small.ball.size)),", "tuple(range(small.ball.size))[::-1],",
      "tests/test_cameron.py"),
-    # cayley_ball: words lose their inverse letters
-    (GROUPS, "words.append(words[i] + (_letter(x),))", "words.append(words[i] + ((x >> 1, 1),))",
+    # cayley_ball: words lose their inverse letters (test_inverse_closure)
+    (GROUPS, "words.append(words[i] + (x,))", "words.append(words[i] + (x & ~1,))",
      "tests/test_groups.py"),
     # _perm_compose: send degree 1 to itemgetter, which returns a bare value
     (GROUPS, "if len(g) > 1:", "if len(g) > 0:", "tests/test_composition.py"),
@@ -91,7 +94,7 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     (GROUPS, "left, right = tuple(table[row[b]]), getter(row)", "left, right = getter(row), getter(row)",
      "tests/test_composition.py"),
     # free_reduce: cancel equal letters instead of inverse ones
-    (GROUPS, "stack[-1][1] == -s", "stack[-1][1] == s", "tests/test_groups.py"),
+    (GROUPS, "if stack and stack[-1] == x ^ 1:", "if stack and stack[-1] == x:", "tests/test_groups.py"),
     # group_permutations: bound the closure by m - 1, which rejects regular developments
     # (test_z4_cameron_pseudogroup_regular)
     (PSEUDOGROUP, "group = _generated_group(_as_permutations(self.maps, m), m, m)",
@@ -108,9 +111,8 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # _generated_group: close over the generators only (test_five_cycle)
     (GROUPS, "                group.add(y)\n                frontier.append(y)\n",
      "                group.add(y)\n", "tests/test_cameron.py"),
-    # Presentation: stop checking that a letter's sign is +1 or -1 (test_direct_construction_rejects)
-    (GROUPS, "if not (type(g) is int and type(s) is int and s in (1, -1)):", "if not type(g) is int:",
-     "tests/test_groups.py"),
+    # Presentation: accept a bool letter (test_direct_construction_rejects[BadLetter-bool-index])
+    (GROUPS, "if type(x) is not int:", "if not isinstance(x, int):", "tests/test_groups.py"),
     # RealizedGroup: keep list inputs as given (test_list_inputs_stored_as_tuples)
     (GROUPS, '        object.__setattr__(self, "table", tuple(map(tuple, self.table)))\n', "",
      "tests/test_groups.py"),
@@ -132,6 +134,26 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # (test_bijection_onto_larger_graphs_is_not_isomorphism)
     (CORE, "len(p.pairs) == len(tgt.elements[m.element_map[i]].pairs)",
      "len(p.pairs) <= len(tgt.elements[m.element_map[i]].pairs)", "tests/test_morphisms_canonical.py"),
+    # render_word: give inverse runs a positive exponent (test_render_word_collapses_runs)
+    (GROUPS, "k = i - j if x & 1 else j - i", "k = j - i", "tests/test_groups.py"),
+    # _parse_term: read a negative power as a positive one (test_words.py::test_parse_term)
+    (GROUPS, "return [2 * gen_index[name] + (k < 0)] * abs(k)", "return [2 * gen_index[name]] * abs(k)",
+     "tests/test_words.py"),
+    # FreeGroup.step: never cancel, so a ball holds unreduced words (test_free_group_radius_one)
+    (GROUPS, "if h and h[-1] == x ^ 1:", "if False:", "tests/test_cameron.py"),
+    # verify_quotient_hom: read each letter as its inverse (test_inverse_letters_read_as_inverses)
+    (GROUPS, "rows += [perm, tuple(inverse)]", "rows += [tuple(inverse), perm]", "tests/test_cameron.py"),
+    # verify_development: skip the ground-size type check (test_wrong_shape[bool-size])
+    (DEVELOP, "if type(m) is not int:", "if False:", "tests/test_develop.py"),
+    # group_permutations: skip the ground-size type check (test_group_raises_coded_errors[bool-size])
+    (PSEUDOGROUP, "if type(m) is not int:", "if False:", "tests/test_pseudogroup.py"),
+    # generate_pseudogroup: drop the inverses (TestGeneratePseudogroup::test_single_arrow)
+    (PSEUDOGROUP, "        insert(inverse)\n", "", "tests/test_pseudogroup.py"),
+    # _require: accept a JSON boolean for an int key (test_booleans_are_not_integers)
+    (SERIALIZE, "if not (type(value) is int if kind is int else isinstance(value, kind)):",
+     "if not isinstance(value, kind):", "tests/test_serialize.py"),
+    # run_cli: let an unwritable report escape as a traceback (test_unwritable_report_exit_three)
+    (CLI, "except (UsageError, OSError) as exc:", "except UsageError as exc:", "tests/test_cli.py"),
 ]
 
 

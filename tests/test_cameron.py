@@ -145,7 +145,7 @@ class TestTriangulate:
         # symbol for the group element a is the ball position of a
         g = todd_coxeter(pool_presentations["z3"], 100)
         a_pos = cayley_ball(g, 2).handles.index(g.generator_images[0])
-        aaa = ((a_pos, 1),) * 3
+        aaa = (2 * a_pos,) * 3
         assert aaa in t.relators
         assert len(t.generators) == 3
         assert todd_coxeter(t, 1000).order == 3
@@ -211,8 +211,8 @@ class TestUniversalGroup:
                 ]
                 for rel in uni.relators:
                     img = 0
-                    for g, s in rel:
-                        h = handles[g] if s > 0 else group.inverses[handles[g]]
+                    for x in rel:
+                        h = group.inverses[handles[x >> 1]] if x & 1 else handles[x >> 1]
                         img = group.table[img][h]
                     assert img == 0
                 ball_gens = set(handles)
@@ -240,6 +240,17 @@ class TestVerifyQuotientHom:
     def test_transposition_fails(self, pool_presentations):
         with pytest.raises(RelatorNotKilled):
             verify_quotient_hom(pool_presentations["z5"], {"a": [1, 0, 2, 3, 4]})
+
+    def test_inverse_letters_read_as_inverses(self):
+        # the affine group x -> 4^j x + i of order 21; reading every letter
+        # as its inverse would turn b^-1 a b = a^2 into b a b^-1 = a^2, which
+        # holds for b: x -> 2x instead of x -> 4x
+        p = parse_presentation("gens: a, b\nrels: a^7, b^3, b^-1 a b a^-2")
+        a = [(x + 1) % 7 for x in range(7)]
+        ev = verify_quotient_hom(p, {"a": a, "b": [4 * x % 7 for x in range(7)]})
+        assert ev.group_order == 21
+        with pytest.raises(RelatorNotKilled, match="relator b\\^-1 a b a\\^-2 maps"):
+            verify_quotient_hom(p, {"a": a, "b": [2 * x % 7 for x in range(7)]})
 
     def test_missing_image(self, pool_presentations):
         with pytest.raises(UsageError):
@@ -287,8 +298,8 @@ def _oracle_arithmetic(group):
     if isinstance(group, FreeGroup):
         return (
             lambda a, b: free_reduce(a + b),
-            lambda a: tuple((g, -s) for g, s in reversed(a)),
-            lambda g: ((g, 1),),
+            lambda a: tuple(x ^ 1 for x in reversed(a)),
+            lambda g: (2 * g,),
             group.num_generators,
         )
     return (
@@ -315,7 +326,7 @@ def oracle_cameron(group, rho):
                     if h not in index:
                         index[h] = len(handles)
                         handles.append(h)
-                        words.append(words[i] + ((g, s),))
+                        words.append(words[i] + (2 * g + (s == -1),))
                         dist.append(d)
                         next_frontier.append(index[h])
         if not next_frontier:
@@ -334,13 +345,14 @@ def oracle_triangulate(p, m):
     group = todd_coxeter(p, 10_000)
     mul, inv, _, _ = _oracle_arithmetic(group)
     handles = cayley_ball(group, m).handles
-    signed = [(i, s, h if s == 1 else inv(h)) for i, h in enumerate(handles) for s in (1, -1)]
+    signed = [(2 * i + (s == -1), h if s == 1 else inv(h))
+              for i, h in enumerate(handles) for s in (1, -1)]
     relators, seen = [], set()
-    for i1, s1, h1 in signed:
-        for i2, s2, h2 in signed:
-            for i3, s3, h3 in signed:
+    for x1, h1 in signed:
+        for x2, h2 in signed:
+            for x3, h3 in signed:
                 if mul(mul(h1, h2), h3) == 0:
-                    w = free_reduce(((i1, s1), (i2, s2), (i3, s3)))
+                    w = free_reduce((x1, x2, x3))
                     if w and w not in seen:
                         seen.add(w)
                         relators.append(w)

@@ -182,17 +182,16 @@ class TestCosetVerify:
                 table = enumerate_cosets(num_gens, relators, rng.randint(1, 100))
             except OutOfBounds:
                 continue
-            columns = [[2 * g if s > 0 else 2 * g + 1 for g, s in rel] for rel in relators]
-            assert outcome(_verify, table, columns) is None
-            assert outcome(oracle_coset_verify, table, columns) is None
+            assert outcome(_verify, table, relators) is None
+            assert outcome(oracle_coset_verify, table, relators) is None
             n = len(table)
             one_coset += n == 1
             for _ in range(3):
                 changed = [list(row) for row in table]
                 gamma, x = rng.randrange(n), rng.randrange(2 * num_gens)
                 changed[gamma][x] = None if rng.random() < 0.1 else rng.randrange(n)
-                expected = outcome(oracle_coset_verify, changed, columns)
-                assert outcome(_verify, changed, columns) == expected, (changed, columns)
+                expected = outcome(oracle_coset_verify, changed, relators)
+                assert outcome(_verify, changed, relators) == expected, (changed, relators)
                 kinds["passed" if expected is None else expected[1]] += 1
         assert min(kinds.values()) >= 20 and one_coset > 0, (kinds, one_coset)
 

@@ -32,9 +32,8 @@ BENCH_PRESENTATIONS = {
 # presentations whose enumeration runs into the definitions bound, the
 # second after 13 lookaheads
 ABANDONING = [
-    (2, [[(1, -1), (0, -1), (1, 1), (0, -1), (1, -1), (0, 1), (1, 1)]], 350),
-    (2, [[(0, 1), (0, -1)], [(0, -1), (0, 1)],
-         [(0, 1), (1, 1), (0, 1), (1, -1), (0, 1), (0, -1), (0, -1)]], 200),
+    (2, [[3, 1, 2, 1, 3, 0, 2]], 350),
+    (2, [[0, 1], [1, 0], [0, 2, 0, 3, 0, 1, 1]], 200),
 ]
 
 
@@ -232,8 +231,7 @@ class _OracleEnumeration:
 def oracle_enumerate(num_gens, relators, max_cosets):
     """(outcome, lookaheads): outcome is ("table", table) or
     ("error", type, message, details)."""
-    a_relators = [[2 * g if s > 0 else 2 * g + 1 for g, s in rel] for rel in relators]
-    enum = _OracleEnumeration(num_gens, a_relators, max_cosets, 20 * max_cosets + 1000)
+    enum = _OracleEnumeration(num_gens, relators, max_cosets, 20 * max_cosets + 1000)
     try:
         enum.run()
     except PermutoidLabError as exc:
@@ -274,9 +272,11 @@ def random_presentation(rng):
     num_gens = rng.randint(1, 3)
     words = []
     if rng.random() < 0.5:
-        words += [((g, 1),) * rng.randint(2, 6) for g in range(num_gens)]
+        words += [(2 * g,) * rng.randint(2, 6) for g in range(num_gens)]
     for _ in range(rng.randint(1, 3)):
-        letters = [(rng.randrange(num_gens), rng.choice((1, -1))) for _ in range(rng.randint(2, 8))]
+        # generator, then sign: letter 2g for g, 2g + 1 for its inverse
+        letters = [2 * rng.randrange(num_gens) + (rng.choice((1, -1)) == -1)
+                   for _ in range(rng.randint(2, 8))]
         words.append(free_reduce(letters))
     return num_gens, [list(w) for w in words if w]
 

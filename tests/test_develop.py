@@ -297,14 +297,23 @@ class TestVerifyDevelopment:
         assert broken > 30
 
     @pytest.mark.parametrize(
-        "dev",
-        [Development(1, ((0,), (0,), (0,))), Development(2, ((0, 1), (1, 0)))],
-        ids=["target-below-source", "map-missing"],
+        "dev, message",
+        [
+            (Development(1, ((0,), (0,), (0,))), "target smaller than the source ground set"),
+            (Development(2, ((0, 1), (1, 0))), "one permutation per element required"),
+            # each would develop REMARK if its ground size were the int 2; the
+            # type is checked before the size, which True < 2 would fail too
+            (Development(2.0, ((0, 1), (1, 0), (1, 0))), "ground size 2.0 is not an int"),
+            (Development(True, ((0, 1), (1, 0), (1, 0))), "ground size True is not an int"),
+            (Development("2", ((0, 1), (1, 0), (1, 0))), "ground size '2' is not an int"),
+        ],
+        ids=["target-below-source", "map-missing", "float-size", "bool-size", "str-size"],
     )
-    def test_wrong_shape(self, dev):
+    def test_wrong_shape(self, dev, message):
+        verify_development(REMARK, Development(2, ((0, 1), (1, 0), (1, 0))))
         with pytest.raises(DevelopmentError) as ei:
             verify_development(REMARK, dev)
-        assert ei.value.code == "WrongShape"
+        assert (ei.value.code, str(ei.value)) == ("WrongShape", message)
 
     def test_not_a_permutation(self):
         with pytest.raises(DevelopmentError) as ei:

@@ -23,18 +23,22 @@ from conftest import POOL_PRESENTATIONS, saturating_radius
 
 class TestFreeReduce:
     def test_cancels_adjacent_inverse_pair(self):
-        w = ((0, 1), (0, -1), (1, 1))
-        assert free_reduce(w) == ((1, 1),)
+        w = (0, 1, 2)
+        assert free_reduce(w) == (2,)
 
     def test_empty_stays_empty(self):
         assert free_reduce(()) == ()
 
     def test_nested_cancellation(self):
-        w = ((0, 1), (1, 1), (1, -1), (0, -1))
+        w = (0, 2, 3, 1)
         assert free_reduce(w) == ()
 
+    def test_same_generator_same_sign_does_not_cancel(self):
+        assert free_reduce((0, 0, 3, 3)) == (0, 0, 3, 3)
+        assert free_reduce((1, 2)) == (1, 2)
+
     def test_idempotent(self):
-        w = ((0, 1), (0, 1), (1, -1))
+        w = (0, 0, 3)
         assert free_reduce(free_reduce(w)) == free_reduce(w)
 
 
@@ -71,7 +75,7 @@ class TestParsePresentation:
 
     def test_negative_exponent(self):
         p = parse_presentation("gens: a, b\nrels: a b^-2")
-        assert p.relators[0] == ((0, 1), (1, -1), (1, -1))
+        assert p.relators[0] == (0, 3, 3)
 
     @pytest.mark.parametrize(
         "text, code",
@@ -89,13 +93,18 @@ class TestParsePresentation:
             ((), (), "EmptyGeneratorList"),
             (("a", "a"), (), "DuplicateGenerator"),
             (("a", "2b"), (), "BadGeneratorName"),
-            (("a",), (((1, 1),),), "UnknownGenerator"),
-            # enumerate_cosets would read sign 2 as +1, format_presentation as a square
-            (("a",), (((0, 2), (0, 2)),), "BadLetter"),
-            (("a", "b"), (((True, 1),),), "BadLetter"),
+            # letter 2 is a second generator's
+            (("a",), ((2,),), "UnknownGenerator"),
+            (("a",), ((0, -1),), "UnknownGenerator"),
+            # a (generator, sign) pair is not a letter
+            (("a", "b"), (((0, 1),),), "BadLetter"),
+            # True == 1 would pass the range test as a's inverse
+            (("a", "b"), ((True,),), "BadLetter"),
+            (("a",), ((0.0,),), "BadLetter"),
         ],
         ids=["EmptyGeneratorList", "DuplicateGenerator", "BadGeneratorName", "UnknownGenerator",
-             "BadLetter-sign", "BadLetter-bool-index"],
+             "UnknownGenerator-negative", "BadLetter-pair", "BadLetter-bool-index",
+             "BadLetter-float"],
     )
     def test_direct_construction_rejects(self, generators, relators, code):
         with pytest.raises(ParseError) as ei:
@@ -111,7 +120,8 @@ class TestParsePresentation:
         assert format_presentation(parse_presentation(text)) == text
 
     def test_render_word_collapses_runs(self):
-        assert render_word(((0, 1), (0, 1), (1, -1)), ("a", "b")) == "a^2 b^-1"
+        assert render_word((0, 0, 3), ("a", "b")) == "a^2 b^-1"
+        assert render_word((1, 0, 2, 2, 2), ("a", "b")) == "a^-1 a b^3"
         assert render_word((), ("a",)) == "1"
 
 
@@ -201,8 +211,8 @@ class TestAgainstSympy:
         relators = []
         for r in p.relators:
             w = F.identity
-            for g, s in r:
-                w *= gens[g] ** s
+            for x in r:
+                w *= gens[x >> 1] ** (-1 if x & 1 else 1)
             relators.append(w)
         assert todd_coxeter(p, 1000).order == fp_groups.FpGroup(F, relators).order()
 
@@ -428,8 +438,8 @@ class TestCayleyBall:
             ball = cayley_ball(group, 2)
             for i in range(ball.size):
                 j = 0
-                for g, s in reversed(ball.words[i]):
-                    j = ball.edges[j][2 * g + (s > 0)]
+                for x in reversed(ball.words[i]):
+                    j = ball.edges[j][x ^ 1]
                 assert group.table[ball.handles[i]][ball.handles[j]] == 0
                 assert ball.distances[j] <= ball.distances[i]
 

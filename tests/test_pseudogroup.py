@@ -444,9 +444,14 @@ class TestVerifyRigidDevelopment:
              NotFree, "NotFree"),
             (4, [[(0, 1), (1, 0)], [(0, 1), (2, 3)]], RigidDevelopment(4, ()),
              NotRigid, "NotRigid"),
+            # each would be the trivial development of the trivial pseudogroup
+            # on one point if its ground size were the int 1
+            (1, [], RigidDevelopment(True, ((0,),)), DevelopmentError, "WrongShape"),
+            (1, [], RigidDevelopment(1.0, ((0,),)), DevelopmentError, "WrongShape"),
+            (1, [], RigidDevelopment("1", ((0,),)), DevelopmentError, "WrongShape"),
         ],
         ids=["short-entry", "float-entry", "target-too-small", "forged-group-of-order-8",
-             "fixes-a-point", "not-rigid"],
+             "fixes-a-point", "not-rigid", "bool-size", "float-size", "str-size"],
     )
     def test_coded_errors(self, n, generators, rd, error, code):
         H = generate_pseudogroup(n, [pp(n, g) for g in generators])
@@ -455,20 +460,25 @@ class TestVerifyRigidDevelopment:
         assert ei.value.code == code
 
     @pytest.mark.parametrize(
-        "maps, error, code",
+        "m, maps, error, code",
         [
-            (((0, 1, 2), (1,)), DevelopmentError, "NotAPermutation"),
-            (((0, 1, 2), (1.0, 2, 0)), DevelopmentError, "NotAPermutation"),
-            (((0, 1, 2), (1, 0, 2)), NotFree, "NotFree"),
+            (3, ((0, 1, 2), (1,)), DevelopmentError, "NotAPermutation"),
+            (3, ((0, 1, 2), (1.0, 2, 0)), DevelopmentError, "NotAPermutation"),
+            (3, ((0, 1, 2), (1, 0, 2)), NotFree, "NotFree"),
             # S3 has 6 > 3 elements, so it cannot act freely on three points
-            (((0, 1, 2), (1, 0, 2), (0, 2, 1)), NotFree, "NotFree"),
+            (3, ((0, 1, 2), (1, 0, 2), (0, 2, 1)), NotFree, "NotFree"),
+            # True would pass as one point, 3.0 and "3" would break range(m)
+            (True, ((0,),), DevelopmentError, "WrongShape"),
+            (3.0, ((0, 1, 2), (1, 2, 0)), DevelopmentError, "WrongShape"),
+            ("3", ((0, 1, 2), (1, 2, 0)), DevelopmentError, "WrongShape"),
         ],
-        ids=["short-entry", "float-entry", "fixes-a-point", "past-the-point-count"],
+        ids=["short-entry", "float-entry", "fixes-a-point", "past-the-point-count",
+             "bool-size", "float-size", "str-size"],
     )
-    def test_group_raises_coded_errors(self, maps, error, code):
+    def test_group_raises_coded_errors(self, m, maps, error, code):
         # the derived group checks its maps itself, without the verifier
         with pytest.raises(error) as ei:
-            RigidDevelopment(3, maps).group_permutations
+            RigidDevelopment(m, maps).group_permutations
         assert ei.value.code == code
 
 
