@@ -7,9 +7,9 @@ question: where does an element go when multiplied on the right by letter
 x.  A finite group realized by coset enumeration (or loaded as an explicit
 multiplication table) answers it by a table lookup, a free group by
 appending to or cancelling from a reduced word.  On top of that sit Cayley
-balls, which keep the edges their breadth-first search followed, the
-permutoids of left multiplications by ball elements, the triangulation of a
-presentation, and the universal group of a permutoid.
+balls, which keep only the handles, edges and parents their breadth-first
+search built, the permutoids of left multiplications by ball elements, the
+triangulation of a presentation, and the universal group of a permutoid.
 """
 
 from __future__ import annotations
@@ -240,9 +240,10 @@ class RealizedGroup:
     (``bool`` and ``float`` are refused), that the table is a Latin square
     with two-sided inverses, that (a*b)*c = a*(b*c) for every a and c and
     every b among the generator images and their inverses (Light's test),
-    and that the generator images generate.  Light's test compares whole
-    rows: row a*b against row a composed with row b, through one
-    ``itemgetter`` per b (see :func:`_perm_compose`).  The elements b
+    and that the generator images generate (their Cayley ball of radius n
+    holds all n elements: a group of order n has diameter below n).  Light's
+    test compares whole rows: row a*b against row a composed with row b,
+    through one ``itemgetter`` per b (see :func:`_perm_compose`).  The elements b
     passing it are closed under products, so together the last two checks
     prove the whole table associative, exactly and in O(n^2) per generator.
     """
@@ -285,16 +286,7 @@ class RealizedGroup:
                 if left != right:
                     c = next(c for c in range(n) if left[c] != right[c])
                     raise UsageError(f"associativity fails at ({a},{b},{c})")
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in self.generator_images:
-                for y in (self.table[x][g], self.table[x][self.inverses[g]]):
-                    if y not in reached:
-                        reached.add(y)
-                        frontier.append(y)
-        if len(reached) != n:
+        if cayley_ball(self, n).size != n:
             raise UsageError("generator images do not generate the group")
 
     @cached_property
@@ -377,19 +369,16 @@ class CayleyBall:
 
     Elements are listed in breadth-first order, so positions with distance
     <= r form a prefix, and the ball of any smaller radius is a prefix of
-    this one (see :func:`radius_extension`).  ``words[i]`` is a geodesic
-    representative of element i, a word as in :class:`Presentation`.  The
-    ball keeps the edges its search followed: ``edges[i][x]`` is the
-    position of element i times letter x, recorded for every element short
-    of the radius, and ``parents[i] = (p, x)`` is the first edge that
-    reached element i (None for the identity), so words[i] is words[p]
-    plus letter x.
+    this one (see :func:`radius_extension`).  The ball keeps only what its
+    search built: ``edges[i][x]`` is the position of element i times letter
+    x, recorded for every element short of the radius, and ``parents[i] =
+    (p, x)`` is the first edge that reached element i (None for the
+    identity).  So element i lies one step further out than p, and a
+    geodesic word for it is one for p plus letter x.
     """
 
     radius: int
     handles: tuple
-    words: tuple[tuple[int, ...], ...]
-    distances: tuple[int, ...]
     edges: tuple[tuple[int, ...], ...]
     parents: tuple[tuple[int, int] | None, ...]
 
@@ -398,43 +387,43 @@ class CayleyBall:
         return len(self.handles)
 
     def prefix_size(self, r: int) -> int:
-        """Number of elements at distance <= r."""
-        count = 0
-        for d in self.distances:
-            if d > r:
-                break
-            count += 1
-        return count
+        """Number of elements at distance <= r.  Past the first P_d, those
+        within distance d, the elements at d + 1 are the run whose parents
+        lie below P_d, since parents arrive in breadth-first order."""
+        size = 0 if r < 0 else 1
+        for _ in range(min(r, self.radius)):
+            end = size
+            while end < self.size and self.parents[end][0] < size:
+                end += 1
+            size = end
+        return size
 
 
 def cayley_ball(group: Backend, radius: int) -> CayleyBall:
     """Breadth-first closure of {1} under right multiplication by the
-    generators and their inverses, one ``group.step`` per edge."""
+    generators and their inverses, one ``group.step`` per edge, expanding
+    one distance at a time: those elements not yet given edges."""
     if radius < 1:
         raise UsageError("radius must be >= 1")
     columns = range(2 * group.num_generators)
     handles = [group.identity_handle]
     index = {handles[0]: 0}
-    words: list[tuple[int, ...]] = [()]
-    dist = [0]
     parents: list = [None]
     edges = []
-    for i, h in enumerate(handles):
-        if dist[i] == radius:
-            break
-        row = []
-        for x in columns:
-            t = group.step(h, x)
-            j = index.get(t)
-            if j is None:
-                j = index[t] = len(handles)
-                handles.append(t)
-                words.append(words[i] + (x,))
-                dist.append(dist[i] + 1)
-                parents.append((i, x))
-            row.append(j)
-        edges.append(tuple(row))
-    return CayleyBall(radius, tuple(handles), tuple(words), tuple(dist), tuple(edges), tuple(parents))
+    for _ in range(radius):
+        for i in range(len(edges), len(handles)):
+            h = handles[i]
+            row = []
+            for x in columns:
+                t = group.step(h, x)
+                j = index.get(t)
+                if j is None:
+                    j = index[t] = len(handles)
+                    handles.append(t)
+                    parents.append((i, x))
+                row.append(j)
+            edges.append(tuple(row))
+    return CayleyBall(radius, tuple(handles), tuple(edges), tuple(parents))
 
 
 # -- ball permutoids -------------------------------------------------------------
@@ -477,18 +466,17 @@ def cameron_permutoid(group: Backend, rho: int) -> CameronPermutoid:
     ball = cayley_ball(group, 2 * rho)
     inner = ball.prefix_size(rho)
     edges, parents = ball.edges, ball.parents
+    words: list[tuple[int, ...]] = [()]
+    for p, letter in parents[1:inner]:
+        words.append(words[p] + (letter,))
     names = ["a%d" % g for g in range(group.num_generators)]
-    labels = tuple(render_word(w, names) for w in ball.words[:inner])
+    labels = tuple(render_word(w, names) for w in words)
 
     elements: list = [identity_map(ball.size)]
     for b in range(1, inner):
         row = [b]
         for x in range(1, inner):
             p, letter = parents[x]
-            if row[p] >= len(edges):
-                raise UsageError(
-                    f"product of inner-ball elements {b} and {x} left the carrier ball"
-                )
             row.append(edges[row[p]][letter])
         elements.append(tuple(enumerate(row)))
 
@@ -504,11 +492,11 @@ def radius_extension(group: Backend, rho_small: int, rho_big: int) -> Morphism:
     a larger one.  Both breadth-first searches start from the identity and
     expand elements in list order, calling ``group.step`` on the same
     handle with the same columns in the same order, so they append the
-    same handles in the same order until the smaller search stops at its
-    first element on its radius.  By then it has expanded every element
-    inside its radius, so its list is its whole ball, and the larger search
-    only appends after that.  Distances agree on the prefix, so the inner
-    balls, whose elements are the permutoids' elements, are prefixes too.
+    same handles and parents in the same order until the smaller search
+    stops after expanding every element inside its radius.  Its list is
+    then its whole ball, and the larger search only appends after that.
+    Parents, so distances, agree on the prefix, so the inner balls, whose
+    elements are the permutoids' elements, are prefixes too.
     :func:`validate_morphism` checks the result.
     """
     if not 0 < rho_small < rho_big:
@@ -583,8 +571,12 @@ class FiniteQuotientEvidence:
 
     generators: tuple[str, ...]
     images: tuple[tuple[int, ...], ...]
-    degree: int
     group_order: int
+
+    @property
+    def degree(self) -> int:
+        """The points acted on; a presentation has at least one generator."""
+        return len(self.images[0])
 
     @property
     def nontrivial(self) -> bool:
@@ -635,6 +627,5 @@ def verify_quotient_hom(
     return FiniteQuotientEvidence(
         generators=p.generators,
         images=tuple(perms),
-        degree=degree,
         group_order=len(closure),
     )

@@ -10,6 +10,7 @@ from permutoid_lab.groups import (
     FreeGroup,
     Presentation,
     RealizedGroup,
+    cameron_permutoid,
     cayley_ball,
     format_presentation,
     free_reduce,
@@ -401,6 +402,44 @@ def brute_force_is_group(table, images):
     )
 
 
+def words_and_distances(ball):
+    """Each element's geodesic word and distance, read off its parent."""
+    words, distances = [()], [0]
+    for p, x in ball.parents[1:]:
+        words.append(words[p] + (x,))
+        distances.append(distances[p] + 1)
+    return words, distances
+
+
+def frozen_cayley_ball(group, radius):
+    """The breadth-first search of ``cayley_ball`` as it was when the ball
+    also stored words and distances: (handles, words, distances, edges,
+    parents)."""
+    columns = range(2 * group.num_generators)
+    handles = [group.identity_handle]
+    index = {handles[0]: 0}
+    words = [()]
+    dist = [0]
+    parents = [None]
+    edges = []
+    for i, h in enumerate(handles):
+        if dist[i] == radius:
+            break
+        row = []
+        for x in columns:
+            t = group.step(h, x)
+            j = index.get(t)
+            if j is None:
+                j = index[t] = len(handles)
+                handles.append(t)
+                words.append(words[i] + (x,))
+                dist.append(dist[i] + 1)
+                parents.append((i, x))
+            row.append(j)
+        edges.append(tuple(row))
+    return tuple(handles), words, dist, tuple(edges), tuple(parents)
+
+
 class TestCayleyBall:
     def test_infinite_cyclic_ball_sizes(self):
         fg = FreeGroup(1)
@@ -423,10 +462,12 @@ class TestCayleyBall:
         for group, radii in cases:
             balls = [cayley_ball(group, r) for r in radii]
             for i, small in enumerate(balls):
+                small_words, small_distances = words_and_distances(small)
                 for big in balls[i + 1:]:
+                    big_words, big_distances = words_and_distances(big)
                     assert big.handles[: small.size] == small.handles
-                    assert big.words[: small.size] == small.words
-                    assert big.distances[: small.size] == small.distances
+                    assert big_words[: small.size] == small_words
+                    assert big_distances[: small.size] == small_distances
                     assert big.parents[: small.size] == small.parents
                     assert big.edges[: len(small.edges)] == small.edges
 
@@ -436,18 +477,43 @@ class TestCayleyBall:
         for name in ("z6", "s3", "q8"):
             group = pool_groups[name]
             ball = cayley_ball(group, 2)
+            words, distances = words_and_distances(ball)
             for i in range(ball.size):
                 j = 0
-                for x in reversed(ball.words[i]):
+                for x in reversed(words[i]):
                     j = ball.edges[j][x ^ 1]
                 assert group.table[ball.handles[i]][ball.handles[j]] == 0
-                assert ball.distances[j] <= ball.distances[i]
+                assert distances[j] <= distances[i]
 
     def test_geodesic_lengths_match_bfs_depth(self, pool_groups):
         for group in (pool_groups["q8"], FreeGroup(2)):
             ball = cayley_ball(group, 2)
+            words, distances = words_and_distances(ball)
+            depths = frozen_cayley_ball(group, 2)[2]
             for i in range(ball.size):
-                assert len(ball.words[i]) == ball.distances[i]
+                assert len(words[i]) == distances[i] == depths[i]
+
+    def test_matches_the_frozen_search(self, pool_groups):
+        # the ball stores handles, edges and parents only; words, distances,
+        # prefix sizes and labels read off the parents are the old ones
+        cases = [(g, range(1, saturating_radius(g) + 2)) for g in pool_groups.values()]
+        cases += [(FreeGroup(k), range(1, 7 - k)) for k in (1, 2, 3)]
+        cases.append((RealizedGroup(1, ((0,),), ()), range(1, 4)))
+        for group, radii in cases:
+            for radius in radii:
+                ball = cayley_ball(group, radius)
+                handles, words, distances, edges, parents = frozen_cayley_ball(group, radius)
+                assert (ball.radius, ball.handles, ball.edges, ball.parents) == (
+                    radius, handles, edges, parents
+                )
+                assert words_and_distances(ball) == (words, distances)
+                for r in range(-2, radius + 4):
+                    assert ball.prefix_size(r) == sum(d <= r for d in distances), (group, radius, r)
+                if radius % 2 == 0:
+                    names = ["a%d" % g for g in range(group.num_generators)]
+                    inner = sum(d <= radius // 2 for d in distances)
+                    labels = tuple(render_word(w, names) for w in words[:inner])
+                    assert cameron_permutoid(group, radius // 2).labels == labels
 
     def test_bad_radius(self):
         with pytest.raises(UsageError, match="radius must be >= 1"):
