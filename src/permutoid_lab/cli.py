@@ -191,7 +191,7 @@ def _cmd_pseudogroup(args) -> int:
     if args.action == "develop" and args.max_size is None:
         raise UsageError("pseudogroup develop requires --max-size")
     if args.action == "generate":
-        n, gens, _ = serialize.generators_from_obj(_read_json(args.file))
+        n, gens = serialize.generators_from_obj(_read_json(args.file))
         H = pseudogroup.generate_pseudogroup(n, gens)
         _emit_json(serialize.pseudogroup_to_obj(H), args.output)
         return 0

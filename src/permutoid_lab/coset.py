@@ -37,35 +37,28 @@ def _verify(table: list[list[int | None]], relators: Sequence[Sequence[int]]):
 
     Each relator is traced from every coset at once, as a composition of
     whole columns: the getter of column x takes the images so far to their
-    images under x, so the getters run in reversed relator order.  Only
-    when that finds a relator that does not close does the coset-by-coset
-    loop run, to name the first coset and relator that fail.  A
-    one-coset table goes straight to the loop, since an itemgetter of one
-    point returns a bare value.
+    images under x, so the getters run in reversed relator order.  The
+    failure named is the least (coset, relator) over the relators that do
+    not close, each at the first coset it moves.  A one-coset table passes
+    once complete, since all its entries are 0.
     """
     for gamma, row in enumerate(table):
         if None in row:
             raise OutOfBounds(f"coset {gamma} has an undefined image", coset=gamma)
-    if len(table) > 1:
-        getters = [itemgetter(*column) for column in zip(*table)]
-        identity = tuple(range(len(table)))
-        for rel in relators:
-            image = identity
-            for x in reversed(rel):
-                image = getters[x](image)
-            if image != identity:
-                break
-        else:
-            return
-    for gamma in range(len(table)):
-        for r, rel in enumerate(relators):
-            delta = gamma
-            for x in rel:
-                delta = table[delta][x]
-            if delta != gamma:
-                raise RelatorNotKilled(
-                    f"relator {r} does not close at coset {gamma}", relator=r, coset=gamma
-                )
+    if len(table) == 1:  # an itemgetter of one point returns a bare value
+        return
+    getters = [itemgetter(*column) for column in zip(*table)]
+    identity = tuple(range(len(table)))
+    failures = []
+    for r, rel in enumerate(relators):
+        image = identity
+        for x in reversed(rel):
+            image = getters[x](image)
+        if image != identity:
+            failures.append((next(g for g in identity if image[g] != g), r))
+    if failures:
+        gamma, r = min(failures)
+        raise RelatorNotKilled(f"relator {r} does not close at coset {gamma}", relator=r, coset=gamma)
 
 
 def enumerate_cosets(

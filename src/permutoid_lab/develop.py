@@ -19,7 +19,7 @@ from .core import (
     enumerate_quotients,
     witness_triples,
 )
-from .errors import DevelopmentError, PreconditionRadius, UsageError
+from .errors import DevelopmentError, PreconditionRadius, UsageError, require_int
 from .groups import (
     MAX_COSETS,
     CameronPermutoid,
@@ -40,12 +40,20 @@ class DevelopmentProblem:
     node_budget: int | None = None
 
     def __post_init__(self):
+        require_int(self.max_ground, "max_ground")
         if self.max_ground < self.source.ground_size:
             raise UsageError(
                 f"max_ground {self.max_ground} below ground size {self.source.ground_size}"
             )
-        if self.node_budget is not None and self.node_budget < 0:
-            raise UsageError(f"node_budget must be at least 0, got {self.node_budget}")
+        _check_budget(self.node_budget)
+
+
+def _check_budget(node_budget: int | None) -> None:
+    """Raise UsageError unless the node budget is None or an int >= 0."""
+    if node_budget is not None:
+        require_int(node_budget, "node_budget")
+        if node_budget < 0:
+            raise UsageError(f"node_budget must be at least 0, got {node_budget}")
 
 
 @dataclass(frozen=True)
@@ -110,62 +118,43 @@ def _close(rows: list, rules: list, trail: list, head: int) -> bool:
     return True
 
 
-def _rules(k: int, triples: list) -> list[list[tuple[int, int]]]:
-    """The forms of ``triples`` filed under each of the 2k rows of the
-    development search (``_first_certified``)."""
-    rules: list[list[tuple[int, int]]] = [[] for _ in range(2 * k)]
-    for p, q, r in triples:
-        p, q, r = 2 * p, 2 * q, 2 * r  # the forward rows
-        rules[q].append((p, r))
-        rules[p].append((r ^ 1, q ^ 1))
-        rules[r].append((p ^ 1, q))
-        rules[q ^ 1].append((r, p))
-        rules[p ^ 1].append((q ^ 1, r ^ 1))
-        rules[r ^ 1].append((q, p ^ 1))
-    return rules
+def _rules(P: Permutoid) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The name of each of the 2k rows of the development search
+    (``_first_certified``), and the forms filed under each.
 
+    A witness triple (p, q, 1) makes f_p the inverse of f_q, so rows 2p and
+    2q + 1 hold one map, and so do rows 2p + 1 and 2q.  Rows joined so, over
+    all such triples, form a class named by its least row, and ``rules[x]``
+    is the one list of the class of row x.  Every witness triple without the
+    identity is filed in its six forms over those names, each distinct form
+    once.  (1, q, q) and (p, 1, p) hold once the identity's row is full, and
+    (p, q, 1) once its rows are shared.
 
-def _filed_triples(P: Permutoid, triples: list) -> list:
-    """The witness triples whose rules the development search runs.
-
-    (1, q, q) and (p, 1, p) are left out: they hold once the identity's row
-    is full, which it is before the first propagation.  Element q's link
-    partner q' is any element with (q', q, 1) a witness triple; links are
-    kept.  A triple (p, q, r) without the identity whose elements all have
-    partners is dropped when one of its five other forms (r, q', p),
-    (p', r, q), (q', p', r'), (r', p, q'), (q, r', p') is a witness triple
-    that sorts before it.
-
-    - Link lemma.  Because the identity row is full, one link (q', q, 1)
-      makes (y, v) in f_q and (v, y) in f_q' derive each other in a single
-      propagation step: its form filed under row Q one way, its form filed
-      under row Q' the other (or those under Q^1 and Q'^1, which state the
-      same).  So rows Q and Q'^1 hold the same cells at the fixpoint.
-    - Induction on triple order.  The search files a triple's six forms under
-      the rows of their middle elements.  A dropped triple's forms are
-      forms that the smaller witness form already files, with row X'^1 in
-      place of row X for some of its elements x: (r, q', p) files under
-      Q'^1 the form (P, R) that (p, q, r) files under Q.  By the lemma
-      those rows hold the same cells, and the smaller triple's forms hold
-      at the filed fixpoint by induction, filed or dropped in turn.
-    - Consequence.  The least fixpoint and its conflicts (a cell or value
-      assigned twice) are those of all witness triples, and so are node
-      counts, developments and bytes.  Only (q', q, 1) is used, so links
-      need not be mutual.
+    Sharing keeps the least fixpoint and its conflicts, and so node counts
+    and developments: with the identity's row full, the forms of (p, q, 1)
+    make a cell of row 2p and the mirrored cell of row 2q + 1 derive each
+    other in one step, so the two rows agree at every fixpoint, and two
+    elements that set a shared cell or value apart meet a conflict that
+    closure would reach.
     """
     one = P.identity_index
-    filed = [t for t in triples if t[0] != one and t[1] != one]
-    partner = {q: p for p, q, r in filed if r == one}
-    linked = [t for t in filed if t[0] in partner and t[1] in partner and t[2] in partner]
-    if not linked:
-        return filed
-    known, dropped = set(filed), set()
-    for p, q, r in linked:
-        p1, q1, r1 = partner[p], partner[q], partner[r]
-        forms = ((r, q1, p), (p1, r, q), (q1, p1, r1), (r1, p, q1), (q, r1, p1))
-        if any(f < (p, q, r) and f in known for f in forms):
-            dropped.add((p, q, r))
-    return [t for t in filed if t not in dropped]
+    triples = witness_triples(P)
+    names = list(range(2 * len(P.elements)))
+    for p, q, r in triples:
+        if r == one:  # join rows 2p and 2q + 1, and 2p + 1 and 2q
+            for a, b in ((2 * p, 2 * q + 1), (2 * p + 1, 2 * q)):
+                lo, hi = sorted((names[a], names[b]))
+                if lo != hi:
+                    names = [lo if n == hi else n for n in names]
+    filed: list[dict] = [{} for _ in names]
+    for p, q, r in triples:
+        if one not in (p, q, r):
+            p, q, r = 2 * p, 2 * q, 2 * r  # the forward rows
+            (p, p1), (q, q1), (r, r1) = names[p:p + 2], names[q:q + 2], names[r:r + 2]
+            filed[q][p, r] = filed[p][r1, q1] = filed[r][p1, q] = None
+            filed[q1][r, p] = filed[p1][q1, r1] = filed[r1][q, p1] = None
+    rules = [list(forms) for forms in filed]
+    return names, [rules[n] for n in names]
 
 
 def _first_certified(
@@ -177,28 +166,31 @@ def _first_certified(
 
     At each target size m, ``rows[2e]`` holds element e's permutation of
     the target and ``rows[2e + 1]`` its inverse, with -1 where a cell is
-    unassigned, so the inverse of row x is row ``x ^ 1``.  The identity
-    element is assigned on every point and each element on its own graph
-    before the first branch.  The search then branches on the first
-    unassigned cell of the forward rows in (element, point) order and tries
-    its free values in ascending order, so the first development found is
-    the canonical one.
+    unassigned, so the inverse of row x is row ``x ^ 1``; rows that
+    ``_rules`` gives one name are one list.  The identity element is
+    assigned on every point and each element on its own graph before the
+    first branch, and a cell or value that already holds another value, set
+    by an element sharing the row, means the size has no development.  Only
+    the graphs go on the trail, since no form is filed under the identity's
+    row.  The search then branches on the first unassigned cell of the
+    forward rows in (element, point) order and tries its free values in
+    ascending order, so the first development found is the canonical one.
 
     ``rules[x]`` lists a pair (a, c) for each form f_a o f_x = f_c filed
-    under row x (``_rules`` builds them).  A witness triple (p, q, r),
-    f_p o f_q = f_r, is filed in six forms; with P, Q, R = 2p, 2q, 2r:
+    under the name of row x (``_rules`` builds them).  A witness triple
+    (p, q, r), f_p o f_q = f_r, is filed in six forms; with P, Q, R the
+    names of rows 2p, 2q, 2r and P', Q', R' those of 2p + 1, 2q + 1, 2r + 1:
 
-        under Q: (P, R)          under Q^1: (R, P)
-        under P: (R^1, Q^1)      under P^1: (Q^1, R^1)
-        under R: (P^1, Q)        under R^1: (Q, P^1)
+        under Q: (P, R)          under Q': (R, P)
+        under P: (R', Q')        under P': (Q', R')
+        under R: (P', Q)         under R': (Q, P')
 
-    These are the triple and the five other forms that ``_filed_triples``
-    names, each filed under the row of its middle element, with an inverse
-    row X^1 where that list has a partner x': (R, P) under Q^1 is
-    (r, q', p).  A fact f_x(i) = j is also the fact f_x^1(j) = i, and the
-    forms under x and x^1 state the same equations, f_c(i) = f_a(j).  So a
-    fact meets every instance of every filed triple that holds its element,
-    whichever of its two rows it was recorded on.
+    These are the triple and its five cyclic conjugates, each filed under
+    the row of its middle element: (R, P) under Q' is (r, q^-1, p).  A
+    fact f_x(i) = j is also the fact f_x^1(j) = i, and the forms under x and
+    x^1 state the same equations, f_c(i) = f_a(j).  So a fact meets every
+    instance of every filed triple that holds its element, whichever of its
+    two rows it was recorded on.
 
     Every assignment (x, i, j) is appended to the trail, which is also the
     propagation queue: ``_close`` runs ``rules[x]`` on the trail from a
@@ -223,29 +215,30 @@ def _first_certified(
     from a conflict.  The node count is one local across all sizes, so
     every verdict counts the nodes visited before and after a skipped
     development.
-
-    It files one triple per class of cyclic conjugates (``_filed_triples``,
-    which proves that the least fixpoint and its conflicts, and so node
-    counts and developments, are those of all witness triples).
     """
     P = prob.source
-    rules = _rules(len(P.elements), _filed_triples(P, witness_triples(P)))
+    names, rules = _rules(P)
     budget = prob.node_budget
     one = P.identity_index
     nodes = 0
     for m in range(P.ground_size, prob.max_ground + 1):
-        rows = [[-1] * m for _ in rules]
+        rows = [[-1] * m for _ in names]
+        rows = [rows[n] for n in names]
         trail: list[tuple[int, int, int]] = []
-        # each element gets one partial permutation, so these cannot clash
+        # (1, 1, 1) makes the identity's row its inverse's; no form is filed under it
+        rows[2 * one][:] = range(m)
+        clash = False  # two elements sharing a row disagree on a cell or value
         for e, el in enumerate(P.elements):
-            pairs = [(y, y) for y in range(m)] if e == one else el.pairs
-            for i, j in pairs:
-                rows[2 * e][i] = j
-                rows[2 * e + 1][j] = i
-                trail.append((2 * e, i, j))
+            row, inverse = rows[2 * e], rows[2 * e + 1]
+            for i, j in el.pairs:
+                if row[i] != j:  # not set by an element sharing the row
+                    clash |= row[i] != -1 or inverse[j] != -1
+                    row[i] = j
+                    inverse[j] = i
+                    trail.append((2 * e, i, j))
         stack: list[list[int]] = []
         x = y = 0
-        closed = _close(rows, rules, trail, 0)
+        closed = not clash and _close(rows, rules, trail, 0)
         while True:
             if closed:  # every cell before (x, y) is assigned
                 for x in range(x, len(rows), 2):
@@ -255,8 +248,7 @@ def _first_certified(
                         break
                     y = 0
                 else:
-                    maps = tuple(tuple(row) for row in rows[::2])
-                    certificate = certify(Development(m, maps))
+                    certificate = certify(Development(m, tuple(map(tuple, rows[::2]))))
                     if certificate is not None:
                         return Found(certificate, nodes)
             if not stack:
@@ -413,8 +405,9 @@ def probe_finite_quotient(
     quotient through verify_quotient_hom; a trivial ball permutoid proves the
     group trivial; anything else is inconclusive, never a negative.
     """
-    if node_budget is not None and node_budget < 0:
-        raise UsageError(f"node_budget must be at least 0, got {node_budget}")
+    _check_budget(node_budget)
+    require_int(rho, "rho")
+    require_int(max_ground, "max_ground")
     if 2 * rho <= presentation.max_relator_length:
         raise PreconditionRadius(
             f"need 2*rho > {presentation.max_relator_length}, got rho={rho}"

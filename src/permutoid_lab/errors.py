@@ -30,6 +30,12 @@ class UsageError(PermutoidLabError):
     """Bad input: parse errors, schema violations, violated preconditions."""
 
 
+def require_int(value, what: str) -> None:
+    """Raise UsageError unless ``value`` is an int, which a bool is not."""
+    if type(value) is not int:
+        raise UsageError(f"{what} must be an int, got {value!r}")
+
+
 class _Coded:
     """Mixin for errors whose ``code`` is given per instance."""
 

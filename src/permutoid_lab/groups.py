@@ -36,6 +36,7 @@ from .errors import (
     PreconditionRadius,
     RelatorNotKilled,
     UsageError,
+    require_int,
 )
 
 #: The default live-coset cap of coset enumeration.
@@ -403,6 +404,7 @@ def cayley_ball(group: Backend, radius: int) -> CayleyBall:
     """Breadth-first closure of {1} under right multiplication by the
     generators and their inverses, one ``group.step`` per edge, expanding
     one distance at a time: those elements not yet given edges."""
+    require_int(radius, "radius")
     if radius < 1:
         raise UsageError("radius must be >= 1")
     columns = range(2 * group.num_generators)
@@ -461,6 +463,7 @@ def cameron_permutoid(group: Backend, rho: int) -> CameronPermutoid:
     defined composition has the product as its unique extension when the
     product stays in the inner ball, and none otherwise.
     """
+    require_int(rho, "rho")
     if rho < 1:
         raise UsageError("rho must be >= 1")
     ball = cayley_ball(group, 2 * rho)

@@ -100,10 +100,10 @@ def pseudogroup_from_obj(obj) -> tuple[Pseudogroup, tuple[str, ...]]:
     return H, names
 
 
-def generators_from_obj(obj) -> tuple[int, list[PartialPermutation], tuple[str, ...]]:
+def generators_from_obj(obj) -> tuple[int, list[PartialPermutation]]:
     n = _require(obj, "ground_set_size", int, "generators")
-    graphs, names = _parse_elements(obj, "elements", "generators")
-    return n, [PartialPermutation.from_pairs(n, g) for g in graphs], names
+    graphs, _ = _parse_elements(obj, "elements", "generators")
+    return n, [PartialPermutation.from_pairs(n, g) for g in graphs]
 
 
 # -- developments ---------------------------------------------------------------

@@ -38,6 +38,7 @@ GROUPS = "src/permutoid_lab/groups.py"
 PSEUDOGROUP = "src/permutoid_lab/pseudogroup.py"
 SERIALIZE = "src/permutoid_lab/serialize.py"
 CLI = "src/permutoid_lab/cli.py"
+ERRORS = "src/permutoid_lab/errors.py"
 
 MUTANTS: list[tuple[str, str, str, str]] = [
     # _close: drop the forward conflict test
@@ -46,11 +47,18 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     (DEVELOP, "if rows[a ^ 1][w] != -1:", "if False:", "tests/test_develop.py"),
     # _close: drop the backward branch
     (DEVELOP, "if w != -1:  # f_a(j) = w", "if False:  # f_a(j) = w", "tests/test_develop.py"),
-    # _rules: drop one of the six forms
-    (DEVELOP, "        rules[r ^ 1].append((q, p ^ 1))\n", "", "tests/test_develop.py"),
-    # _filed_triples: drop a triple without the "sorts before" test
-    (DEVELOP, "if any(f < (p, q, r) and f in known for f in forms):",
-     "if any(f in known for f in forms):", "tests/test_develop.py"),
+    # _rules: drop one of the six forms, (Q, P') under R'
+    (DEVELOP, "filed[p1][q1, r1] = filed[r1][q, p1] = None", "filed[p1][q1, r1] = None", "tests/test_develop.py"),
+    # _rules: file the forms under rows, not names, so those under a row
+    # that does not name its class are lost
+    (DEVELOP, "= names[p:p + 2], names[q:q + 2], names[r:r + 2]", "= (p, p + 1), (q, q + 1), (r, r + 1)",
+     "tests/test_develop.py"),
+    # _rules: join only the forward pair of (p, q, 1), rows 2p and 2q + 1
+    (DEVELOP, "for a, b in ((2 * p, 2 * q + 1), (2 * p + 1, 2 * q)):", "for a, b in ((2 * p, 2 * q + 1),):",
+     "tests/test_develop.py"),
+    # _first_certified: drop the start-of-size conflict test
+    (DEVELOP, "closed = not clash and _close(rows, rules, trail, 0)", "closed = _close(rows, rules, trail, 0)",
+     "tests/test_develop.py"),
     # the node budget: stop one node early
     (DEVELOP, "nodes > budget", "nodes >= budget", "tests/test_develop.py"),
     # enumerate_cosets: keep scanning a coset killed while closing its row
@@ -60,9 +68,10 @@ MUTANTS: list[tuple[str, str, str, str]] = [
             "                    merge(mu, table[nu][x ^ 1], queue)\n", "", "tests/test_coset.py"),
     # close_row: pass over a relator whose trace from alpha stops undefined
     (COSET, "if f == alpha:", "if f == alpha or f is None:", "tests/test_coset.py"),
-    # _verify: the column pass never stops at a relator that does not close
-    (COSET, "            if image != identity:\n                break\n",
-     "            if image != identity:\n                pass\n", "tests/test_composition.py"),
+    # _verify: the column pass records no relator that does not close
+    (COSET, "if image != identity:", "if False:", "tests/test_composition.py"),
+    # _verify: name the first relator that fails, not the least coset
+    (COSET, "gamma, r = min(failures)", "gamma, r = failures[0]", "tests/test_composition.py"),
     # Close-by-One: accept every join
     (CORE, "if all(joined[c] != joined[d] for c, d in earlier):", "if True:",
      "tests/test_quotient_enumeration.py"),
@@ -157,6 +166,8 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # _require: accept a JSON boolean for an int key (test_booleans_are_not_integers)
     (SERIALIZE, "if not (type(value) is int if kind is int else isinstance(value, kind)):",
      "if not isinstance(value, kind):", "tests/test_serialize.py"),
+    # require_int: accept a bool bound (test_non_int_radius[bool])
+    (ERRORS, "if type(value) is not int:", "if not isinstance(value, int):", "tests/test_groups.py"),
     # run_cli: let an unwritable report escape as a traceback (test_unwritable_report_exit_three)
     (CLI, "except (UsageError, OSError) as exc:", "except UsageError as exc:", "tests/test_cli.py"),
 ]

@@ -90,6 +90,11 @@ class TestCameronPermutoid:
         with pytest.raises(UsageError):
             cameron_permutoid(pool_groups["z2"], 0)
 
+    @pytest.mark.parametrize("rho", [1.5, 1.0, True], ids=["float", "whole-float", "bool"])
+    def test_non_int_radius(self, rho):
+        with pytest.raises(UsageError, match=f"rho must be an int, got {rho!r}"):
+            cameron_permutoid(FreeGroup(1), rho)
+
 
 class TestRadiusExtension:
     def test_free_group_one_to_two(self):

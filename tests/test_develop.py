@@ -6,9 +6,10 @@ relabeling rule for fresh points, as ``_OracleCsp``, and the
 ``_first_certified`` loop over sizes that drove it as ``oracle_search``.
 The search under test, ``_first_certified``, is one function that holds the
 whole loop.  The oracle files every witness triple, with one rule for
-each place of an element in it over separate forward and inverse arrays, so
-it also checks the search that files one triple per class of cyclic
-conjugates, in six forms over rows that hold both.
+each place of an element in it over separate forward and inverse arrays for
+every element, so it also checks the search that stores each map once
+(rows 2p and 2q + 1 are one list for every witness triple (p, q, 1)) and
+files each triple in six forms over those shared rows.
 """
 
 import hashlib
@@ -31,7 +32,6 @@ from permutoid_lab.develop import (
     DevelopmentProblem,
     ExhaustedUpTo,
     Found,
-    _filed_triples,
     _first_certified,
     _rules,
     search_development,
@@ -199,6 +199,20 @@ class TestSearchDevelopment:
         with pytest.raises(UsageError):
             DevelopmentProblem(REMARK, 1)
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ((5.0,), "max_ground must be an int, got 5.0"),
+            ((True,), "max_ground must be an int, got True"),
+            ((3, 2.0), "node_budget must be an int, got 2.0"),
+            ((3, False), "node_budget must be an int, got False"),
+        ],
+        ids=["float-size", "bool-size", "float-budget", "bool-budget"],
+    )
+    def test_non_int_bounds_rejected(self, bounds, message):
+        with pytest.raises(UsageError, match=message):
+            DevelopmentProblem(REMARK, *bounds)
+
     def test_negative_budget_rejected(self):
         with pytest.raises(UsageError):
             DevelopmentProblem(REMARK, 4, -1)
@@ -222,7 +236,9 @@ class TestDeepSearch:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(120)
         try:
-            v = search_development(DevelopmentProblem(P, P.ground_size))
+            # the budget is the node count, so a weaker propagation stops
+            # at once instead of searching on
+            v = search_development(DevelopmentProblem(P, P.ground_size, nodes))
             assert isinstance(v, Found)
             assert (v.development.ground_size, v.nodes_explored) == (P.ground_size, nodes)
             verify_development(P, v.development)
@@ -568,7 +584,7 @@ def assert_filed_forms_hold(P, dev):
         for y, v in enumerate(f):
             inverse[v] = y
         rows += [f, tuple(inverse)]
-    rules = _rules(len(P.elements), _filed_triples(P, witness_triples(P)))
+    _, rules = _rules(P)
     for x, filed in enumerate(rules):
         for a, c in filed:
             assert rows[c] == tuple(rows[a][v] for v in rows[x]), (x, a, c)
@@ -646,80 +662,88 @@ class TestRigidAgainstPreviousEngine:
     same node count."""
 
     def same(self, H):
-        """The verdicts of all budgets, and the triples left unfiled."""
+        """The verdicts of all budgets, and the number of row lists."""
         target = maximal_permutoid(H)
         verdicts = []
         for budget in TestAgainstPreviousEngine.BUDGETS:
             prob = DevelopmentProblem(target, H.ground_size + 1, budget)
             verdicts.append(_first_certified(prob, lambda d: d))
             assert verdicts[-1] == oracle_search(prob), (H, budget)
-        return verdicts, unfiled(target)
+        return verdicts, shared_rows(target)
 
     @pytest.mark.parametrize("name", sorted(SATURATED_BALLS))
     def test_saturated_ball_pseudogroups(self, name):
         order, elements = ball_generators(SATURATED_BALLS[name])
-        _, dropped = self.same(generate_pseudogroup(order, elements))
-        assert (dropped > 0) == (name != "z2")
+        H = generate_pseudogroup(order, elements)
+        _, lists = self.same(H)
+        # each maximal element's inverse is maximal: k maps in k lists
+        assert lists == len(maximal_permutoid(H).elements)
 
     def test_criterion_7_generator_sets(self):
         rng = random.Random(7031)
-        kinds, dropped = set(), 0
+        kinds, shared = set(), 0
         for _ in range(50):
             while True:
                 n = rng.randint(3, 5)
                 H = generate_pseudogroup(n, criterion_7_draw(rng, n))
                 if is_rigid_pseudogroup(H):
                     break
-            verdicts, drops = self.same(H)
+            verdicts, lists = self.same(H)
             kinds.update(type(v).__name__ for v in verdicts)
-            dropped += drops > 0
-        assert kinds == {"Found", "BudgetExceeded"} and dropped > 20, (kinds, dropped)
+            shared += lists < 2 * len(maximal_permutoid(H).elements) - 1
+        assert kinds == {"Found", "BudgetExceeded"} and shared > 20, (kinds, shared)
 
 
-def unfiled(P):
-    """How many triples without the identity on the left the search drops."""
-    triples = witness_triples(P)
-    kept = [t for t in triples if P.identity_index not in t[:2]]
-    return len(kept) - len(_filed_triples(P, triples))
-
-
-def forms(t, inverse):
-    """The six forms of the relator p q r^-1 of a triple (p, q, r)."""
-    p, q, r = t
-    p1, q1, r1 = inverse[p], inverse[q], inverse[r]
-    return {t, (r, q1, p), (p1, r, q), (q1, p1, r1), (r1, p, q1), (q, r1, p1)}
+def shared_rows(P):
+    """How many lists the search's rows form, after checking the names that
+    ``_rules`` gives them: rows joined by the witness triples (p, q, 1)
+    (2p with 2q + 1, 2p + 1 with 2q) and by nothing else, each class named
+    by its least row and holding one list of rules."""
+    names, rules = _rules(P)
+    one = P.identity_index
+    links = [(2 * p + s, 2 * q + 1 - s) for p, q, r in witness_triples(P) if r == one for s in (0, 1)]
+    least = list(range(2 * len(P.elements)))
+    changed = True
+    while changed:  # the least row reachable over the links
+        changed = False
+        for a, b in links + [(b, a) for a, b in links]:
+            if least[b] < least[a]:
+                least[a], changed = least[b], True
+    assert names == least
+    assert all(names[a] == names[b] for a, b in links)
+    assert all(rules[x] is rules[n] for x, n in enumerate(names))
+    assert all(len(set(forms)) == len(forms) for forms in rules)
+    return len(set(names))
 
 
 class TestFiledTriples:
-    """The search files one triple per class of cyclic conjugates, and the
-    search still equals the previous engine, which files every triple."""
+    """The search stores each map once, with rows 2p and 2q + 1 sharing one
+    list for every witness triple (p, q, 1), and files each form once; it
+    still equals the previous engine, which keeps every row apart and files
+    every triple."""
 
     def test_covering_balls_file_one_triple_per_class(self, pool_groups):
         for name, group in sorted(pool_groups.items()):
             for rho in (saturating_radius(group), saturating_radius(group) + 1):
                 P = cameron_permutoid(group, rho).permutoid
-                one = P.identity_index
-                triples = witness_triples(P)
-                inverse = {q: p for p, q, r in triples if r == one}
-                free = {t for t in triples if one not in t}
-                classes = {frozenset(forms(t, inverse) & free) for t in free}
-                filed = _filed_triples(P, triples)
-                assert {t for t in triples if t[2] == one and t[0] != one} <= set(filed)
-                filed_free = [t for t in filed if one not in t]
-                assert len(filed_free) == len(classes), (name, rho)
-                # Z2 has no such triple, and Z3's one class holds only
-                # (a, a, a^2) and (a^2, a^2, a)
-                if group.order > 3:
-                    assert 3 * len(filed_free) <= len(free), (name, rho)
+                # every ball element's inverse is a ball element
+                assert shared_rows(P) == len(P.elements), (name, rho)
+                # over the shared rows, the six forms of a triple are the
+                # triples of its class of cyclic conjugates, so each triple
+                # without the identity is one form, not six
+                names, rules = _rules(P)
+                free = [t for t in witness_triples(P) if P.identity_index not in t]
+                assert sum(len(rules[n]) for n in set(names)) == len(free), (name, rho)
 
     @pytest.mark.parametrize(
-        "graphs, drops",
+        "graphs, lists",
         [
-            # (p, q, 1) is a witness triple but (q, p, 1) is not: q.p has
+            # (2, 1, 0) is a witness triple but (1, 2, 0) is not: 1.2 has
             # no witness
-            ([((0, 0), (1, 1), (2, 2), (3, 3)), ((0, 1), (3, 0)), ((1, 0), (2, 3))], False),
-            # (3, 3, 1) is dropped through the link (3, 1, 1), and
-            # (1, 3, 1) is not a witness triple
+            ([((0, 0), (1, 1), (2, 2), (3, 3)), ((0, 1), (3, 0)), ((1, 0), (2, 3))], 3),
+            # (3, 1, 0) and (2, 3, 0) make f_1 and f_2 both the inverse of
+            # f_3, so three lists hold eight rows; (1, 3, 0) is not a
+            # witness triple
             (
                 [
                     ((0, 0), (1, 1), (2, 2), (3, 3)),
@@ -727,27 +751,38 @@ class TestFiledTriples:
                     ((0, 1), (3, 0)),
                     ((0, 3), (1, 0)),
                 ],
-                True,
+                3,
             ),
         ],
         ids=["one-link", "one-sided-drop"],
     )
-    def test_one_sided_links(self, graphs, drops):
+    def test_one_sided_links(self, graphs, lists):
         P = validate_permutoid(4, graphs)
         one = P.identity_index
         triples = witness_triples(P)
         links = {(p, q) for p, q, r in triples if r == one and one not in (p, q)}
         assert any((q, p) not in links for p, q in links)
-        assert (unfiled(P) > 0) == drops
+        assert shared_rows(P) == lists
         for max_ground in range(4, 8):
             for budget in (None, 50, 3):
                 prob = DevelopmentProblem(P, max_ground, budget)
                 assert search_development(prob) == oracle_search(prob), (max_ground, budget)
 
+    def test_a_clash_at_the_start_of_a_size(self):
+        # (2, 1, 1) makes f_2 the inverse of f_1, which sends 1 to 0, and
+        # f_2 sends 4 to 0: every size fails before its first branch
+        P = validate_permutoid(
+            5, [tuple((x, x) for x in range(5)), ((0, 1), (2, 3)), ((3, 2), (4, 0))]
+        )
+        names, _ = _rules(P)
+        assert names[4] == names[3]
+        prob = DevelopmentProblem(P, 8)
+        assert search_development(prob) == ExhaustedUpTo(8, 0) == oracle_search(prob)
+
     def test_inverse_closed_permutoids(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        dropped = []
+        shared = []
 
         @st.composite
         def inverse_closed(draw):
@@ -767,10 +802,10 @@ class TestFiledTriples:
         @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
         @hypothesis.given(inverse_closed())
         def same_as_previous_engine(P):
-            dropped.append(unfiled(P))
+            shared.append(shared_rows(P) < 2 * len(P.elements) - 1)
             for budget in (None, 50):
                 prob = DevelopmentProblem(P, P.ground_size + 2, budget)
                 assert search_development(prob) == oracle_search(prob), budget
 
         same_as_previous_engine()
-        assert sum(d > 0 for d in dropped) > 5, dropped
+        assert sum(shared) > 5, shared

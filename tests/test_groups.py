@@ -519,6 +519,11 @@ class TestCayleyBall:
         with pytest.raises(UsageError, match="radius must be >= 1"):
             cayley_ball(FreeGroup(1), 0)
 
+    @pytest.mark.parametrize("radius", [2.0, True, "2"], ids=["float", "bool", "str"])
+    def test_non_int_radius(self, radius):
+        with pytest.raises(UsageError, match=f"radius must be an int, got {radius!r}"):
+            cayley_ball(FreeGroup(1), radius)
+
     def test_prefix_size(self, pool_groups):
         ball = cayley_ball(pool_groups["z6"], 4)
         assert ball.prefix_size(1) == 3

@@ -53,6 +53,21 @@ class TestProbeFiniteQuotient:
                 parse_presentation("gens: a\nrels: a"), rho=2, max_ground=4, node_budget=-1
             )
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ({"rho": 2.0, "max_ground": 4}, "rho must be an int, got 2.0"),
+            ({"rho": 2, "max_ground": 4.0}, "max_ground must be an int, got 4.0"),
+            ({"rho": 2, "max_ground": 4, "node_budget": 2.0}, "node_budget must be an int, got 2.0"),
+            ({"rho": 2, "max_ground": 4, "node_budget": True}, "node_budget must be an int, got True"),
+        ],
+        ids=["float-rho", "float-max-ground", "float-budget", "bool-budget"],
+    )
+    def test_non_int_bounds_rejected(self, bounds, message):
+        # checked before the trivial group returns its verdict
+        with pytest.raises(UsageError, match=message):
+            probe_finite_quotient(parse_presentation("gens: a\nrels: a"), **bounds)
+
     def test_radius_precondition(self, pool_presentations):
         with pytest.raises(PreconditionRadius):
             probe_finite_quotient(pool_presentations["z6"], rho=3, max_ground=8)

@@ -123,6 +123,17 @@ class TestPseudogroupFormat:
         with pytest.raises(PseudogroupError):
             serialize.pseudogroup_from_obj(obj)
 
+    def test_generators_drop_their_names(self):
+        obj = {
+            "ground_set_size": 3,
+            "elements": [{"name": "s", "map": [[0, 1]]}, {"name": "t", "map": [[1, 2], [2, 0]]}],
+        }
+        gens = [PartialPermutation.from_pairs(3, pairs) for pairs in ([(0, 1)], [(1, 2), (2, 0)])]
+        assert serialize.generators_from_obj(obj) == (3, gens)
+        obj["elements"][1]["name"] = "s"
+        with pytest.raises(FormatError, match="generators: element names must be unique"):
+            serialize.generators_from_obj(obj)
+
 
 @pytest.mark.parametrize(
     "load, obj",
