@@ -28,7 +28,7 @@ from collections import deque
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import OutOfBounds, RelatorNotKilled, UsageError
+from .errors import OutOfBounds, RelatorNotKilled, UsageError, require_int
 
 
 def _verify(table: list[list[int | None]], relators: Sequence[Sequence[int]]):
@@ -73,6 +73,7 @@ def enumerate_cosets(
     ``max_cosets`` live cosets, or after 20 * max_cosets + 1000 coset
     definitions.
     """
+    require_int(max_cosets, "max_cosets")
     if max_cosets < 1:
         raise UsageError("max_cosets must be >= 1")
     width = 2 * num_gens

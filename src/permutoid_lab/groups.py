@@ -77,7 +77,7 @@ class Presentation:
         if len(set(self.generators)) != len(self.generators):
             raise ParseError("DuplicateGenerator", "generator names must be distinct")
         for name in self.generators:
-            if not _NAME_RE.match(name):
+            if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise ParseError("BadGeneratorName", f"invalid generator name {name!r}")
         kept = []
         width = 2 * len(self.generators)
@@ -254,6 +254,7 @@ class RealizedGroup:
     generator_images: tuple[int, ...]
 
     def __post_init__(self):
+        require_int(self.order, "order")
         # tuples, so the checked table cannot change afterwards and the group hashes
         object.__setattr__(self, "table", tuple(map(tuple, self.table)))
         object.__setattr__(self, "generator_images", tuple(self.generator_images))

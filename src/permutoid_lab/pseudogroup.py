@@ -16,7 +16,6 @@ is a ``Development``), and its group is derived from its maps, never stored.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,6 +47,7 @@ from .errors import (
     NotFree,
     NotRigid,
     PseudogroupError,
+    require_int,
 )
 from .groups import _generated_group, _is_permutation, _perm_compose
 
@@ -79,37 +79,38 @@ def generate_pseudogroup(
     ground_size: int, generators: Iterable[PartialPermutation]
 ) -> Pseudogroup:
     """Saturate the generators (plus the identity) under inverses and
-    non-empty pairwise compositions, keeping only maximal elements.
+    non-empty compositions, keeping only maximal elements.
 
     Downward closure then realizes restriction-closure: a restriction of a
     composition is a restriction of the composition of the extensions.
 
-    The closure is a semi-naive worklist.  Each map that enters the
-    antichain is queued once.  When it is popped, and only if it is still a
-    member, its inverse is inserted, and then its composites q . p (p, the
-    popped map, applied first) with every q in a snapshot of the members.
-    None of these properly extends p, as none has more pairs than p, so p
-    stays a member meanwhile.  Every map ever inserted stays extended by
-    some member: it enters, or a member already extends it, and a member is
-    dropped only for a new map that extends it.
+    The closure is a semi-naive worklist over the letters: each generator
+    and each generator's inverse, each distinct map once.  The identity
+    (the empty word) and every letter are inserted, and each map that
+    enters the antichain is queued once.  When it is popped, and only if it
+    is still a member, its composites p . s (s applied first) with every
+    letter s are inserted; p . identity would be p, already tried.
+    Every map ever inserted stays extended by some member: it enters, or a
+    member already extends it, and a member is dropped only for a new map
+    that extends it.
 
-    One side suffices.  Let F be the final antichain; every map in F was
-    popped as a member, and has been one since it was first tried.  F is
-    inverse-closed: for a in F some c in F extends a^-1, and some d in F
-    extends c^-1, so d extends a, d = a and c = a^-1.  Now take a, b in F.
-    If a was in the snapshot when b was popped, a . b was inserted then.
-    Otherwise a entered after that snapshot.  b^-1, in F, was inserted
-    before it, when b was popped.  a entered no later than the pop of a^-1,
-    which inserts a.  So b^-1 is in the snapshot at that pop, and
-    b^-1 . a^-1 = (a . b)^-1 is inserted.  If C in F extends it, then
-    C^-1, in F, extends a . b.  So every composite of two members of F is
-    extended by a member of F.
+    So the final antichain F is exactly the maximal elements.  Inverses and
+    composites of words in the letters are words, so the non-empty
+    restrictions of words are the generated pseudogroup.  Every inserted
+    map is a word (the identity, a letter, or p . s for an inserted p), so
+    F lies in it.  Every word s_1 . ... . s_k whose map is non-empty is
+    extended by a member of F, by induction on k: for k = 0 it is the
+    inserted identity; otherwise some M in F extends s_1 . ... . s_(k-1),
+    M was popped as a member, and M . s_k was inserted then, so a member of
+    F extends it.  An antichain in the pseudogroup that extends all of it
+    is its set of maximal elements, which is unique.
 
     Members are bitmasks with bit x*n + y set for each pair (x, y), so "a
     extends b" is ``b & ~a == 0``; they are indexed by each of their pairs,
     and a candidate's extenders all contain its lowest pair.  A candidate
     is tried at most once: once extended, always extended.
     """
+    require_int(ground_size, "ground_size")
     n = ground_size
     images: dict[int, list[int]] = {}  # member mask -> image array (f(x) or -1)
     by_pair: dict[int, set[int]] = {}  # pair bit -> members holding it
@@ -144,34 +145,23 @@ def generate_pseudogroup(
         images[mask] = image
         queue.append(mask)
 
-    for f in itertools.chain([identity_map(ground_size)], generators):
-        if f.ground_size != ground_size:
-            raise GroundSetMismatch(
-                f"generator has ground size {f.ground_size}, expected {ground_size}"
-            )
-        mask = 0
-        for x, y in f.pairs:
-            mask |= 1 << (x * n + y)
+    insert(sum([1 << (x * n + x) for x in range(n)]))  # the identity, the empty word
+    letters: dict[int, list[tuple[int, int]]] = {}  # letter mask -> its pairs as (x*n, y)
+    for f in generators:
+        if f.ground_size != n:
+            raise GroundSetMismatch(f"generator has ground size {f.ground_size}, expected {n}")
+        for rows in ([(x * n, y) for x, y in f.pairs], [(y * n, x) for x, y in f.pairs]):
+            letters[sum([1 << (xn + y) for xn, y in rows])] = rows
+    for mask in letters:
         insert(mask)
     while queue:
-        m = queue.popleft()
-        p = images.get(m)
+        p = images.get(queue.popleft())
         if p is None:
             continue
-        inverse = 0
-        for x, y in enumerate(p):
-            if y >= 0:
-                inverse |= 1 << (y * n + x)
-        insert(inverse)
-        # p's pairs as (x*n, y), for composites with p applied first
-        p_rows = [(x * n, y) for x, y in enumerate(p) if y >= 0]
-        for m2 in list(images):
-            q = images.get(m2)
-            if q is None:
-                continue
-            after = 0  # q . p
-            for xn, y in p_rows:
-                z = q[y]
+        for rows in letters.values():
+            after = 0  # p . s
+            for xn, y in rows:
+                z = p[y]
                 if z >= 0:
                     after |= 1 << (xn + z)
             if after:

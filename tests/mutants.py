@@ -14,8 +14,7 @@ weakening the tests behind it.
     python3 tests/mutants.py
 
 ``tests/test_mutants.py`` checks in tier-1 that every entry still applies;
-the full run stays outside tier-1 (47 mutants, about 92 s in all on an
-Intel Xeon under CPython 3.11).
+the full run, which prints how many mutants it killed, stays outside tier-1.
 """
 
 from __future__ import annotations
@@ -161,8 +160,13 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     (DEVELOP, "if type(m) is not int:", "if False:", "tests/test_develop.py"),
     # group_permutations: skip the ground-size type check (test_group_raises_coded_errors[bool-size])
     (PSEUDOGROUP, "if type(m) is not int:", "if False:", "tests/test_pseudogroup.py"),
-    # generate_pseudogroup: drop the inverses (TestGeneratePseudogroup::test_single_arrow)
-    (PSEUDOGROUP, "        insert(inverse)\n", "", "tests/test_pseudogroup.py"),
+    # generate_pseudogroup: drop the inverse letters (TestGeneratePseudogroup::test_single_arrow)
+    (PSEUDOGROUP, "for rows in ([(x * n, y) for x, y in f.pairs], [(y * n, x) for x, y in f.pairs]):",
+     "for rows in ([(x * n, y) for x, y in f.pairs],):",
+     "tests/test_pseudogroup.py"),
+    # generate_pseudogroup: compose with the first two letters only (test_regeneration_fixpoint)
+    (PSEUDOGROUP, "for rows in letters.values():", "for rows in list(letters.values())[:2]:",
+     "tests/test_pseudogroup.py"),
     # _require: accept a JSON boolean for an int key (test_booleans_are_not_integers)
     (SERIALIZE, "if not (type(value) is int if kind is int else isinstance(value, kind)):",
      "if not isinstance(value, kind):", "tests/test_serialize.py"),

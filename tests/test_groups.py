@@ -94,6 +94,8 @@ class TestParsePresentation:
             ((), (), "EmptyGeneratorList"),
             (("a", "a"), (), "DuplicateGenerator"),
             (("a", "2b"), (), "BadGeneratorName"),
+            # a name that is not a str, which the name pattern cannot read
+            ((1,), (), "BadGeneratorName"),
             # letter 2 is a second generator's
             (("a",), ((2,),), "UnknownGenerator"),
             (("a",), ((0, -1),), "UnknownGenerator"),
@@ -103,7 +105,8 @@ class TestParsePresentation:
             (("a", "b"), ((True,),), "BadLetter"),
             (("a",), ((0.0,),), "BadLetter"),
         ],
-        ids=["EmptyGeneratorList", "DuplicateGenerator", "BadGeneratorName", "UnknownGenerator",
+        ids=["EmptyGeneratorList", "DuplicateGenerator", "BadGeneratorName", "BadGeneratorName-int",
+             "UnknownGenerator",
              "UnknownGenerator-negative", "BadLetter-pair", "BadLetter-bool-index",
              "BadLetter-float"],
     )
@@ -182,6 +185,13 @@ class TestToddCoxeter:
             enumerate_cosets(1, [], 0)
         assert str(ei.value) == "max_cosets must be >= 1"
 
+    @pytest.mark.parametrize("cap", [2.5, True, "9"], ids=["float", "bool", "str"])
+    def test_enumerate_cosets_non_int_cap(self, cap):
+        # True would pass as a cap of one coset, "9" would break the comparison
+        with pytest.raises(UsageError) as ei:
+            enumerate_cosets(1, [], cap)
+        assert str(ei.value) == f"max_cosets must be an int, got {cap!r}"
+
     def test_lookahead_recovers_space_on_collapsing_presentation(self):
         # a classic trivial-group presentation whose enumeration overshoots
         # before collapsing: a tight cap forces the lookahead phase
@@ -245,8 +255,11 @@ class TestRealizedGroupChecks:
             (2, ((0, 1),), (1,), "not 2x2"),
             (2, ((0, 1), (1,)), (1,), "not 2x2"),
             (2, ((0, 1), (1, 0)), (2,), "generator image out of range"),
+            (2.0, ((0, 1), (1, 0)), (1,), "order must be an int"),
+            # a bool order would pass the shape checks as 1
+            (True, ((0,),), (), "order must be an int"),
         ],
-        ids=["too-few-rows", "short-row", "image-out-of-range"],
+        ids=["too-few-rows", "short-row", "image-out-of-range", "float-order", "bool-order"],
     )
     def test_rejects_malformed_input(self, order, table, images, message):
         with pytest.raises(UsageError, match=message):

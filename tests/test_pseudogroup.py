@@ -30,6 +30,8 @@ from permutoid_lab.errors import (
     NotFree,
     NotRigid,
     PseudogroupError,
+    UsageError,
+    ValidationError,
 )
 from permutoid_lab.groups import _generated_group, cameron_permutoid, parse_presentation, todd_coxeter
 from permutoid_lab.pseudogroup import (
@@ -87,6 +89,21 @@ class TestGeneratePseudogroup:
     def test_ground_mismatch(self):
         with pytest.raises(GroundSetMismatch):
             generate_pseudogroup(3, [pp(2, [(0, 1)])])
+
+    @pytest.mark.parametrize(
+        "n, error, message",
+        [
+            (2.0, UsageError, "ground_size must be an int"),
+            (True, UsageError, "ground_size must be an int"),
+            ("2", UsageError, "ground_size must be an int"),
+            (0, ValidationError, "ground_size must be >= 1"),
+            (-1, ValidationError, "ground_size must be >= 1"),
+        ],
+        ids=["float", "bool", "str", "zero", "negative"],
+    )
+    def test_bad_ground_size(self, n, error, message):
+        with pytest.raises(error, match=message):
+            generate_pseudogroup(n, [])
 
     def test_regeneration_fixpoint(self):
         # generating from the maximal elements reproduces them exactly

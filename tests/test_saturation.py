@@ -5,6 +5,7 @@ every pair of a snapshot of the antichain each round) and the previous
 ``check_pseudogroup`` (linear ``extends`` scans) are copied here as oracles.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -114,6 +115,23 @@ def five_point_draws():
     return [(5, criterion_7_draw(rng, 5)) for _ in range(20)]
 
 
+# The draws with at least 300 maximal elements among the first 200 of
+# criterion_7_draw(random.Random(529), 5): index -> (size, first 16 hex
+# digits of the sha256 of the maximal elements' pairs), pinned because the
+# oracle is too slow at these sizes.
+LARGE_CLOSURES = {
+    31: (468, "ee735e03d8b53fb9"),
+    46: (576, "6d88ab78f8a87468"),
+    49: (474, "92027941efb17a92"),
+    59: (468, "530191c25d50a2be"),
+    79: (584, "ed66954d51044806"),
+    101: (474, "19deceb00e57b040"),
+    117: (360, "0d92a5f101b1f589"),
+    158: (360, "9b61d2899b382bb4"),
+    168: (330, "8d21d7fbb95cd784"),
+}
+
+
 SATURATED_BALLS = {
     **{name: POOL_PRESENTATIONS[name] for name in ("z2", "z3", "z4", "z5", "s3")},
     "k4": "gens: a, b\nrels: a^2, b^2, a b a^-1 b^-1",
@@ -163,6 +181,17 @@ class TestGenerateAgainstOracle:
             rng.shuffle(shuffled)
             assert generate_pseudogroup(n, shuffled) == expected, gens
             assert generate_pseudogroup(n, iter(shuffled)) == expected
+
+    def test_large_closures_pinned(self):
+        rng = random.Random(529)
+        large = {}
+        for i in range(200):
+            H = generate_pseudogroup(5, criterion_7_draw(rng, 5))
+            if len(H.maximal_elements) >= 300:
+                check_pseudogroup(H)
+                digest = hashlib.sha256(repr([m.pairs for m in H.maximal_elements]).encode())
+                large[i] = (len(H.maximal_elements), digest.hexdigest()[:16])
+        assert large == LARGE_CLOSURES
 
     def test_maximal_elements_as_generators_are_a_fixpoint(self):
         for n, gens in five_point_draws():
