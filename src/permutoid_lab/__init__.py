@@ -24,7 +24,6 @@ from .develop import (
     Found,
     ProbeReport,
     probe_finite_quotient,
-    quotient_evidence,
     search_development,
     verify_development,
 )

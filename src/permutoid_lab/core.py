@@ -115,7 +115,9 @@ class PartialPermutation:
 
 
 def identity_map(ground_size: int) -> PartialPermutation:
-    return PartialPermutation(ground_size, tuple((x, x) for x in range(ground_size)))
+    # a ground size that is not an int gets no points, and BadGroundSize
+    points = range(ground_size) if type(ground_size) is int else ()
+    return PartialPermutation(ground_size, tuple((x, x) for x in points))
 
 
 def compose_partial(p: PartialPermutation, q: PartialPermutation):

@@ -167,14 +167,15 @@ def _first_certified(
     At each target size m, ``rows[2e]`` holds element e's permutation of
     the target and ``rows[2e + 1]`` its inverse, with -1 where a cell is
     unassigned, so the inverse of row x is row ``x ^ 1``; rows that
-    ``_rules`` gives one name are one list.  The identity element is
-    assigned on every point and each element on its own graph before the
-    first branch, and a cell or value that already holds another value, set
-    by an element sharing the row, means the size has no development.  Only
-    the graphs go on the trail, since no form is filed under the identity's
-    row.  The search then branches on the first unassigned cell of the
-    forward rows in (element, point) order and tries its free values in
-    ascending order, so the first development found is the canonical one.
+    ``_rules`` gives one name are one list.  The start is built once, on
+    the ground size n: the identity element is assigned on every point and
+    each element on its own graph, and a cell or value that already holds
+    another value, set by an element sharing the row, means no size has a
+    development.  Only the graphs go on the trail, since no form is filed
+    under the identity's row.  The search then branches on the first
+    unassigned cell of the forward rows in (element, point) order and tries
+    its free values in ascending order, so the first development found is
+    the canonical one.
 
     ``rules[x]`` lists a pair (a, c) for each form f_a o f_x = f_c filed
     under the name of row x (``_rules`` builds them).  A witness triple
@@ -201,8 +202,10 @@ def _first_certified(
     takes, and it meets a conflict exactly when that fixpoint assigns a
     cell or a value twice.
 
-    Each size first closes the assignments made at its start, and has no
-    development if they conflict.  It then runs one flat loop over an
+    The start is closed once, and a conflict there also holds at every
+    size: every fact of the closure lies on the ground set, since the rules
+    read a row only at a point or a value of a fact, so the identity's
+    cells past n are never read.  Each size then runs one flat loop over an
     explicit stack of frames ``[row 2e, point, last value tried, trail
     mark]``, so the search depth is not bounded by the interpreter's
     recursion limit.  A frame's mark is the trail's length when it was
@@ -214,31 +217,37 @@ def _first_certified(
     ``certify``; when that returns None, the loop backtracks from it as
     from a conflict.  The node count is one local across all sizes, so
     every verdict counts the nodes visited before and after a skipped
-    development.
+    development.  A size that ends without a certificate has popped the
+    trail back to the closed start, the bottom frame's mark, so the next
+    size appends a free cell to every row list, the identity's assigned to
+    the new point, and searches on from there.
     """
     P = prob.source
     names, rules = _rules(P)
     budget = prob.node_budget
-    one = P.identity_index
+    n = P.ground_size
+    lists = {k: [-1] * n for k in set(names)}
+    rows = [lists[k] for k in names]
+    # (1, 1, 1) makes the identity's row its inverse's; no form is filed under it
+    identity = rows[2 * P.identity_index]
+    identity[:] = range(n)
+    trail: list[tuple[int, int, int]] = []
+    for e, el in enumerate(P.elements):
+        row, inverse = rows[2 * e], rows[2 * e + 1]
+        for i, j in el.pairs:
+            if row[i] != j:  # not set by an element sharing the row
+                if row[i] != -1 or inverse[j] != -1:
+                    return ExhaustedUpTo(prob.max_ground, 0)
+                row[i] = j
+                inverse[j] = i
+                trail.append((2 * e, i, j))
+    if not _close(rows, rules, trail, 0):
+        return ExhaustedUpTo(prob.max_ground, 0)
     nodes = 0
-    for m in range(P.ground_size, prob.max_ground + 1):
-        rows = [[-1] * m for _ in names]
-        rows = [rows[n] for n in names]
-        trail: list[tuple[int, int, int]] = []
-        # (1, 1, 1) makes the identity's row its inverse's; no form is filed under it
-        rows[2 * one][:] = range(m)
-        clash = False  # two elements sharing a row disagree on a cell or value
-        for e, el in enumerate(P.elements):
-            row, inverse = rows[2 * e], rows[2 * e + 1]
-            for i, j in el.pairs:
-                if row[i] != j:  # not set by an element sharing the row
-                    clash |= row[i] != -1 or inverse[j] != -1
-                    row[i] = j
-                    inverse[j] = i
-                    trail.append((2 * e, i, j))
+    for m in range(n, prob.max_ground + 1):
         stack: list[list[int]] = []
         x = y = 0
-        closed = not clash and _close(rows, rules, trail, 0)
+        closed = True
         while True:
             if closed:  # every cell before (x, y) is assigned
                 for x in range(x, len(rows), 2):
@@ -274,6 +283,9 @@ def _first_certified(
             rows[x ^ 1][v] = y
             trail.append((x, y, v))
             closed = _close(rows, rules, trail, mark)
+        for row in lists.values():  # one free point for the next size
+            row.append(-1)
+        identity[m] = m
     return ExhaustedUpTo(prob.max_ground, nodes)
 
 
@@ -365,27 +377,6 @@ def _chase_evidence(
         for g, name in enumerate(presentation.generators)
     }
     return verify_quotient_hom(presentation, images)
-
-
-def quotient_evidence(
-    presentation: Presentation,
-    rho: int,
-    morphism: Morphism,
-    development: Development,
-    max_cosets: int = MAX_COSETS,
-) -> FiniteQuotientEvidence:
-    """Turn a development of a quotient of the ball permutoid into certified
-    finite-quotient evidence for the presented group.
-
-    ``morphism`` maps the radius-rho ball permutoid onto the quotient that
-    ``development`` develops.  Each generator's element is sent through it
-    into the development, and the resulting assignment is verified to kill
-    every relator.
-    """
-    cameron = cameron_permutoid(realize_backend(presentation, max_cosets), rho)
-    if morphism.source != cameron.permutoid:
-        raise UsageError("morphism does not start at the ball permutoid")
-    return _chase_evidence(cameron, presentation, morphism, development)
 
 
 def probe_finite_quotient(

@@ -74,10 +74,13 @@ class Presentation:
     def __post_init__(self):
         if not self.generators:
             raise ParseError("EmptyGeneratorList", "a presentation needs at least one generator")
+        for name in self.generators:  # before the set, which a list name breaks
+            if not isinstance(name, str):
+                raise ParseError("BadGeneratorName", f"invalid generator name {name!r}")
         if len(set(self.generators)) != len(self.generators):
             raise ParseError("DuplicateGenerator", "generator names must be distinct")
         for name in self.generators:
-            if not isinstance(name, str) or not _NAME_RE.match(name):
+            if not _NAME_RE.match(name):
                 raise ParseError("BadGeneratorName", f"invalid generator name {name!r}")
         kept = []
         width = 2 * len(self.generators)

@@ -61,11 +61,12 @@ class TestPartialPermutation:
         assert ei.value.code == "OutOfRange"
         assert ei.value.details["pair"] == pairs[-1]
 
-    @pytest.mark.parametrize("n", [0, 3.0, "3", True])
+    @pytest.mark.parametrize("n", [0, 2.0, 3.0, "3", True])
     def test_rejects_bad_ground_size(self, n):
-        with pytest.raises(ValidationError) as ei:
-            PartialPermutation(n, ((0, 0),))
-        assert ei.value.code == "BadGroundSize"
+        for build in (lambda: PartialPermutation(n, ((0, 0),)), lambda: identity_map(n)):
+            with pytest.raises(ValidationError) as ei:
+                build()
+            assert ei.value.code == "BadGroundSize"
 
     def test_inverse(self):
         p = pp(3, [(0, 1), (1, 2)])

@@ -768,16 +768,36 @@ class TestFiledTriples:
                 prob = DevelopmentProblem(P, max_ground, budget)
                 assert search_development(prob) == oracle_search(prob), (max_ground, budget)
 
+    @staticmethod
+    def assert_start_conflicts(P):
+        """Every size and budget fails before its first branch."""
+        n = P.ground_size
+        for max_ground in range(n, n + 7):
+            for budget in (None, 0, 3):
+                prob = DevelopmentProblem(P, max_ground, budget)
+                verdict = search_development(prob)
+                assert verdict == ExhaustedUpTo(max_ground, 0) == oracle_search(prob), prob
+
     def test_a_clash_at_the_start_of_a_size(self):
         # (2, 1, 1) makes f_2 the inverse of f_1, which sends 1 to 0, and
-        # f_2 sends 4 to 0: every size fails before its first branch
+        # f_2 sends 4 to 0: the graphs clash on a shared row
         P = validate_permutoid(
             5, [tuple((x, x) for x in range(5)), ((0, 1), (2, 3)), ((3, 2), (4, 0))]
         )
         names, _ = _rules(P)
         assert names[4] == names[3]
-        prob = DevelopmentProblem(P, 8)
-        assert search_development(prob) == ExhaustedUpTo(8, 0) == oracle_search(prob)
+        self.assert_start_conflicts(P)
+
+    def test_a_conflict_in_the_first_closure(self):
+        # only the identity's rows are shared, so the graphs fill cleanly;
+        # then (1, 1, 2), f_1 o f_1 = f_2, with f_2(2) = 2 and f_1(2) = 1
+        # gives f_1(1) = 2, but f_1(0) = 2
+        P = validate_permutoid(
+            4, [tuple((x, x) for x in range(4)), ((0, 2), (2, 1)), ((0, 1), (2, 2), (3, 0))]
+        )
+        assert (1, 1, 2) in witness_triples(P)
+        assert shared_rows(P) == 2 * len(P.elements) - 1
+        self.assert_start_conflicts(P)
 
     def test_inverse_closed_permutoids(self):
         hypothesis = pytest.importorskip("hypothesis")

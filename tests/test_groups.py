@@ -96,6 +96,10 @@ class TestParsePresentation:
             (("a", "2b"), (), "BadGeneratorName"),
             # a name that is not a str, which the name pattern cannot read
             ((1,), (), "BadGeneratorName"),
+            # nor hash: refused before the duplicate check
+            (([1],), (), "BadGeneratorName"),
+            # two bad str names are duplicates first
+            (("2b", "2b"), (), "DuplicateGenerator"),
             # letter 2 is a second generator's
             (("a",), ((2,),), "UnknownGenerator"),
             (("a",), ((0, -1),), "UnknownGenerator"),
@@ -106,7 +110,7 @@ class TestParsePresentation:
             (("a",), ((0.0,),), "BadLetter"),
         ],
         ids=["EmptyGeneratorList", "DuplicateGenerator", "BadGeneratorName", "BadGeneratorName-int",
-             "UnknownGenerator",
+             "BadGeneratorName-list", "DuplicateGenerator-bad-names", "UnknownGenerator",
              "UnknownGenerator-negative", "BadLetter-pair", "BadLetter-bool-index",
              "BadLetter-float"],
     )

@@ -2,22 +2,9 @@
 
 import pytest
 
-from permutoid_lab.core import enumerate_quotients
-from permutoid_lab.develop import (
-    DevelopmentProblem,
-    Found,
-    probe_finite_quotient,
-    quotient_evidence,
-    search_development,
-    verify_development,
-)
+from permutoid_lab.develop import probe_finite_quotient, verify_development
 from permutoid_lab.errors import PreconditionRadius, UsageError
-from permutoid_lab.groups import (
-    cameron_permutoid,
-    parse_presentation,
-    realize_backend,
-    verify_quotient_hom,
-)
+from permutoid_lab.groups import parse_presentation, verify_quotient_hom
 
 
 class TestProbeFiniteQuotient:
@@ -102,42 +89,3 @@ class TestProbeFiniteQuotient:
         assert r1.evidence == r2.evidence
         assert r1.development == r2.development
         assert dict(r1.statistics) == dict(r2.statistics)
-
-
-class TestQuotientEvidence:
-    def test_free_group_mod_five_evidence(self):
-        pres = parse_presentation("gens: a")
-        cam = cameron_permutoid(realize_backend(pres), 1)
-        # the identity partition: develop the ball permutoid itself
-        pairs = enumerate_quotients(cam.permutoid, nontrivial_only=True)
-        full = next(
-            (q, m) for q, m in pairs if q.ground_size == cam.permutoid.ground_size
-        )
-        verdict = search_development(DevelopmentProblem(full[0], 8))
-        assert isinstance(verdict, Found)
-        ev = quotient_evidence(pres, 1, full[1], verdict.development)
-        assert ev.group_order == 5
-
-    def test_morphism_from_another_ball_rejected(self):
-        # a development of the radius-1 ball read against the radius-2 ball
-        pres = parse_presentation("gens: a")
-        cam = cameron_permutoid(realize_backend(pres), 1)
-        quotient, morphism = next(
-            (q, m)
-            for q, m in enumerate_quotients(cam.permutoid, nontrivial_only=True)
-            if q.ground_size == cam.permutoid.ground_size
-        )
-        verdict = search_development(DevelopmentProblem(quotient, 8))
-        with pytest.raises(UsageError) as ei:
-            quotient_evidence(pres, 2, morphism, verdict.development)
-        assert str(ei.value) == "morphism does not start at the ball permutoid"
-
-    def test_z6_pipeline_evidence_kills_relator(self, pool_presentations):
-        report = probe_finite_quotient(pool_presentations["z6"], rho=4, max_ground=12)
-        ev = quotient_evidence(
-            pool_presentations["z6"],
-            4,
-            report.quotient_morphism,
-            report.development,
-        )
-        assert ev == report.evidence
