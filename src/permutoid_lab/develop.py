@@ -86,38 +86,6 @@ class BudgetExceeded:
 SearchVerdict = Union[Found, ExhaustedUpTo, BudgetExceeded]
 
 
-def _close(rows: list, rules: list, trail: list, head: int) -> bool:
-    """Close the trail from ``head`` under the rules; False on a conflict.
-
-    A fact f_x(i) = j and a form (a, c) under x give f_c(i) = f_a(j).
-    Only the first direction that applies is run: once it has fired, or
-    found its cell already holding the value, the other holds as well.
-    """
-    while head < len(trail):
-        x, i, j = trail[head]
-        head += 1
-        for a, c in rules[x]:
-            w = rows[a][j]
-            if w != -1:  # f_c(i) = w
-                row = rows[c]
-                cur = row[i]
-                if cur != w:
-                    if cur != -1 or rows[c ^ 1][w] != -1:
-                        return False
-                    row[i] = w
-                    rows[c ^ 1][w] = i
-                    trail.append((c, i, w))
-            else:
-                w = rows[c][i]
-                if w != -1:  # f_a(j) = w, where f_a(j) was unassigned
-                    if rows[a ^ 1][w] != -1:
-                        return False
-                    rows[a][j] = w
-                    rows[a ^ 1][w] = j
-                    trail.append((a, j, w))
-    return True
-
-
 def _rules(P: Permutoid) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """The name of each of the 2k rows of the development search
     (``_first_certified``), and the forms filed under each.
@@ -125,9 +93,12 @@ def _rules(P: Permutoid) -> tuple[list[int], list[list[tuple[int, int]]]]:
     A witness triple (p, q, 1) makes f_p the inverse of f_q, so rows 2p and
     2q + 1 hold one map, and so do rows 2p + 1 and 2q.  Rows joined so, over
     all such triples, form a class named by its least row, and ``rules[x]``
-    is the one list of the class of row x.  Every witness triple without the
-    identity is filed in its six forms over those names, each distinct form
-    once.  (1, q, q) and (p, 1, p) hold once the identity's row is full, and
+    is the one list of the class of row x.  The joins run on a union-find
+    forest whose links always point to the lesser row, so one relabelling
+    pass in row order names every row by the root of its tree.  Every
+    witness triple without the identity is filed in its six forms over
+    those names, each distinct form once, in the order first filed.
+    (1, q, q) and (p, 1, p) hold once the identity's row is full, and
     (p, q, 1) once its rows are shared.
 
     Sharing keeps the least fixpoint and its conflicts, and so node counts
@@ -138,22 +109,32 @@ def _rules(P: Permutoid) -> tuple[list[int], list[list[tuple[int, int]]]]:
     closure would reach.
     """
     one = P.identity_index
-    triples = witness_triples(P)
     names = list(range(2 * len(P.elements)))
-    for p, q, r in triples:
+    free = []
+    for (p, q), r in P.witness_table.items():
         if r == one:  # join rows 2p and 2q + 1, and 2p + 1 and 2q
-            for a, b in ((2 * p, 2 * q + 1), (2 * p + 1, 2 * q)):
-                lo, hi = sorted((names[a], names[b]))
-                if lo != hi:
-                    names = [lo if n == hi else n for n in names]
-    filed: list[dict] = [{} for _ in names]
-    for p, q, r in triples:
-        if one not in (p, q, r):
-            p, q, r = 2 * p, 2 * q, 2 * r  # the forward rows
-            (p, p1), (q, q1), (r, r1) = names[p:p + 2], names[q:q + 2], names[r:r + 2]
-            filed[q][p, r] = filed[p][r1, q1] = filed[r][p1, q] = None
-            filed[q1][r, p] = filed[p1][q1, r1] = filed[r1][q, p1] = None
-    rules = [list(forms) for forms in filed]
+            p, q = 2 * p, 2 * q
+            for a, b in ((p, q + 1), (p + 1, q)):
+                while names[a] != a:
+                    a = names[a]
+                while names[b] != b:
+                    b = names[b]
+                if a < b:
+                    names[b] = a
+                else:
+                    names[a] = b
+        elif p != one and q != one:
+            free.append((2 * p, 2 * q, 2 * r))  # the forward rows
+    for x, parent in enumerate(names):  # parent <= x, so its name is final
+        names[x] = names[parent]
+    filed: dict[tuple[int, int, int], None] = {}
+    for p, q, r in free:
+        (p, p1), (q, q1), (r, r1) = names[p:p + 2], names[q:q + 2], names[r:r + 2]
+        filed[q, p, r] = filed[p, r1, q1] = filed[r, p1, q] = None
+        filed[q1, r, p] = filed[p1, q1, r1] = filed[r1, q, p1] = None
+    rules: list[list[tuple[int, int]]] = [[] for _ in names]
+    for x, a, c in filed:
+        rules[x].append((a, c))
     return names, [rules[n] for n in names]
 
 
@@ -167,15 +148,29 @@ def _first_certified(
     At each target size m, ``rows[2e]`` holds element e's permutation of
     the target and ``rows[2e + 1]`` its inverse, with -1 where a cell is
     unassigned, so the inverse of row x is row ``x ^ 1``; rows that
-    ``_rules`` gives one name are one list.  The start is built once, on
-    the ground size n: the identity element is assigned on every point and
-    each element on its own graph, and a cell or value that already holds
-    another value, set by an element sharing the row, means no size has a
-    development.  Only the graphs go on the trail, since no form is filed
-    under the identity's row.  The search then branches on the first
-    unassigned cell of the forward rows in (element, point) order and tries
-    its free values in ascending order, so the first development found is
-    the canonical one.
+    ``_rules`` gives one name are one list.  Every list has m + 1 slots:
+    the m points and, at index m, a sentinel slot that always holds -1.
+    The sentinel is never a point.  No fact has it as a point or a value,
+    so propagation never reads or writes it, and ``certify`` gets the maps
+    cut to their first m slots.  It ends every search for a -1: from any
+    y <= m, ``row.index(-1, y)`` is m exactly when the row has no
+    unassigned cell from y on, so no search for a cell or a value raises
+    or needs a test of its own.
+
+    The start is built once, on the ground size n: the identity element is
+    assigned on every point and each element on its own graph, and a cell
+    or value that already holds another value, set by an element sharing
+    the row, means no size has a development.  Only the graphs go on the
+    trail, since no form is filed under the identity's row.  The search
+    then branches on the first unassigned cell of the forward rows in
+    (element, point) order and tries its free values in ascending order,
+    so the first development found is the canonical one.  Every cell before
+    the current one is assigned, so the scan for the next cell starts at
+    the current cell, not at point 0, and moves to the next forward row
+    when it reaches a sentinel; passing the last row's sentinel means the
+    assignment is complete.  A frame's next value is the next -1 of the
+    inverse row past the last value tried, and the sentinel there means
+    every value has been tried.
 
     ``rules[x]`` lists a pair (a, c) for each form f_a o f_x = f_c filed
     under the name of row x (``_rules`` builds them).  A witness triple
@@ -194,43 +189,48 @@ def _first_certified(
     two rows it was recorded on.
 
     Every assignment (x, i, j) is appended to the trail, which is also the
-    propagation queue: ``_close`` runs ``rules[x]`` on the trail from a
-    given position until it reaches the end.  The order in which facts are
-    processed cannot change a node count: the rules only add facts implied
-    by the facts present, so propagation from a consistent state either
-    ends at the one least fixpoint or meets a conflict, whichever order it
-    takes, and it meets a conflict exactly when that fixpoint assigns a
-    cell or a value twice.
+    propagation queue.  One block of the loop closes the trail from
+    ``head`` under the rules until it reaches the end: a fact f_x(i) = j
+    and a form (a, c) under x give f_c(i) = f_a(j), and only the first
+    direction that applies is run, since once it has fired, or found its
+    cell already holding the value, the other holds as well.  The order in
+    which facts are processed cannot change a node count: the rules only
+    add facts implied by the facts present, so propagation from a
+    consistent state either ends at the one least fixpoint or meets a
+    conflict, whichever order it takes, and it meets a conflict exactly
+    when that fixpoint assigns a cell or a value twice.
 
-    The start is closed once, and a conflict there also holds at every
-    size: every fact of the closure lies on the ground set, since the rules
-    read a row only at a point or a value of a fact, so the identity's
-    cells past n are never read.  Each size then runs one flat loop over an
-    explicit stack of frames ``[row 2e, point, last value tried, trail
-    mark]``, so the search depth is not bounded by the interpreter's
-    recursion limit.  A frame's mark is the trail's length when it was
-    pushed, with every fact before it closed.  Each visit to a frame pops
-    the trail down to its mark, which undoes the last value's assignments
-    and costs nothing on a frame just pushed, finds the next free value
-    afresh in row 2e + 1, so no frame holds a list of free values, assigns
-    it and closes from the mark.  A complete assignment goes to
-    ``certify``; when that returns None, the loop backtracks from it as
-    from a conflict.  The node count is one local across all sizes, so
-    every verdict counts the nodes visited before and after a skipped
+    The same block closes the start, before the first frame is pushed, and
+    a conflict there also holds at every size: every fact of the closure
+    lies on the ground set, since the rules read a row only at a point or
+    a value of a fact, so the identity's cells past n are never read.  The
+    loop runs over an explicit stack of frames ``[row 2e, point, last value
+    tried, trail mark]``, so the search depth is not bounded by the
+    interpreter's recursion limit.  A frame's mark is the trail's length
+    when it was pushed, with every fact before it closed.  Each visit to a
+    frame pops the trail down to its mark, which undoes the last value's
+    assignments and costs nothing on a frame just pushed, finds the next
+    free value afresh in row 2e + 1, so no frame holds a list of free
+    values, assigns it and closes from the mark.  A complete assignment
+    goes to ``certify``; when that returns None, the loop backtracks from
+    it as from a conflict.  The node count is one local across all sizes,
+    so every verdict counts the nodes visited before and after a skipped
     development.  A size that ends without a certificate has popped the
-    trail back to the closed start, the bottom frame's mark, so the next
-    size appends a free cell to every row list, the identity's assigned to
-    the new point, and searches on from there.
+    trail back to the closed start, the bottom frame's mark.  The next size
+    appends a -1 to every row list: the old sentinel slot becomes the new
+    point's cell, free on every row but the identity's, which is assigned
+    to the new point, and the appended slot is the new sentinel.  The
+    search goes on from there.
     """
     P = prob.source
     names, rules = _rules(P)
     budget = prob.node_budget
     n = P.ground_size
-    lists = {k: [-1] * n for k in set(names)}
+    lists = {k: [-1] * (n + 1) for k in set(names)}
     rows = [lists[k] for k in names]
     # (1, 1, 1) makes the identity's row its inverse's; no form is filed under it
     identity = rows[2 * P.identity_index]
-    identity[:] = range(n)
+    identity[:n] = range(n)
     trail: list[tuple[int, int, int]] = []
     for e, el in enumerate(P.elements):
         row, inverse = rows[2 * e], rows[2 * e + 1]
@@ -241,39 +241,64 @@ def _first_certified(
                 row[i] = j
                 inverse[j] = i
                 trail.append((2 * e, i, j))
-    if not _close(rows, rules, trail, 0):
-        return ExhaustedUpTo(prob.max_ground, 0)
-    nodes = 0
+    nodes = head = 0
+    stack: list[list[int]] = []
     for m in range(n, prob.max_ground + 1):
-        stack: list[list[int]] = []
         x = y = 0
-        closed = True
         while True:
-            if closed:  # every cell before (x, y) is assigned
+            while head < len(trail):  # close the trail from head
+                z, i, j = trail[head]
+                head += 1
+                for a, c in rules[z]:
+                    w = rows[a][j]
+                    if w != -1:  # f_c(i) = w
+                        row = rows[c]
+                        cur = row[i]
+                        if cur != w:
+                            if cur != -1 or rows[c ^ 1][w] != -1:
+                                break
+                            row[i] = w
+                            rows[c ^ 1][w] = i
+                            trail.append((c, i, w))
+                    else:
+                        w = rows[c][i]
+                        if w != -1:  # f_a(j) = w, where f_a(j) was unassigned
+                            if rows[a ^ 1][w] != -1:
+                                break
+                            rows[a][j] = w
+                            rows[a ^ 1][w] = j
+                            trail.append((a, j, w))
+                else:
+                    continue
+                if not stack:  # a conflict in the start holds at every size
+                    return ExhaustedUpTo(prob.max_ground, 0)
+                break  # a conflict: backtrack
+            else:  # closed, with every cell before (x, y) assigned
                 for x in range(x, len(rows), 2):
-                    row = rows[x]
-                    if -1 in row:
-                        stack.append([x, row.index(-1, y), -1, len(trail)])
+                    y = rows[x].index(-1, y)
+                    if y < m:
+                        stack.append([x, y, -1, len(trail)])
                         break
                     y = 0
                 else:
-                    certificate = certify(Development(m, tuple(map(tuple, rows[::2]))))
+                    maps = tuple([tuple(row[:m]) for row in rows[::2]])  # cut off the sentinels
+                    certificate = certify(Development(m, maps))
                     if certificate is not None:
                         return Found(certificate, nodes)
-            if not stack:
-                break
-            frame = stack[-1]
-            x, y, last, mark = frame
-            while len(trail) > mark:  # the last value's assignments
-                z, i, j = trail.pop()
-                rows[z][i] = -1
-                rows[z ^ 1][j] = -1
-            try:
+            while stack:  # the top frame's next value
+                frame = stack[-1]
+                x, y, last, mark = frame
+                while len(trail) > mark:  # the last value's assignments
+                    z, i, j = trail.pop()
+                    rows[z][i] = -1
+                    rows[z ^ 1][j] = -1
                 v = rows[x ^ 1].index(-1, last + 1)
-            except ValueError:
+                if v < m:
+                    break
                 stack.pop()
-                closed = False  # resume the frame below
-                continue
+            else:  # this size is exhausted, its trail popped to the closed start
+                head = len(trail)
+                break
             frame[2] = v
             nodes += 1
             if budget is not None and nodes > budget:
@@ -282,8 +307,8 @@ def _first_certified(
             rows[x][y] = v
             rows[x ^ 1][v] = y
             trail.append((x, y, v))
-            closed = _close(rows, rules, trail, mark)
-        for row in lists.values():  # one free point for the next size
+            head = mark
+        for row in lists.values():  # the sentinel slot becomes the new point
             row.append(-1)
         identity[m] = m
     return ExhaustedUpTo(prob.max_ground, nodes)

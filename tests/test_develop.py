@@ -101,12 +101,16 @@ def brute_force_developable(ground_size, graphs, max_ground):
 
 
 class TestSearchDevelopment:
-    def test_trivial_permutoid(self):
-        T = validate_permutoid(2, [[(0, 0), (1, 1)]])
-        v = search_development(DevelopmentProblem(T, 4))
-        assert isinstance(v, Found)
-        assert v.development.ground_size == 2
-        assert v.development.maps == ((0, 1),)
+    @pytest.mark.parametrize(
+        "n, max_ground",
+        [(2, 4), (1, 1), (1, 3), (2, 2)],
+        ids=["two-points", "one-point-no-growth", "one-point", "no-growth"],
+    )
+    def test_trivial_permutoid(self, n, max_ground):
+        # the identity's row is full at once, so no cell is left to branch on
+        T = validate_permutoid(n, [[(x, x) for x in range(n)]])
+        v = search_development(DevelopmentProblem(T, max_ground))
+        assert v == Found(Development(n, (tuple(range(n)),)), 0)
 
     def test_remark_permutoid_found_at_two(self):
         v = search_development(DevelopmentProblem(REMARK, 4))
@@ -246,6 +250,45 @@ class TestDeepSearch:
             sys.setrecursionlimit(limit)
         # the development the recursive engine found with a raised limit
         assert hashlib.sha256(repr(v.development.maps).encode()).hexdigest()[:16] == maps_sha
+
+
+class TestNoExceptionsInTheLoop:
+    """The search loop finds every next cell and every next free value
+    without an exception: each row ends in a sentinel slot that holds -1,
+    so an exhausted frame or a full row reads the sentinel's index instead
+    of raising from ``list.index``."""
+
+    def test_budget_bound_searches_raise_nothing(self):
+        code = _first_certified.__code__
+        events = []
+
+        def local(frame, event, arg):
+            if event == "exception":
+                events.append(arg[0])
+            return local
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            frame.f_trace_lines = False
+            return local
+
+        rng = random.Random(20261020)
+        verdicts = []
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            for _ in range(40):
+                n = rng.randint(5, 7)
+                P = random_permutoid(rng, n)
+                verdicts.append(search_development(DevelopmentProblem(P, n + 3, 2000)))
+        finally:
+            sys.settrace(previous)
+        assert events == []
+        # the searches exhausted frames: they explored thousands of nodes,
+        # some up to the budget
+        assert sum(v.nodes_explored for v in verdicts) > 2000
+        assert any(isinstance(v, BudgetExceeded) for v in verdicts)
 
 
 class TestVerifyDevelopment:
