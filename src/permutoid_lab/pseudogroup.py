@@ -16,9 +16,9 @@ is a ``Development``), and its group is derived from its maps, never stored.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import eq
 from typing import Iterable, Sequence
 
@@ -47,6 +47,7 @@ from .errors import (
     NotFree,
     NotRigid,
     PseudogroupError,
+    UsageError,
     require_int,
 )
 from .groups import _generated_group, _is_permutation, _perm_compose
@@ -68,6 +69,8 @@ class Pseudogroup:
         return _ExtenderIndex(self.ground_size, self.maximal_elements)
 
     def member(self, f: PartialPermutation) -> bool:
+        if not isinstance(f, PartialPermutation):
+            raise UsageError(f"member takes a PartialPermutation, got {f!r}")
         if f.ground_size != self.ground_size:
             raise GroundSetMismatch(
                 f"ground sizes differ: {f.ground_size} vs {self.ground_size}"
@@ -84,26 +87,37 @@ def generate_pseudogroup(
     Downward closure then realizes restriction-closure: a restriction of a
     composition is a restriction of the composition of the extensions.
 
-    The closure is a semi-naive worklist over the letters: each generator
-    and each generator's inverse, each distinct map once.  The identity
-    (the empty word) and every letter are inserted, and each map that
-    enters the antichain is queued once.  When it is popped, and only if it
-    is still a member, its composites p . s (s applied first) with every
-    letter s are inserted; p . identity would be p, already tried.
-    Every map ever inserted stays extended by some member: it enters, or a
-    member already extends it, and a member is dropped only for a new map
-    that extends it.
+    The closure is a semi-naive worklist over the letters, which arrive one
+    at a time (Dimino's method).  The generators are walked in input order,
+    each tried as a letter and then its inverse.  A map that a member
+    already extends adds nothing and is no letter: such a generator is
+    skipped with its inverse, such an inverse alone.  When a letter s
+    arrives, the composites p . s (s applied first) of every other member
+    p are inserted; then the worklist drains before the next generator.
+    Each map that enters the antichain is queued once, and when it is
+    read, and only if it is still a member, its composites with every
+    letter so far are inserted.  Every map ever inserted stays extended by
+    some member: it enters, or a member already extends it, and a member
+    is dropped only for a new map that extends it, never to return.
 
-    So the final antichain F is exactly the maximal elements.  Inverses and
-    composites of words in the letters are words, so the non-empty
-    restrictions of words are the generated pseudogroup.  Every inserted
-    map is a word (the identity, a letter, or p . s for an inserted p), so
-    F lies in it.  Every word s_1 . ... . s_k whose map is non-empty is
+    So the final antichain F is exactly the maximal elements.  A skipped
+    map is a restriction of a word in the letters.  The letters stay
+    inverse-closed up to restriction: an inverse that is no letter was
+    skipped, and a skipped generator g restricts a word w, so g's inverse
+    restricts w's inverse, a word in inverses of letters.  Hence the
+    non-empty restrictions of words are closed under inverse, composition
+    and restriction; they hold every generator and its inverse, and any
+    pseudogroup holding those holds the letters: they are the generated
+    pseudogroup.  Every inserted map is a word (the identity, a letter, or
+    p . s for an inserted p), so F lies in it.  Each M in F was composed
+    with each letter s: on s's arrival if M was a member then, else on
+    being read from the worklist of the drain in which it entered, which
+    followed s.  So every word s_1 . ... . s_k whose map is non-empty is
     extended by a member of F, by induction on k: for k = 0 it is the
     inserted identity; otherwise some M in F extends s_1 . ... . s_(k-1),
-    M was popped as a member, and M . s_k was inserted then, so a member of
-    F extends it.  An antichain in the pseudogroup that extends all of it
-    is its set of maximal elements, which is unique.
+    and M . s_k was inserted, so a member of F extends it.  An antichain in
+    the pseudogroup that extends all of it is its set of maximal elements,
+    which is unique: the order of the generators does not change F.
 
     Members are bitmasks with bit x*n + y set for each pair (x, y), so "a
     extends b" is ``b & ~a == 0``; they are indexed by each of their pairs,
@@ -115,7 +129,8 @@ def generate_pseudogroup(
     images: dict[int, list[int]] = {}  # member mask -> image array (f(x) or -1)
     by_pair: dict[int, set[int]] = {}  # pair bit -> members holding it
     tried: set[int] = set()
-    queue: deque[int] = deque()
+    queue: list[int] = []  # the worklist: members to compose with every letter
+    letters: list[list[tuple[int, int]]] = []  # each letter's pairs as (x*n, y)
 
     def pair_bits(mask: int) -> list[int]:
         out = []
@@ -125,14 +140,15 @@ def generate_pseudogroup(
             mask ^= low
         return out
 
-    def insert(mask: int) -> None:
-        """Add a candidate unless it was tried or a member extends it."""
+    def insert(mask: int) -> bool:
+        """Add a candidate unless it was tried or a member extends it;
+        True when it enters the antichain."""
         if mask in tried:
-            return
+            return False
         tried.add(mask)
         for m in by_pair.get((mask & -mask).bit_length() - 1, ()):
             if not mask & ~m:
-                return
+                return False
         own = pair_bits(mask)
         for m in {m for b in own for m in by_pair.get(b, ()) if not m & ~mask}:
             for b in pair_bits(m):
@@ -144,28 +160,39 @@ def generate_pseudogroup(
             by_pair.setdefault(b, set()).add(mask)
         images[mask] = image
         queue.append(mask)
+        return True
+
+    def compose(pending: list[int], by: list[list[tuple[int, int]]]) -> None:
+        """Insert p . s (s applied first) for each s in ``by`` and each p
+        in ``pending``, read as it grows, that is still a member when read."""
+        for mask in pending:
+            p = images.get(mask)
+            if p is None:
+                continue
+            for letter in by:
+                after = 0  # p . s
+                for xn, y in letter:
+                    z = p[y]
+                    if z >= 0:
+                        after |= 1 << (xn + z)
+                if after:
+                    insert(after)
 
     insert(sum([1 << (x * n + x) for x in range(n)]))  # the identity, the empty word
-    letters: dict[int, list[tuple[int, int]]] = {}  # letter mask -> its pairs as (x*n, y)
+    queue.clear()  # it meets each letter on the letter's arrival
     for f in generators:
+        if not isinstance(f, PartialPermutation):
+            raise UsageError(f"generator {f!r} is not a PartialPermutation")
         if f.ground_size != n:
             raise GroundSetMismatch(f"generator has ground size {f.ground_size}, expected {n}")
         for rows in ([(x * n, y) for x, y in f.pairs], [(y * n, x) for x, y in f.pairs]):
-            letters[sum([1 << (xn + y) for xn, y in rows])] = rows
-    for mask in letters:
-        insert(mask)
-    while queue:
-        p = images.get(queue.popleft())
-        if p is None:
-            continue
-        for rows in letters.values():
-            after = 0  # p . s
-            for xn, y in rows:
-                z = p[y]
-                if z >= 0:
-                    after |= 1 << (xn + z)
-            if after:
-                insert(after)
+            mask = sum([1 << (xn + y) for xn, y in rows])
+            if not insert(mask):
+                break  # a word extends it, and then one extends its inverse
+            letters.append(rows)
+            compose([m for m in images if m != mask], [rows])
+            compose(queue, letters)
+            queue.clear()
     maximal = [
         PartialPermutation(n, tuple((x, y) for x, y in enumerate(image) if y >= 0))
         for image in images.values()
@@ -177,33 +204,60 @@ def check_pseudogroup(H: Pseudogroup) -> None:
     """Well-formedness: antichain, identity present, inverse-closed, and
     every non-empty composition a restriction of some member.
 
-    Both tests read the pseudogroup's pair-holder index: member j restricts
-    member i iff bit i is set in the mask of j's extenders, and i.j escapes
+    Both tests read the pseudogroup's pair-holder index: member i extends
+    member j iff bit i is set in the mask of j's extenders, and i.j escapes
     iff its composite mask is 0 (-1 means it is undefined).
+
+    The error raised is the first that a row-major scan of all pairs
+    (i, j) would meet, testing at each pair that j does not restrict i and
+    then that i.j does not escape.  The first pair to fail the antichain
+    test, (a, b), comes from the extender masks: a is the least member
+    that extends another, and b the first member that a extends.  When
+    the closure test runs, the members are known to be inverse-closed, so
+    i.j escapes iff its inverse inv(j).inv(i) does, since M extends a map
+    iff M's inverse extends the map's inverse.  So row i tests only
+    j = inv(k) for k >= i, about half the pairs: a pair with inv(j) < i
+    has its mirror in the earlier row inv(j).  Let i0 be the first row
+    with an escaping pair.  No tested pair escapes before row i0, and row
+    i0 tests every escaping (i0, j), whose mirror's row inv(j) is not
+    below i0.  So row i0 is the first to show an escape, and rescanning
+    it in order finds its first escaping j.  If a <= i0, the scan stops
+    at row a instead and tests it in order up to b, where the antichain
+    test fails first.
     """
     members = H.maximal_elements
-    graphs = {m.pairs for m in members}
-    if len(graphs) != len(members):
+    position = {m.pairs: k for k, m in enumerate(members)}
+    if len(position) != len(members):
         raise PseudogroupError("DuplicateElement", "maximal elements must be distinct")
-    if identity_map(H.ground_size).pairs not in graphs:
+    if identity_map(H.ground_size).pairs not in position:
         raise PseudogroupError("MissingIdentity", "the full identity must be maximal")
+    inverse = []  # k -> the index of member k's inverse
     for m in members:
         if m.ground_size != H.ground_size:
             raise PseudogroupError("GroundSetMismatch", "mixed ground sizes")
-        if tuple(sorted((y, x) for x, y in m.pairs)) not in graphs:
+        k = position.get(tuple(sorted((y, x) for x, y in m.pairs)))
+        if k is None:
             raise PseudogroupError("NotInverseClosed", "maximal elements must include inverses")
+        inverse.append(k)
     index = H._extenders
     composite = index.composite
-    restricted = [index.extending(m.pairs) for m in members]  # j -> members j restricts
-    for i, m1 in enumerate(members):
-        image = index.image(m1)
-        for j in range(len(members)):
-            if i != j and restricted[j] >> i & 1:
-                raise PseudogroupError("NotAntichain", f"element {j} restricts element {i}")
+    count = len(members)
+    a = b = count  # the first pair (a, b) where b restricts a, if any
+    for j, m in enumerate(members):
+        others = index.extending(m.pairs) & ~(1 << j)  # the other members extending j
+        i = (others & -others).bit_length() - 1
+        if 0 <= i < a:
+            a, b = i, j
+    for i in range(min(a + 1, count)):
+        image = index.image(members[i])
+        if i < a and all(map(composite, repeat(image), inverse[i:])):
+            continue
+        for j in range(b if i == a else count):
             if not composite(image, j):
                 raise PseudogroupError(
                     "NotClosed", f"composition of elements {i} and {j} escapes the antichain"
                 )
+        raise PseudogroupError("NotAntichain", f"element {b} restricts element {a}")
 
 
 def is_rigid_pseudogroup(H: Pseudogroup) -> bool:

@@ -175,8 +175,15 @@ MUTANTS: list[tuple[str, str, str, str]] = [
      "for rows in ([(x * n, y) for x, y in f.pairs],):",
      "tests/test_pseudogroup.py"),
     # generate_pseudogroup: compose with the first two letters only (test_regeneration_fixpoint)
-    (PSEUDOGROUP, "for rows in letters.values():", "for rows in list(letters.values())[:2]:",
-     "tests/test_pseudogroup.py"),
+    (PSEUDOGROUP, "compose(queue, letters)", "compose(queue, letters[:2])", "tests/test_pseudogroup.py"),
+    # generate_pseudogroup: never compose the current members with a new letter
+    # (TestGenerateAgainstOracle::test_small_draws)
+    (PSEUDOGROUP, "            compose([m for m in images if m != mask], [rows])\n", "",
+     "tests/test_saturation.py"),
+    # check_pseudogroup: row i tests the columns from i on, not the inverses
+    # of the rows from i on (TestCheckAgainstOracle::test_mutated_antichains)
+    (PSEUDOGROUP, "all(map(composite, repeat(image), inverse[i:]))",
+     "all(map(composite, repeat(image), range(i, count)))", "tests/test_saturation.py"),
     # _require: accept a JSON boolean for an int key (test_booleans_are_not_integers)
     (SERIALIZE, "if not (type(value) is int if kind is int else isinstance(value, kind)):",
      "if not isinstance(value, kind):", "tests/test_serialize.py"),

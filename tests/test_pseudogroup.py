@@ -90,6 +90,11 @@ class TestGeneratePseudogroup:
         with pytest.raises(GroundSetMismatch):
             generate_pseudogroup(3, [pp(2, [(0, 1)])])
 
+    @pytest.mark.parametrize("gens", [[((0, 1),)], [pp(3, [(0, 1)]), ((0, 1),)]], ids=["first", "later"])
+    def test_generator_that_is_not_a_map(self, gens):
+        with pytest.raises(UsageError, match=r"generator \(\(0, 1\),\) is not a PartialPermutation"):
+            generate_pseudogroup(3, gens)
+
     @pytest.mark.parametrize(
         "n, error, message",
         [
@@ -152,6 +157,11 @@ class TestMembership:
         H = generate_pseudogroup(3, [pp(3, [(0, 1)])])
         with pytest.raises(GroundSetMismatch):
             H.member(pp(4, [(0, 1)]))
+
+    def test_argument_that_is_not_a_map(self):
+        H = generate_pseudogroup(3, [pp(3, [(0, 1)])])
+        with pytest.raises(UsageError, match=r"member takes a PartialPermutation, got \(\(0, 1\),\)"):
+            H.member(((0, 1),))
 
     def test_a_pair_no_member_holds(self):
         H = generate_pseudogroup(3, [pp(3, [(0, 1)])])

@@ -3,16 +3,19 @@
 The previous ``generate_pseudogroup`` (a naive fixpoint that recomposes
 every pair of a snapshot of the antichain each round) and the previous
 ``check_pseudogroup`` (linear ``extends`` scans) are copied here as oracles.
+Work counters of both routines are pinned on the largest closures.
 """
 
 import hashlib
 import random
+import sys
 
 import pytest
 
 from permutoid_lab.core import (
     EMPTY_COMPOSITION,
     PartialPermutation,
+    _ExtenderIndex,
     compose_partial,
     identity_map,
 )
@@ -138,6 +141,31 @@ SATURATED_BALLS = {
 }
 
 
+def pinned_digest(H):
+    return hashlib.sha256(repr([m.pairs for m in H.maximal_elements]).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def large_closures():
+    """The pinned closures of LARGE_CLOSURES, by draw index."""
+    rng = random.Random(529)
+    draws = [criterion_7_draw(rng, 5) for _ in range(max(LARGE_CLOSURES) + 1)]
+    return {i: generate_pseudogroup(5, draws[i]) for i in LARGE_CLOSURES}
+
+
+def with_redundant_maps(rng, H, gens):
+    """``gens`` with members of H, restrictions of them and the inverses
+    of both put at random places before, between and after them.  Each
+    added map restricts a word in ``gens``, so the closure stays H."""
+    n, members = H.ground_size, H.maximal_elements
+    out = list(gens)
+    for m in rng.sample(members, min(3, len(members))):
+        sub = PartialPermutation(n, tuple(rng.sample(m.pairs, rng.randint(1, len(m.pairs)))))
+        for extra in (m, sub, m.inverse(), sub.inverse()):
+            out.insert(rng.randint(0, len(out)), extra)
+    return out
+
+
 def ball_generators(text):
     group = todd_coxeter(parse_presentation(text), 1000)
     return group.order, cameron_permutoid(group, saturating_radius(group)).permutoid.elements
@@ -189,8 +217,7 @@ class TestGenerateAgainstOracle:
             H = generate_pseudogroup(5, criterion_7_draw(rng, 5))
             if len(H.maximal_elements) >= 300:
                 check_pseudogroup(H)
-                digest = hashlib.sha256(repr([m.pairs for m in H.maximal_elements]).encode())
-                large[i] = (len(H.maximal_elements), digest.hexdigest()[:16])
+                large[i] = (len(H.maximal_elements), pinned_digest(H))
         assert large == LARGE_CLOSURES
 
     def test_maximal_elements_as_generators_are_a_fixpoint(self):
@@ -205,6 +232,28 @@ class TestGenerateAgainstOracle:
         with pytest.raises(GroundSetMismatch) as old:
             oracle_generate(3, gens)
         assert str(new.value) == str(old.value)
+
+
+class TestRedundantGenerators:
+    """A map that a member already extends adds no letter, and the closure
+    is the same."""
+
+    def test_members_restrictions_and_inverses_interleaved(self):
+        rng = random.Random(2718)
+        for n, gens in small_draws()[:150] + five_point_draws()[:8]:
+            H = generate_pseudogroup(n, gens)
+            mixed = with_redundant_maps(rng, H, gens)
+            assert generate_pseudogroup(n, mixed) == H == oracle_generate(n, mixed), mixed
+
+    def test_pinned_closures_from_shuffled_members(self, large_closures):
+        # the oracle is too slow at these sizes, so the pins stand in for it
+        rng = random.Random(584)
+        for i, H in large_closures.items():
+            members = list(H.maximal_elements)
+            rng.shuffle(members)
+            for gens in (members, with_redundant_maps(rng, H, members)):
+                again = generate_pseudogroup(5, gens)
+                assert (len(again.maximal_elements), pinned_digest(again)) == LARGE_CLOSURES[i]
 
 
 # -- the closure check -----------------------------------------------------------------
@@ -299,3 +348,67 @@ class TestCheckAgainstOracle:
             "add a restriction and its inverse": "NotAntichain",
             "drop an inverse": "NotInverseClosed",
         }
+
+
+# -- work counters ---------------------------------------------------------------------
+
+# generate_pseudogroup's local insert, the one call per candidate map
+INSERT = next(c for c in generate_pseudogroup.__code__.co_consts if getattr(c, "co_name", "") == "insert")
+
+
+def insert_calls(run):
+    """How many times ``run()`` calls ``generate_pseudogroup``'s insert,
+    counted by a trace function that sees calls only."""
+    calls = 0
+
+    def trace(frame, event, arg):
+        nonlocal calls
+        calls += frame.f_code is INSERT
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return calls
+
+
+# Insert calls of the regeneration fixpoint on each of LARGE_CLOSURES.
+REGENERATION_INSERTS = {
+    31: 6481, 46: 8339, 49: 7591, 59: 13244, 79: 7776, 101: 4795, 117: 4683, 158: 8355, 168: 4256,
+}
+
+# Composite tests of check_pseudogroup on each of LARGE_CLOSURES: M(M+1)/2
+# for M members, one per pair up to inversion.
+CHECK_COMPOSITES = {
+    31: 109746, 46: 166176, 49: 112575, 59: 109746, 79: 170820, 101: 112575, 117: 64980,
+    158: 64980, 168: 54615,
+}
+
+
+class TestWorkCounters:
+    def test_regeneration_inserts_pinned(self, large_closures):
+        counts = {}
+        for i, H in large_closures.items():
+            counts[i] = insert_calls(lambda: generate_pseudogroup(5, H.maximal_elements))
+        assert counts == REGENERATION_INSERTS
+
+    def test_check_composites_pinned(self, large_closures, monkeypatch):
+        calls = 0
+        composite = _ExtenderIndex.composite
+
+        def counting(index, image, j):
+            nonlocal calls
+            calls += 1
+            return composite(index, image, j)
+
+        monkeypatch.setattr(_ExtenderIndex, "composite", counting)
+        counts = {}
+        for i, H in large_closures.items():
+            calls = 0
+            check_pseudogroup(H)
+            m = len(H.maximal_elements)
+            assert calls <= m * (m + 1) // 2
+            counts[i] = calls
+        assert counts == CHECK_COMPOSITES
