@@ -482,8 +482,15 @@ def _admissible_partitions(P: Permutoid) -> list[tuple[int, ...]]:
 
     Call these partitions admissible.  They are closed under intersection,
     so each set of pairs has a least admissible partition joining them, its
-    closure; the closure of one pair {a, b} is a principal closure.  Each
-    principal closure is computed once, and the distinct ones are sorted
+    closure; the closure of one pair {a, b} is a principal closure.  A map
+    op defined at a and b gives {a, b} the closure of {op a, op b}: an
+    admissible partition joining a and b joins their images, and the
+    inverse map, also listed, brings them back.  So the pairs are walked
+    in order, and a pair no earlier orbit reached marks its orbit under
+    the maps, breadth first, and is the only pair of it closed.  It is the
+    least pair of its orbit, so each principal closure is recorded with
+    the least pair it closes, as a closure of every pair would record it.
+    The distinct principal closures are sorted
     into generators g_0 < ... < g_{G-1}.  The partitions are then listed by Close-by-One
     (Kuznetsov 1993), which lists each of them exactly once:
 
@@ -568,8 +575,21 @@ def _admissible_partitions(P: Permutoid) -> list[tuple[int, ...]]:
     discrete = tuple(range(n))
     discrete_rows = rows_of(discrete)
     closures: dict[tuple[int, ...], tuple[int, int]] = {}
-    for a, b in itertools.combinations(range(n), 2):
-        closures.setdefault(close(discrete, discrete_rows, a, b), (a, b))
+    reached: set[tuple[int, int]] = set()
+    for pair in itertools.combinations(range(n), 2):
+        if pair in reached:
+            continue
+        reached.add(pair)
+        orbit = [pair]
+        for a, b in orbit:  # grows as the orbit is found
+            for op in ops:
+                x, y = op[a], op[b]
+                if x != -1 and y != -1:
+                    image = (x, y) if x < y else (y, x)
+                    if image not in reached:
+                        reached.add(image)
+                        orbit.append(image)
+        closures.setdefault(close(discrete, discrete_rows, *pair), pair)
     generators = [closures[g] for g in sorted(closures)]
 
     found = [discrete]

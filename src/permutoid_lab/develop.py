@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Union
 
-from .core import (
-    Morphism,
-    Permutoid,
-    enumerate_quotients,
-    witness_triples,
-)
+from .core import Morphism, Permutoid, enumerate_quotients
 from .errors import DevelopmentError, PreconditionRadius, UsageError, require_int
 from .groups import (
     MAX_COSETS,
@@ -101,6 +96,15 @@ def _rules(P: Permutoid) -> tuple[list[int], list[list[tuple[int, int]]]]:
     (1, q, q) and (p, 1, p) hold once the identity's row is full, and
     (p, q, 1) once its rows are shared.
 
+    A form names its class of six.  Joins come in pairs, a with b and
+    a ^ 1 with b ^ 1, so the name of row x fixes the class of row x ^ 1
+    and so its name: P, the name of row 2p, determines P', that of row
+    2p + 1.  The six forms are the orbit of one under rotation and
+    inversion of f_p o f_q = f_r (``_first_certified`` lists them), so
+    any one of them, read over names, yields the other five.  A triple
+    whose first form (Q, P, R) is already filed adds nothing and is
+    skipped before its six stores.
+
     Sharing keeps the least fixpoint and its conflicts, and so node counts
     and developments: with the identity's row full, the forms of (p, q, 1)
     make a cell of row 2p and the mirrored cell of row 2q + 1 derive each
@@ -130,6 +134,8 @@ def _rules(P: Permutoid) -> tuple[list[int], list[list[tuple[int, int]]]]:
     filed: dict[tuple[int, int, int], None] = {}
     for p, q, r in free:
         (p, p1), (q, q1), (r, r1) = names[p:p + 2], names[q:q + 2], names[r:r + 2]
+        if (q, p, r) in filed:  # its class of six is filed
+            continue
         filed[q, p, r] = filed[p, r1, q1] = filed[r, p1, q] = None
         filed[q1, r, p] = filed[p1, q1, r1] = filed[r1, q, p1] = None
     rules: list[list[tuple[int, int]]] = [[] for _ in names]
@@ -342,9 +348,64 @@ def _as_permutations(maps, m: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _broken_triple(P: Permutoid, maps: list[tuple[int, ...]]) -> tuple[int, int, int] | None:
+    """A witness triple (p, q, r) with f_p o f_q != f_r, or None when every
+    equation holds, given maps that are permutations with the identity's
+    map the identity.
+
+    Each equation is composed at most once per class of its six forms
+    (see ``_first_certified``), in three steps:
+
+    - Every triple (p, q, 1) is composed.  Once it holds, f_q is the
+      inverse of f_p and f_p that of f_q, so p and q have checked inverses.
+    - (1, q, q) and (p, 1, p) hold, since f_1 is the identity.
+    - Every other triple is composed unless it is marked implied.  When
+      (p, q, r) holds and p, q and r have checked inverses p', q' and r',
+      its five other forms (p', r, q), (r, q', p), (q, r', p'),
+      (r', p, q') and (q', p', r') are marked: each is f_p o f_q = f_r
+      rewritten with f_p' = f_p^-1, f_q' = f_q^-1 and f_r' = f_r^-1.
+
+    The triple returned is the first broken one that a step composes,
+    which need not be the first broken one in table order.
+    """
+    one = P.identity_index
+    identity = maps[one]
+    inverse: dict[int, int] = {}  # element -> an element whose map is checked to be its inverse
+    rest = []
+    for (p, q), r in P.witness_table.items():
+        if r == one:
+            if _perm_compose(maps[p], maps[q]) != identity:
+                return p, q, r
+            inverse[p], inverse[q] = q, p
+        elif p != one and q != one:
+            rest.append((p, q, r))
+    implied: set[tuple[int, int, int]] = set()
+    for triple in rest:
+        if triple in implied:
+            continue
+        p, q, r = triple
+        if _perm_compose(maps[p], maps[q]) != maps[r]:
+            return triple
+        if p in inverse and q in inverse and r in inverse:
+            p1, q1, r1 = inverse[p], inverse[q], inverse[r]
+            implied.update(((p1, r, q), (r, q1, p), (q, r1, p1), (r1, p, q1), (q1, p1, r1)))
+    return None
+
+
 def verify_development(P: Permutoid, D: Development) -> None:
     """Re-derive every constraint from the graphs and check D against them,
-    independently of the search engine.  Raises DevelopmentError."""
+    independently of the search engine.  Raises DevelopmentError.
+
+    The clauses are checked in order: shape, permutations, the identity's
+    map, extension of each element's graph, then f_p o f_q = f_r for every
+    witness triple (p, q, r).  The last clause composes each equation once
+    (``_broken_triple``): given checked inverses, the six forms of a
+    triple, the triple and its five cyclic conjugates up to inversion, are
+    equivalent equations, and the triples (1, q, q) and (p, 1, p) hold once
+    f_1 is the identity.  When some composition fails, the witness triples
+    are scanned again in table order, so CompositionBroken names the first
+    broken triple in that order and its first broken point.
+    """
     m = D.ground_size
     if type(m) is not int:
         raise DevelopmentError("WrongShape", f"ground size {m!r} is not an int")
@@ -365,19 +426,21 @@ def verify_development(P: Permutoid, D: Development) -> None:
                     element=e,
                     point=x,
                 )
-    for i, j, k in witness_triples(P):
-        fp, fq, fr = maps[i], maps[j], maps[k]
-        if _perm_compose(fp, fq) == fr:
-            continue
-        y = next(y for y in range(m) if fp[fq[y]] != fr[y])
-        raise DevelopmentError(
-            "CompositionBroken",
-            f"triple ({i},{j},{k}) broken at point {y}",
-            p=i,
-            q=j,
-            r=k,
-            point=y,
-        )
+    if _broken_triple(P, maps) is None:
+        return
+    i, j, k = next(
+        (i, j, k) for (i, j), k in P.witness_table.items() if _perm_compose(maps[i], maps[j]) != maps[k]
+    )
+    fp, fq, fr = maps[i], maps[j], maps[k]
+    y = next(y for y in range(m) if fp[fq[y]] != fr[y])
+    raise DevelopmentError(
+        "CompositionBroken",
+        f"triple ({i},{j},{k}) broken at point {y}",
+        p=i,
+        q=j,
+        r=k,
+        point=y,
+    )
 
 
 # -- the finite-quotient probe --------------------------------------------------

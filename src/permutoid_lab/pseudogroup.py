@@ -63,6 +63,13 @@ class Pseudogroup:
     ground_size: int
     maximal_elements: tuple[PartialPermutation, ...]
 
+    def __post_init__(self):
+        members = tuple(self.maximal_elements)
+        for f in members:
+            if not isinstance(f, PartialPermutation):
+                raise UsageError(f"Pseudogroup takes PartialPermutation members, got {f!r}")
+        object.__setattr__(self, "maximal_elements", members)
+
     @cached_property
     def _extenders(self) -> _ExtenderIndex:
         """The pair-holder index of the maximal elements, on ``ground_size``."""

@@ -54,6 +54,9 @@ MUTANTS: list[tuple[str, str, str, str]] = [
      "tests/test_develop.py"),
     # _rules: join only the forward pair of (p, q, 1), rows 2p and 2q + 1
     (DEVELOP, "for a, b in ((p, q + 1), (p + 1, q)):", "for a, b in ((p, q + 1),):", "tests/test_develop.py"),
+    # _rules: skip a triple when (P, Q, R), a form of f_q o f_p = f_r, is filed,
+    # not its own first form (Q, P, R)
+    (DEVELOP, "if (q, p, r) in filed:", "if (p, q, r) in filed:", "tests/test_develop.py"),
     # _first_certified: drop the start's clash test (test_a_clash_at_the_start_of_a_size)
     (DEVELOP, "                if row[i] != -1 or inverse[j] != -1:\n"
               "                    return ExhaustedUpTo(prob.max_ground, 0)\n", "", "tests/test_develop.py"),
@@ -166,6 +169,15 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     (GROUPS, "if h and h[-1] == x ^ 1:", "if False:", "tests/test_cameron.py"),
     # verify_quotient_hom: read each letter as its inverse (test_inverse_letters_read_as_inverses)
     (GROUPS, "rows += [perm, tuple(inverse)]", "rows += [tuple(inverse), perm]", "tests/test_cameron.py"),
+    # _broken_triple: mark forms implied on inverses taken from the table, never
+    # composed (TestVerifyDevelopment::test_an_inverse_pair_broken)
+    (DEVELOP, "            if _perm_compose(maps[p], maps[q]) != identity:\n"
+              "                return p, q, r\n", "", "tests/test_composition.py"),
+    # verify_development: name the broken triple the compositions met, without
+    # the scan in table order (TestVerifyDevelopment::test_first_broken_triple_is_an_implied_form)
+    (DEVELOP, "    i, j, k = next(\n"
+              "        (i, j, k) for (i, j), k in P.witness_table.items() if _perm_compose(maps[i], maps[j]) != maps[k]\n"
+              "    )\n", "    i, j, k = _broken_triple(P, maps)\n", "tests/test_composition.py"),
     # verify_development: skip the ground-size type check (test_wrong_shape[bool-size])
     (DEVELOP, "if type(m) is not int:", "if False:", "tests/test_develop.py"),
     # group_permutations: skip the ground-size type check (test_group_raises_coded_errors[bool-size])

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from permutoid_lab import develop
 from permutoid_lab.coset import _verify, enumerate_cosets
 from permutoid_lab.core import witness_triples
 from permutoid_lab.develop import (
@@ -220,6 +221,37 @@ class TestLightsTest:
         assert min(kinds.values()) >= 20, kinds
 
 
+def swapped_off_graph(rng, P, dev, e):
+    """``dev`` with two values of map e swapped off element e's graph, or
+    None when fewer than two points lie off it."""
+    free = [y for y in range(dev.ground_size) if y not in P.elements[e].mapping]
+    if len(free) < 2:
+        return None
+    maps = list(dev.maps)
+    perm = list(maps[e])
+    y1, y2 = rng.sample(free, 2)
+    perm[y1], perm[y2] = perm[y2], perm[y1]
+    maps[e] = tuple(perm)
+    return Development(dev.ground_size, tuple(maps))
+
+
+def is_implied_form(P, triple):
+    """True when another of the triple's six forms, over the inverses its
+    identity triples give, is a witness triple earlier in table order."""
+    one = P.identity_index
+    table = P.witness_table
+    inverse = {p: q for (p, q), r in table.items() if r == one}
+    if one in triple or any(x not in inverse for x in triple):
+        return False
+    p, q, r = triple
+    p1, q1, r1 = inverse[p], inverse[q], inverse[r]
+    order = list(table)
+    forms = [(p1, r, q), (r, q1, p), (q, r1, p1), (r1, p, q1), (q1, p1, r1)]
+    return any(
+        table.get((a, b)) == c and order.index((a, b)) < order.index((p, q)) for a, b, c in forms
+    )
+
+
 def developed_permutoids():
     """(permutoid, development) pairs: ball permutoids of the pool groups
     and of free groups, and random permutoids that develop."""
@@ -290,3 +322,73 @@ class TestVerifyDevelopment:
             broken_count += expected is not None and expected[1] == "CompositionBroken"
         assert broken_count >= 10
 
+    def test_an_inverse_pair_broken(self):
+        # one map of an inverse pair changed off its graph: the composition
+        # of a triple (p, q, 1) fails first, and the scan in table order
+        # names the error
+        rng = random.Random(29)
+        cases = named_elsewhere = 0
+        for P, dev in developed_permutoids():
+            one = P.identity_index
+            for (p, q), r in P.witness_table.items():
+                if r != one or p == q:
+                    continue
+                broken = swapped_off_graph(rng, P, dev, q)
+                if broken is None:
+                    continue
+                first = develop._broken_triple(P, [tuple(perm) for perm in broken.maps])
+                assert first is not None and first[2] == one, (P, broken)
+                expected = outcome(oracle_verify_development, P, broken)
+                assert expected is not None and expected[1] == "CompositionBroken"
+                assert outcome(verify_development, P, broken) == expected, (P, broken)
+                cases += 1
+                named_elsewhere += expected[3]["r"] != one
+        assert cases >= 30 and named_elsewhere >= 8, (cases, named_elsewhere)
+
+    def test_first_broken_triple_is_an_implied_form(self):
+        # the first broken triple in table order is a form that the
+        # composed triples imply, so the scan in table order, not the
+        # composition that failed, decides the error
+        rng = random.Random(2)
+        implied = 0
+        s4 = todd_coxeter(parse_presentation(BENCH_PRESENTATIONS["s4"]), 1000)
+        for group, rho in ((FreeGroup(2), 2), (s4, 2), (s4, 3)):
+            P = cameron_permutoid(group, rho).permutoid
+            dev = search_development(DevelopmentProblem(P, P.ground_size + 2)).development
+            for _ in range(4):
+                for e in range(len(P.elements)):
+                    broken = swapped_off_graph(rng, P, dev, e)
+                    if broken is None:
+                        continue
+                    expected = outcome(oracle_verify_development, P, broken)
+                    assert outcome(verify_development, P, broken) == expected, (P, broken)
+                    if expected is None or expected[1] != "CompositionBroken":
+                        continue
+                    named = tuple(expected[3][key] for key in "pqr")
+                    if is_implied_form(P, named):
+                        maps = [tuple(perm) for perm in broken.maps]
+                        assert develop._broken_triple(P, maps) != named
+                        implied += 1
+        assert implied >= 10, implied
+
+    @pytest.mark.parametrize(
+        "name, rho, composed, triples",
+        [("s4", 6, 111, 576), ("a5", 10, 637, 3600), ("f2", 2, 27, 109)],
+    )
+    def test_compositions_per_verify(self, monkeypatch, name, rho, composed, triples):
+        # one composition per class of six forms, none for (1, q, q) and (p, 1, p)
+        if name == "f2":
+            group = FreeGroup(2)
+        else:
+            group = todd_coxeter(parse_presentation(BENCH_PRESENTATIONS[name]), 1000)
+        P = cameron_permutoid(group, rho).permutoid
+        dev = search_development(DevelopmentProblem(P, P.ground_size)).development
+        calls = []
+
+        def counting(f, g):
+            calls.append(None)
+            return _perm_compose(f, g)
+
+        monkeypatch.setattr(develop, "_perm_compose", counting)
+        verify_development(P, dev)
+        assert (len(calls), len(P.witness_table)) == (composed, triples)

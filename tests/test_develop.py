@@ -778,6 +778,32 @@ class TestFiledTriples:
                 free = [t for t in witness_triples(P) if P.identity_index not in t]
                 assert sum(len(rules[n]) for n in set(names)) == len(free), (name, rho)
 
+    def test_each_class_filed_once(self, pool_groups):
+        # skipping a triple whose first form is filed leaves every rule
+        # list as filing all six forms of every triple makes it
+        def filed_from_every_triple(P, names):
+            one = P.identity_index
+            filed = {}
+            for p, q, r in witness_triples(P):
+                if one not in (p, q, r):
+                    (p, p1), (q, q1), (r, r1) = (names[2 * e:2 * e + 2] for e in (p, q, r))
+                    for form in ((q, p, r), (p, r1, q1), (r, p1, q), (q1, r, p), (p1, q1, r1), (r1, q, p1)):
+                        filed[form] = None
+            rules = [[] for _ in names]
+            for x, a, c in filed:
+                rules[x].append((a, c))
+            return [rules[n] for n in names]
+
+        rng = random.Random(29)
+        permutoids = [random_permutoid(rng, rng.randint(3, 7)) for _ in range(200)]
+        for group in pool_groups.values():
+            for rho in range(1, saturating_radius(group) + 2):
+                permutoids.append(cameron_permutoid(group, rho).permutoid)
+        permutoids += [cameron_permutoid(FreeGroup(2), rho).permutoid for rho in (1, 2)]
+        for P in permutoids:
+            names, rules = _rules(P)
+            assert rules == filed_from_every_triple(P, names), P
+
     @pytest.mark.parametrize(
         "graphs, lists",
         [

@@ -698,3 +698,16 @@ class TestCheckPseudogroup:
         with pytest.raises(PseudogroupError) as ei:
             check_pseudogroup(Pseudogroup(3, members))
         assert ei.value.code == "NotClosed"
+
+    @pytest.mark.parametrize(
+        "members", [(((0, 1),), identity_map(3)), (identity_map(3), ((0, 1),))], ids=["first", "later"]
+    )
+    def test_member_that_is_not_a_map(self, members):
+        # refused on construction, before any routine reads its pairs
+        with pytest.raises(UsageError, match=r"Pseudogroup takes PartialPermutation members, got \(\(0, 1\),\)"):
+            Pseudogroup(3, members)
+
+    def test_members_stored_as_a_tuple(self):
+        H = Pseudogroup(3, [identity_map(3)])
+        assert H.maximal_elements == (identity_map(3),)
+        assert hash(H) == hash(Pseudogroup(3, (identity_map(3),)))
