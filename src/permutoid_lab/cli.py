@@ -126,9 +126,7 @@ def _cmd_verify_development(args) -> int:
 
 def _cmd_quotients(args) -> int:
     permutoid, names = serialize.permutoid_from_obj(_read_json(args.file))
-    pairs = core.enumerate_quotients(
-        permutoid, nontrivial_only=args.nontrivial_only, cap=args.cap
-    )
+    pairs = core.enumerate_quotients(permutoid, nontrivial_only=args.nontrivial_only)
     _emit_json(
         {
             "count": len(pairs),
@@ -188,8 +186,6 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_pseudogroup(args) -> int:
-    if args.action == "develop" and args.max_size is None:
-        raise UsageError("pseudogroup develop requires --max-size")
     if args.action == "generate":
         n, gens = serialize.generators_from_obj(_read_json(args.file))
         H = pseudogroup.generate_pseudogroup(n, gens)
@@ -206,15 +202,18 @@ def _cmd_pseudogroup(args) -> int:
         return 0
     # develop
     return _report_search(
-        args,
-        names,
-        H.ground_size,
-        lambda: pseudogroup.search_rigid_development(H, args.max_size, args.budget),
+        args, names, H.ground_size, lambda: pseudogroup.search_rigid_development(H, args.max_size, args.budget)
     )
 
 
 def _add_output(p):
     p.add_argument("-o", "--output", help="write the report here instead of stdout")
+
+
+def _add_search_bounds(p):
+    p.add_argument("--max-size", type=int, required=True, help="largest target ground size")
+    p.add_argument("--budget", type=int, default=None, help="search-node cap")
+    p.add_argument("--deterministic", action="store_true", help="omit wall times from the report")
 
 
 def _add_backend_source(p):
@@ -249,9 +248,7 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("develop", help="search for a finite development")
     p.add_argument("file")
-    p.add_argument("--max-size", type=int, required=True, help="largest target ground size")
-    p.add_argument("--budget", type=int, default=None, help="search-node cap")
-    p.add_argument("--deterministic", action="store_true")
+    _add_search_bounds(p)
     _add_output(p)
     p.set_defaults(func=_cmd_develop)
 
@@ -264,7 +261,6 @@ def build_parser() -> _ArgumentParser:
     p = sub.add_parser("quotients", help="enumerate quotient classes")
     p.add_argument("file")
     p.add_argument("--nontrivial-only", action="store_true")
-    p.add_argument("--cap", type=int, default=core.CANONICAL_CAP)
     _add_output(p)
     p.set_defaults(func=_cmd_quotients)
 
@@ -292,21 +288,20 @@ def build_parser() -> _ArgumentParser:
     )
     p.add_argument("--presentation", required=True)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    _add_search_bounds(p)
     p.add_argument("--max-cosets", type=int, default=groups.MAX_COSETS)
-    p.add_argument("--deterministic", action="store_true")
     _add_output(p)
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("pseudogroup", help="pseudogroup operations")
-    p.add_argument("action", choices=["generate", "rigid", "maximal", "develop"])
-    p.add_argument("file")
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true")
-    _add_output(p)
     p.set_defaults(func=_cmd_pseudogroup)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action in ("generate", "rigid", "maximal", "develop"):
+        p = actions.add_parser(action)
+        p.add_argument("file")
+        if action == "develop":
+            _add_search_bounds(p)
+        _add_output(p)
 
     return parser
 

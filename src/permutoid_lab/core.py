@@ -19,6 +19,7 @@ from .errors import (
     GroundSetMismatch,
     GroundSetTooLarge,
     MorphismError,
+    UsageError,
     ValidationError,
 )
 
@@ -198,13 +199,22 @@ class Permutoid:
     """A validated set of partial permutations with the unique-extension rule.
 
     Construct through :func:`validate_permutoid`, which fills the witness
-    table; reading the table checks the unique-extension clause, and reading
-    ``identity_index`` checks that the identity is present, so direct
-    construction defers those checks to the first read.
+    table.  Construction checks each member's type and ground size; reading
+    the table checks unique extension, and reading ``identity_index`` that
+    the identity is present, so direct construction defers those checks.
     """
 
     ground_size: int
     elements: tuple[PartialPermutation, ...]
+
+    def __post_init__(self):
+        members = tuple(self.elements)
+        for i, el in enumerate(members):
+            if not isinstance(el, PartialPermutation):
+                raise UsageError(f"Permutoid takes PartialPermutation members, got {el!r}")
+            if el.ground_size != self.ground_size:
+                raise ValidationError("OutOfRange", f"element {i} has wrong ground size", element=i)
+        object.__setattr__(self, "elements", members)
 
     @property
     def is_trivial(self) -> bool:
@@ -293,9 +303,7 @@ def validate_permutoid(ground_size: int, elements: ElementsInput) -> Permutoid:
     parsed: list[PartialPermutation] = []
     for i, el in enumerate(elements):
         if isinstance(el, PartialPermutation):
-            if el.ground_size != ground_size:
-                raise ValidationError("OutOfRange", f"element {i} has wrong ground size", element=i)
-            parsed.append(el)
+            parsed.append(el)  # its ground size is checked by Permutoid
         else:
             try:
                 parsed.append(PartialPermutation.from_pairs(ground_size, el))
@@ -436,7 +444,7 @@ def _point_signatures(P: Permutoid) -> list[tuple[int, int, int]]:
     return [tuple(s) for s in sigs]
 
 
-def canonical_form(P: Permutoid, cap: int = CANONICAL_CAP) -> bytes:
+def canonical_form(P: Permutoid) -> bytes:
     """A key equal for two permutoids iff they are isomorphic.
 
     Defined as the lexicographic minimum, over relabelings of the ground
@@ -445,8 +453,8 @@ def canonical_form(P: Permutoid, cap: int = CANONICAL_CAP) -> bytes:
     prunes the search without changing the key.
     """
     n = P.ground_size
-    if n > cap:
-        raise GroundSetTooLarge(f"ground size {n} exceeds canonicalization cap {cap}")
+    if n > CANONICAL_CAP:
+        raise GroundSetTooLarge(f"ground size {n} exceeds canonicalization cap {CANONICAL_CAP}")
 
     sigs = _point_signatures(P)
     groups: dict[tuple[int, int, int], list[int]] = {}
@@ -641,9 +649,7 @@ def quotient_by_partition(P: Permutoid, class_of: Sequence[int]):
     return quotient, morphism
 
 
-def enumerate_quotients(
-    P: Permutoid, nontrivial_only: bool = False, cap: int = CANONICAL_CAP
-) -> list[tuple[Permutoid, Morphism]]:
+def enumerate_quotients(P: Permutoid, nontrivial_only: bool = False) -> list[tuple[Permutoid, Morphism]]:
     """One representative per isomorphism class of partition-induced quotient.
 
     Only the admissible partitions are visited: those on which each element
@@ -656,10 +662,8 @@ def enumerate_quotients(
     an isomorphism invariant, and canonical forms are computed only inside
     buckets holding more than one quotient.
     """
-    if P.ground_size > cap:
-        raise GroundSetTooLarge(
-            f"ground size {P.ground_size} exceeds canonicalization cap {cap}"
-        )
+    if P.ground_size > CANONICAL_CAP:
+        raise GroundSetTooLarge(f"ground size {P.ground_size} exceeds canonicalization cap {CANONICAL_CAP}")
     out: list[tuple[Permutoid, Morphism]] = []
     # invariant -> [quotient, canonical key or None until first needed]
     buckets: dict[tuple, list[list]] = {}
@@ -678,10 +682,10 @@ def enumerate_quotients(
         bucket = buckets.setdefault(invariant, [])
         key = None
         if bucket:
-            key = canonical_form(quotient, cap=cap)
+            key = canonical_form(quotient)
             for entry in bucket:
                 if entry[1] is None:
-                    entry[1] = canonical_form(entry[0], cap=cap)
+                    entry[1] = canonical_form(entry[0])
             if any(entry[1] == key for entry in bucket):
                 continue
         bucket.append([quotient, key])

@@ -365,18 +365,21 @@ def _broken_triple(P: Permutoid, maps: list[tuple[int, ...]]) -> tuple[int, int,
       (r', p, q') and (q', p', r') are marked: each is f_p o f_q = f_r
       rewritten with f_p' = f_p^-1, f_q' = f_q^-1 and f_r' = f_r^-1.
 
-    The triple returned is the first broken one that a step composes,
-    which need not be the first broken one in table order.
+    Returns the first broken triple in table order: the first broken
+    (p, q, 1) or, if earlier, the first broken triple of the last step,
+    which is composed since a form marked implied holds.
     """
     one = P.identity_index
     identity = maps[one]
     inverse: dict[int, int] = {}  # element -> an element whose map is checked to be its inverse
+    first = None  # the first broken (p, q, 1)
     rest = []
     for (p, q), r in P.witness_table.items():
         if r == one:
-            if _perm_compose(maps[p], maps[q]) != identity:
-                return p, q, r
-            inverse[p], inverse[q] = q, p
+            if _perm_compose(maps[p], maps[q]) == identity:
+                inverse[p], inverse[q] = q, p
+            elif first is None:
+                first = p, q, r
         elif p != one and q != one:
             rest.append((p, q, r))
     implied: set[tuple[int, int, int]] = set()
@@ -385,11 +388,11 @@ def _broken_triple(P: Permutoid, maps: list[tuple[int, ...]]) -> tuple[int, int,
             continue
         p, q, r = triple
         if _perm_compose(maps[p], maps[q]) != maps[r]:
-            return triple
+            return triple if first is None else min(first, triple)
         if p in inverse and q in inverse and r in inverse:
             p1, q1, r1 = inverse[p], inverse[q], inverse[r]
             implied.update(((p1, r, q), (r, q1, p), (q, r1, p1), (r1, p, q1), (q1, p1, r1)))
-    return None
+    return first
 
 
 def verify_development(P: Permutoid, D: Development) -> None:
@@ -402,9 +405,8 @@ def verify_development(P: Permutoid, D: Development) -> None:
     (``_broken_triple``): given checked inverses, the six forms of a
     triple, the triple and its five cyclic conjugates up to inversion, are
     equivalent equations, and the triples (1, q, q) and (p, 1, p) hold once
-    f_1 is the identity.  When some composition fails, the witness triples
-    are scanned again in table order, so CompositionBroken names the first
-    broken triple in that order and its first broken point.
+    f_1 is the identity.  CompositionBroken names the first broken triple
+    in table order and its first broken point.
     """
     m = D.ground_size
     if type(m) is not int:
@@ -426,11 +428,10 @@ def verify_development(P: Permutoid, D: Development) -> None:
                     element=e,
                     point=x,
                 )
-    if _broken_triple(P, maps) is None:
+    broken = _broken_triple(P, maps)
+    if broken is None:
         return
-    i, j, k = next(
-        (i, j, k) for (i, j), k in P.witness_table.items() if _perm_compose(maps[i], maps[j]) != maps[k]
-    )
+    i, j, k = broken
     fp, fq, fr = maps[i], maps[j], maps[k]
     y = next(y for y in range(m) if fp[fq[y]] != fr[y])
     raise DevelopmentError(

@@ -272,8 +272,7 @@ class RealizedGroup:
                 raise UsageError(f"row {i} is not a permutation")
             if set(column) != points:
                 raise UsageError(f"column {i} is not a permutation")
-        for i in range(n):
-            j = self.table[i].index(0)
+        for i, j in enumerate(self.inverses):
             if self.table[j][i] != 0:
                 raise UsageError(f"element {i} has mismatched one-sided inverses")
         if any(not (type(g) is int and 0 <= g < n) for g in self.generator_images):

@@ -171,13 +171,19 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     (GROUPS, "rows += [perm, tuple(inverse)]", "rows += [tuple(inverse), perm]", "tests/test_cameron.py"),
     # _broken_triple: mark forms implied on inverses taken from the table, never
     # composed (TestVerifyDevelopment::test_an_inverse_pair_broken)
-    (DEVELOP, "            if _perm_compose(maps[p], maps[q]) != identity:\n"
-              "                return p, q, r\n", "", "tests/test_composition.py"),
-    # verify_development: name the broken triple the compositions met, without
-    # the scan in table order (TestVerifyDevelopment::test_first_broken_triple_is_an_implied_form)
-    (DEVELOP, "    i, j, k = next(\n"
-              "        (i, j, k) for (i, j), k in P.witness_table.items() if _perm_compose(maps[i], maps[j]) != maps[k]\n"
-              "    )\n", "    i, j, k = _broken_triple(P, maps)\n", "tests/test_composition.py"),
+    (DEVELOP, "            if _perm_compose(maps[p], maps[q]) == identity:\n"
+              "                inverse[p], inverse[q] = q, p\n"
+              "            elif first is None:\n"
+              "                first = p, q, r\n", "            inverse[p], inverse[q] = q, p\n",
+     "tests/test_composition.py"),
+    # _broken_triple: return the first broken triple of the last step, not the
+    # earlier broken (p, q, 1) (TestVerifyDevelopment::test_an_inverse_pair_broken)
+    (DEVELOP, "return triple if first is None else min(first, triple)", "return triple",
+     "tests/test_composition.py"),
+    # _broken_triple: return at the first broken (p, q, 1), which need not be
+    # first in table order (TestVerifyDevelopment::test_an_inverse_pair_broken)
+    (DEVELOP, "            elif first is None:\n                first = p, q, r\n",
+     "            else:\n                return p, q, r\n", "tests/test_composition.py"),
     # verify_development: skip the ground-size type check (test_wrong_shape[bool-size])
     (DEVELOP, "if type(m) is not int:", "if False:", "tests/test_develop.py"),
     # group_permutations: skip the ground-size type check (test_group_raises_coded_errors[bool-size])
@@ -207,6 +213,16 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # Presentation: hash the names before checking that they are str
     # (test_direct_construction_rejects[BadGeneratorName-list])
     (GROUPS, "            if not isinstance(name, str):\n", "            if False:\n", "tests/test_groups.py"),
+    # Permutoid: accept a member that is not a partial permutation
+    # (test_direct_construction_rejects_a_member_of_another_type)
+    (CORE, "            if not isinstance(el, PartialPermutation):\n", "            if False:\n",
+     "tests/test_core.py"),
+    # Permutoid: accept a member on another ground size
+    # (test_rejects[element-on-another-ground-size])
+    (CORE, "if el.ground_size != self.ground_size:", "if False:", "tests/test_core.py"),
+    # the search bounds: let --max-size be left out (test_develop_requires_max_size)
+    (CLI, "\"--max-size\", type=int, required=True", "\"--max-size\", type=int, required=False",
+     "tests/test_cli.py"),
     # run_cli: let an unwritable report escape as a traceback (test_unwritable_report_exit_three)
     (CLI, "except (UsageError, OSError) as exc:", "except UsageError as exc:", "tests/test_cli.py"),
 ]

@@ -1,11 +1,14 @@
 """CLI subcommands, canonical output, and the exit-code contract."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from permutoid_lab.cli import run_cli
+from permutoid_lab.cli import build_parser, run_cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TRIVIAL = {
     "ground_set_size": 1,
@@ -461,11 +464,11 @@ class TestPseudogroupCli:
         out_path = str(tmp_path / "h.json")
         run_cli(["pseudogroup", "generate", files("g.json", gens), "-o", out_path])
         code, out, err = run(capsys, "pseudogroup", "develop", out_path)
-        assert (code, out, err) == (3, "", "error: pseudogroup develop requires --max-size\n")
+        assert (code, out, err) == (3, "", "error: the following arguments are required: --max-size\n")
         # the missing option is reported before the file is read
         missing = str(tmp_path / "missing.json")
         assert run(capsys, "pseudogroup", "develop", missing) == (
-            3, "", "error: pseudogroup develop requires --max-size\n"
+            3, "", "error: the following arguments are required: --max-size\n"
         )
 
 
@@ -533,6 +536,11 @@ class TestCliContract:
             (["develop", remark, "--max-size", "1"], 3),              # bound below ground
             (["develop", remark, "--max-size", "4", "--budget", "-1"], 3),  # negative budget
             (["pseudogroup", "develop", nonrigid, "--max-size", "6", "--group-cap", "2"], 3),  # removed flag
+            (["quotients", trivial, "--cap", "4"], 3),                # removed flag
+            (["pseudogroup", "develop", nonrigid], 3),                # missing flag
+            (["pseudogroup", "generate", nonrigid, "--max-size", "2"], 3),  # a bound on no search
+            (["pseudogroup", "rigid", nonrigid, "--deterministic"], 3),     # a bound on no search
+            (["pseudogroup", nonrigid], 3),                           # no pseudogroup action
         ]
         for argv, expected in rows:
             code = run_cli(argv)
@@ -615,3 +623,91 @@ class TestCliContract:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+def readme_invocations():
+    """The argument lists of the README's "Command line" block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("permutoid-lab ")]
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the names read from it in ``reads``."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def command_options(argv):
+    """The command path that ``argv`` names and that path's options, its
+    parent parsers' included, each as its set of dests: the members of a
+    mutually exclusive group form one option."""
+    parser, path, options = build_parser(), [], []
+    while parser is not None:
+        grouped = {
+            a.dest: frozenset(b.dest for b in g._group_actions)
+            for g in parser._mutually_exclusive_groups
+            for a in g._group_actions
+        }
+        child = None
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                path.append(argv[len(path)])
+                child = action.choices[path[-1]]
+            elif not isinstance(action, argparse._HelpAction):
+                dests = grouped.get(action.dest, frozenset([action.dest]))
+                if dests not in options:
+                    options.append(dests)
+        parser = child
+    return tuple(path), options
+
+
+def command_paths(parser, prefix=()):
+    """Every command path under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from command_paths(child, prefix + (name,))
+            return
+    yield prefix
+
+
+README_FILES = {
+    "permutoid.json": REMARK,
+    "development.json": {
+        "ground_size": 2,
+        "embedding": "identity-prefix",
+        "maps": {"one": [0, 1], "fwd": [1, 0], "back": [1, 0]},
+    },
+    "z6.txt": "gens: a\nrels: a^6\n",
+    "s3.txt": "gens: a, b\nrels: a^2, b^3, a b a b\n",
+    "generators.json": {"ground_set_size": 3, "elements": [{"name": "g", "map": [[0, 1]]}]},
+    "pseudogroup.json": SWAP_PSEUDOGROUP,
+}
+
+
+class TestEveryOptionIsRead:
+    def test_readme_shows_every_command(self):
+        # so the guard below covers every command
+        shown = {command_options(argv)[0] for argv in readme_invocations()}
+        assert shown == set(command_paths(build_parser()))
+
+    @pytest.mark.parametrize("argv", readme_invocations(), ids=" ".join)
+    def test_handler_reads_every_option(self, argv, files, capsys, tmp_path, monkeypatch):
+        # an option its handler never reads would be accepted and ignored
+        for name, content in README_FILES.items():
+            files(name, content)
+        monkeypatch.chdir(tmp_path)
+        args = build_parser().parse_args(argv, namespace=ReadRecorder())
+        args.reads.clear()  # parsing itself reads the namespace
+        assert args.func(args) == 0
+        capsys.readouterr()
+        unread = [sorted(dests) for dests in command_options(argv)[1] if not dests & args.reads]
+        assert unread == []

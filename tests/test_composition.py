@@ -323,9 +323,9 @@ class TestVerifyDevelopment:
         assert broken_count >= 10
 
     def test_an_inverse_pair_broken(self):
-        # one map of an inverse pair changed off its graph: the composition
-        # of a triple (p, q, 1) fails first, and the scan in table order
-        # names the error
+        # one map of an inverse pair changed off its graph: a triple
+        # (p, q, 1) is broken, and _broken_triple returns the first broken
+        # triple in table order, that one or another
         rng = random.Random(29)
         cases = named_elsewhere = 0
         for P, dev in developed_permutoids():
@@ -337,18 +337,18 @@ class TestVerifyDevelopment:
                 if broken is None:
                     continue
                 first = develop._broken_triple(P, [tuple(perm) for perm in broken.maps])
-                assert first is not None and first[2] == one, (P, broken)
                 expected = outcome(oracle_verify_development, P, broken)
                 assert expected is not None and expected[1] == "CompositionBroken"
+                assert first == tuple(expected[3][key] for key in "pqr"), (P, broken)
                 assert outcome(verify_development, P, broken) == expected, (P, broken)
                 cases += 1
                 named_elsewhere += expected[3]["r"] != one
         assert cases >= 30 and named_elsewhere >= 8, (cases, named_elsewhere)
 
     def test_first_broken_triple_is_an_implied_form(self):
-        # the first broken triple in table order is a form that the
-        # composed triples imply, so the scan in table order, not the
-        # composition that failed, decides the error
+        # the first broken triple in table order is a form of a triple
+        # earlier in that order; only a form that holds is marked implied,
+        # so _broken_triple composes it and returns it
         rng = random.Random(2)
         implied = 0
         s4 = todd_coxeter(parse_presentation(BENCH_PRESENTATIONS["s4"]), 1000)
@@ -367,7 +367,7 @@ class TestVerifyDevelopment:
                     named = tuple(expected[3][key] for key in "pqr")
                     if is_implied_form(P, named):
                         maps = [tuple(perm) for perm in broken.maps]
-                        assert develop._broken_triple(P, maps) != named
+                        assert develop._broken_triple(P, maps) == named
                         implied += 1
         assert implied >= 10, implied
 

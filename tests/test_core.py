@@ -21,7 +21,7 @@ from permutoid_lab.core import (
     validate_permutoid,
     witness_triples,
 )
-from permutoid_lab.errors import GroundSetMismatch, ValidationError
+from permutoid_lab.errors import GroundSetMismatch, UsageError, ValidationError
 from permutoid_lab.groups import FreeGroup, cameron_permutoid, todd_coxeter, parse_presentation
 
 
@@ -157,6 +157,23 @@ class TestValidatePermutoid:
         with pytest.raises(ValidationError) as ei:
             Permutoid(2, (swap,)).identity_index
         assert ei.value.code == "MissingIdentity"
+
+    def test_direct_construction_rejects_a_member_of_another_type(self):
+        # the search would meet it as AttributeError: 'tuple' object has no attribute 'pairs'
+        with pytest.raises(UsageError) as ei:
+            Permutoid(2, (identity_map(2), ((0, 1),)))
+        assert str(ei.value) == "Permutoid takes PartialPermutation members, got ((0, 1),)"
+
+    def test_direct_construction_rejects_a_member_on_another_ground_size(self):
+        # the search would meet it as IndexError: list assignment index out of range
+        with pytest.raises(ValidationError) as ei:
+            Permutoid(2, [identity_map(2), PartialPermutation(3, ((2, 1),))])
+        err = ei.value
+        assert (err.code, str(err), err.details) == ("OutOfRange", "element 1 has wrong ground size", {"element": 1})
+
+    def test_direct_construction_stores_a_tuple(self):
+        P = Permutoid(2, [identity_map(2)])
+        assert P.elements == (identity_map(2),) and hash(P) == hash(Permutoid(2, (identity_map(2),)))
 
     def test_duplicate_elements(self):
         with pytest.raises(ValidationError) as ei:

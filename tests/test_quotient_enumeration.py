@@ -263,6 +263,7 @@ class TestAgainstEagerEnumeration:
             got = enumerate_quotients(P, nontrivial_only=nontrivial_only)
             assert as_data(got) == as_data(eager_enumerate_quotients(P, nontrivial_only))
 
-    def test_cap_argument_still_refuses_larger_ground_sets(self):
-        with pytest.raises(GroundSetTooLarge):
-            enumerate_quotients(validate_permutoid(5, [[(x, x) for x in range(5)]]), cap=4)
+    def test_refuses_ground_sets_above_the_cap(self):
+        with pytest.raises(GroundSetTooLarge) as ei:
+            enumerate_quotients(validate_permutoid(11, [[(x, x) for x in range(11)]]))
+        assert str(ei.value) == "ground size 11 exceeds canonicalization cap 10"
