@@ -14,9 +14,12 @@ completed scan stays complete under coincidences.  Dead cosets keep their
 rows until the standardization, which is the only renumbering.  A relator
 whose trace from the coset being closed is already defined and returns to
 it is passed over without a scan, since the scan would change nothing.
-The finished table is verified by composing whole columns, one relator at a
-time over every coset at once.  Follows the classical presentation in
-Holt, "Handbook of Computational Group Theory", ch. 5.
+The table is verified by composing whole columns, one relator at a time
+over every coset at once.  That check runs early, once, when the table is
+complete with no dead coset, and a table that passes is returned then: the
+rows left would each pass over every relator and define nothing (see
+``enumerate_cosets``).  Follows the classical presentation in Holt, Eick &
+O'Brien, "Handbook of Computational Group Theory", ch. 5.
 
 Failure to close within the cap is reported as OutOfBounds and means
 nothing more than "inconclusive at this bound".
@@ -61,6 +64,13 @@ def _verify(table: list[list[int | None]], relators: Sequence[Sequence[int]]):
         raise RelatorNotKilled(f"relator {r} does not close at coset {gamma}", relator=r, coset=gamma)
 
 
+def require_cap(max_cosets) -> None:
+    """Raise UsageError unless the live-coset cap is an int >= 1."""
+    require_int(max_cosets, "max_cosets")
+    if max_cosets < 1:
+        raise UsageError("max_cosets must be >= 1")
+
+
 def enumerate_cosets(
     num_gens: int,
     relators: Sequence[Sequence[int]],
@@ -72,16 +82,22 @@ def enumerate_cosets(
     inverse.  Raises OutOfBounds when the table cannot be completed within
     ``max_cosets`` live cosets, or after 20 * max_cosets + 1000 coset
     definitions.
+
+    Early finish: while no coset has died, ``holes`` counts undefined
+    entries.  When a closed row leaves no hole and no dead coset, the table
+    is standardized and verified, once; if it passes it is returned, for
+    every later close_row would pass over each relator, which closes, and
+    find its row full, so the rest of the loop would change nothing, not
+    even the definition count.
     """
-    require_int(max_cosets, "max_cosets")
-    if max_cosets < 1:
-        raise UsageError("max_cosets must be >= 1")
+    require_cap(max_cosets)
     width = 2 * num_gens
     max_definitions = 20 * max_cosets + 1000
     table: list[list[int | None]] = [[None] * width]
     p = [0]
     live = 1
     definitions = 0
+    holes = width  # undefined entries, counted while no coset has died
 
     # -- union-find on coset numbers (merge keeps the smaller number) --------
 
@@ -124,7 +140,7 @@ def enumerate_cosets(
     def define(alpha: int, x: int) -> bool:
         """Add a coset as the image of alpha under column x; False when the
         live-coset cap stops the definition."""
-        nonlocal live, definitions
+        nonlocal live, definitions, holes
         if live >= max_cosets:
             return False
         definitions += 1
@@ -137,6 +153,7 @@ def enumerate_cosets(
         p.append(beta)
         table.append([None] * width)
         live += 1
+        holes += width - 2
         table[alpha][x] = beta
         table[beta][x ^ 1] = alpha
         return True
@@ -144,6 +161,7 @@ def enumerate_cosets(
     def scan(alpha: int, word: list[int], fill: bool) -> bool:
         """Scan word at alpha, defining cosets when fill is set; False when
         the live-coset cap stops a definition."""
+        nonlocal holes
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
@@ -163,6 +181,7 @@ def enumerate_cosets(
             if i == j:
                 table[f][word[i]] = b
                 table[b][word[i] ^ 1] = f
+                holes -= 2
                 return True
             if not fill:
                 return True
@@ -194,7 +213,25 @@ def enumerate_cosets(
                 return False
         return True
 
+    def standardize() -> list[list[int]]:
+        """Renumber live cosets in breadth-first order of (coset, letter)."""
+        new_of = {0: 0}
+        order = [0]
+        for gamma in order:
+            for x in range(width):
+                beta = rep(table[gamma][x])
+                if beta not in new_of:
+                    new_of[beta] = len(new_of)
+                    order.append(beta)
+        if len(new_of) != live:
+            raise OutOfBounds(
+                f"coset table has {live - len(new_of)} cosets unreachable from coset 0",
+                unreachable=live - len(new_of),
+            )
+        return [[new_of[rep(beta)] for beta in table[gamma]] for gamma in order]
+
     alpha = 0
+    refused = False  # whether an early finish was tried and refused
     while alpha < len(table):
         if p[alpha] == alpha and not close_row(alpha):
             for gamma in range(len(table)):
@@ -210,22 +247,16 @@ def enumerate_cosets(
                     max_cosets=max_cosets,
                 )
             continue  # resume at alpha, which the lookahead may have killed
+        if not holes and live == len(table) and not refused:
+            # tried after a closed row, so a bad letter still fails its scan
+            standard = standardize()
+            try:
+                _verify(standard, relators)
+                return standard
+            except RelatorNotKilled:
+                refused = True
         alpha += 1
 
-    # standardize: renumber live cosets in breadth-first order of (coset, letter)
-    new_of = {0: 0}
-    order = [0]
-    for gamma in order:
-        for x in range(width):
-            beta = rep(table[gamma][x])
-            if beta not in new_of:
-                new_of[beta] = len(new_of)
-                order.append(beta)
-    if len(new_of) != live:
-        raise OutOfBounds(
-            f"coset table has {live - len(new_of)} cosets unreachable from coset 0",
-            unreachable=live - len(new_of),
-        )
-    standard = [[new_of[rep(beta)] for beta in table[gamma]] for gamma in order]
+    standard = standardize()
     _verify(standard, relators)
     return standard

@@ -360,6 +360,7 @@ def todd_coxeter(p: Presentation, max_cosets: int) -> RealizedGroup:
 def realize_backend(p: Presentation, max_cosets: int = MAX_COSETS) -> Backend:
     """Pick the word-problem backend for a presentation: reduced words when
     there are no relators, coset enumeration otherwise."""
+    coset.require_cap(max_cosets)
     if not p.relators:
         return FreeGroup(len(p.generators))
     return todd_coxeter(p, max_cosets)

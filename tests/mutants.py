@@ -80,6 +80,16 @@ MUTANTS: list[tuple[str, str, str, str]] = [
             "                    merge(mu, table[nu][x ^ 1], queue)\n", "", "tests/test_coset.py"),
     # close_row: pass over a relator whose trace from alpha stops undefined
     (COSET, "if f == alpha:", "if f == alpha or f is None:", "tests/test_coset.py"),
+    # enumerate_cosets: a deduction leaves the hole count as it was, so the
+    # early finish never fires
+    (COSET, "                holes -= 2\n", "", "tests/test_coset.py"),
+    # enumerate_cosets: try the early finish on a table with holes
+    (COSET, "if not holes and live == len(table) and not refused:",
+     "if live == len(table) and not refused:", "tests/test_coset.py"),
+    # enumerate_cosets: return the table of a refused early finish
+    (COSET, "                refused = True\n", "                return standard\n", "tests/test_coset.py"),
+    # enumerate_cosets: try the early finish again after a refusal
+    (COSET, "                refused = True\n", "                pass\n", "tests/test_coset.py"),
     # _verify: the column pass records no relator that does not close
     (COSET, "if image != identity:", "if False:", "tests/test_composition.py"),
     # _verify: name the first relator that fails, not the least coset

@@ -532,6 +532,10 @@ class TestCliContract:
             (["quotients", big], 3),                                  # GroundSetTooLarge
             (["triangulate", "--presentation", z3, "-m", "1"], 3),    # PreconditionRadius
             (["probe-finite-quotient", "--presentation", z3, "--radius", "1", "--max-size", "4"], 3),
+            (["cameron", "--presentation", z3, "--radius", "1", "--max-cosets", "-5"], 3),    # bad cap
+            (["cameron", "--presentation", free, "--radius", "1", "--max-cosets", "-5"], 3),  # bad cap, no relators
+            (["probe-finite-quotient", "--presentation", free, "--radius", "1", "--max-size", "4",
+              "--max-cosets", "0"], 3),
             (["develop", remark], 3),                                 # missing flag
             (["develop", remark, "--max-size", "1"], 3),              # bound below ground
             (["develop", remark, "--max-size", "4", "--budget", "-1"], 3),  # negative budget

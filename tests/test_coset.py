@@ -5,19 +5,29 @@ An earlier HLT enumeration is copied here as an oracle: the
 restarted from coset 0 after each lookahead, and ``todd_coxeter``'s
 multiplication table rebuilt by tracing each coset's representative word.
 The engine under test, ``enumerate_cosets``, is one function that resumes
-at the coset where the cap stopped it and renumbers only once, and
+at the coset where the cap stopped it, renumbers only once and stops early
+once its table is complete with no dead coset and verifies, and
 ``todd_coxeter`` builds its table column by column.  Both must return the
 same tables, or raise the same exceptions, on every presentation and cap.
 """
 
 import random
+import sys
 from collections import Counter, deque
 
 import pytest
 
+from permutoid_lab import coset
 from permutoid_lab.coset import enumerate_cosets
 from permutoid_lab.errors import OutOfBounds, PermutoidLabError, RelatorNotKilled
-from permutoid_lab.groups import Presentation, free_reduce, parse_presentation, todd_coxeter
+from permutoid_lab.groups import (
+    Presentation,
+    cameron_permutoid,
+    free_reduce,
+    parse_presentation,
+    todd_coxeter,
+    universal_group,
+)
 
 from conftest import POOL_PRESENTATIONS
 
@@ -35,6 +45,31 @@ ABANDONING = [
     (2, [[3, 1, 2, 1, 3, 0, 2]], 350),
     (2, [[0, 1], [1, 0], [0, 2, 0, 3, 0, 1, 1]], 200),
 ]
+
+# presentations whose table is once complete with no dead coset while a
+# relator does not close: the early finish is refused, and a coincidence
+# follows.  The third's relators are the Schreier generators of a subgroup
+# of index 4 whose normalizer holds coset 1, so after row 0 builds its
+# Schreier graph, row 1 closes every relator too and a retried finish would
+# run again before the coincidence at row 2.
+REFUSING = [
+    (3, [[2, 3, 0, 2, 1], [0, 2, 4], [0, 4, 1, 2, 2, 3, 2, 4], [1, 0, 2, 2, 5, 4, 0, 1, 5, 1], [1, 3, 0, 5, 5]]),
+    (2, [[1, 0, 3, 1, 2, 3, 2], [2, 2, 3, 0, 2], [1, 1]]),
+    (2, [[2, 2], [0, 0, 3], [0, 2, 1], [2, 0, 0], [1, 2, 0]]),
+]
+
+# the saturated balls of the balls benchmark workload whose universal group
+# it enumerates
+SATURATED_BALLS = [("s4", rho) for rho in range(3, 7)] + [("a5", 5), ("a5", 10)]
+
+
+def universal_relators(name, rho):
+    """(num_gens, relators) of the universal group of a saturated ball."""
+    group = todd_coxeter(parse_presentation(BENCH_PRESENTATIONS[name]), 1000)
+    P = cameron_permutoid(group, rho).permutoid
+    assert P.ground_size == group.order
+    u = universal_group(P)
+    return len(u.generators), [list(r) for r in u.relators]
 
 
 class _TableFull(Exception):
@@ -234,16 +269,21 @@ def oracle_enumerate(num_gens, relators, max_cosets):
     enum = _OracleEnumeration(num_gens, relators, max_cosets, 20 * max_cosets + 1000)
     try:
         enum.run()
-    except PermutoidLabError as exc:
-        return ("error", type(exc), str(exc), exc.details), enum.lookaheads
+    except (PermutoidLabError, IndexError) as exc:
+        return _error(exc), enum.lookaheads
     return ("table", enum.table), enum.lookaheads
 
 
 def enumerate_outcome(num_gens, relators, max_cosets):
     try:
         return ("table", enumerate_cosets(num_gens, relators, max_cosets))
-    except PermutoidLabError as exc:
-        return ("error", type(exc), str(exc), exc.details)
+    except (PermutoidLabError, IndexError) as exc:
+        return _error(exc)
+
+
+def _error(exc):
+    # a relator letter past the last column raises IndexError from both
+    return ("error", type(exc), str(exc), getattr(exc, "details", None))
 
 
 def oracle_multiplication(table, num_gens):
@@ -305,6 +345,30 @@ class TestAgainstEarlierEngine:
             "completed", "completed after a lookahead", "exceeded", "abandoned"
         }, kinds
 
+    @pytest.mark.parametrize("name, rho", SATURATED_BALLS)
+    def test_universal_groups_of_saturated_balls(self, name, rho):
+        num_gens, relators = universal_relators(name, rho)
+        # caps below, at and above the orders 24 and 60
+        for cap in (5, 23, 24, 59, 60, 10_000):
+            expected, _ = oracle_enumerate(num_gens, relators, cap)
+            assert enumerate_outcome(num_gens, relators, cap) == expected, cap
+        assert expected[0] == "table"
+
+    @pytest.mark.parametrize("num_gens, relators", REFUSING)
+    def test_refused_finishes(self, num_gens, relators):
+        for cap in (3, 4, 5, 10, 100, 10_000):
+            expected, _ = oracle_enumerate(num_gens, relators, cap)
+            assert enumerate_outcome(num_gens, relators, cap) == expected, cap
+
+    @pytest.mark.parametrize("relators", [[[0]], [[]], []], ids=["letter", "empty-word", "none"])
+    def test_no_generators(self, relators):
+        # with no column, the table is complete before row 0 is closed: a
+        # finish tried then would return [[]] for the relator [0], which
+        # names a column that does not exist
+        for cap in (1, 5):
+            expected, _ = oracle_enumerate(0, relators, cap)
+            assert enumerate_outcome(0, relators, cap) == expected, cap
+
     @pytest.mark.parametrize("name", [*POOL_PRESENTATIONS, *BENCH_PRESENTATIONS])
     def test_todd_coxeter_tables(self, name):
         p = parse_presentation({**POOL_PRESENTATIONS, **BENCH_PRESENTATIONS}[name])
@@ -314,3 +378,50 @@ class TestAgainstEarlierEngine:
         assert kind == "table"
         assert group.table == oracle_multiplication(table, len(p.generators))
         assert group.generator_images == tuple(table[0][2 * g] for g in range(len(p.generators)))
+
+
+def _calls(code_names, run):
+    """How often each named function of ``coset`` (``enumerate_cosets``'s
+    local functions included) is entered while ``run()`` runs."""
+    local = {k.co_name: k for k in enumerate_cosets.__code__.co_consts if hasattr(k, "co_name")}
+    codes = {(local.get(name) or getattr(coset, name).__code__): name for name in code_names}
+    counts = dict.fromkeys(code_names, 0)
+
+    def tracer(frame, event, arg):
+        name = codes.get(frame.f_code)
+        if name is not None:
+            counts[name] += 1
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return counts, result
+
+
+class TestEarlyFinish:
+    """A table that is complete with no dead coset is standardized and
+    verified at once; when every relator closes, the loop's remaining rows
+    would change nothing, so they are not closed."""
+
+    def test_a5_universal_group_closes_one_row(self):
+        num_gens, relators = universal_relators("a5", 10)
+        counts, table = _calls(
+            ("close_row", "_verify"), lambda: enumerate_cosets(num_gens, relators, 10_000)
+        )
+        assert len(table) == 60
+        # without the finish, the loop closes all 60 rows
+        assert counts == {"close_row": 1, "_verify": 1}
+
+    @pytest.mark.parametrize("num_gens, relators", REFUSING)
+    def test_a_refused_finish_is_tried_once(self, num_gens, relators):
+        for cap in (5, 100):
+            counts, table = _calls(
+                ("_verify",), lambda: enumerate_cosets(num_gens, relators, cap)
+            )
+            # one refused finish, then the check at the loop's end
+            assert counts == {"_verify": 2}, cap
+            assert len(table) == 2

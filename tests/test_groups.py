@@ -15,6 +15,7 @@ from permutoid_lab.groups import (
     format_presentation,
     free_reduce,
     parse_presentation,
+    realize_backend,
     render_word,
     todd_coxeter,
 )
@@ -195,6 +196,20 @@ class TestToddCoxeter:
         with pytest.raises(UsageError) as ei:
             enumerate_cosets(1, [], cap)
         assert str(ei.value) == f"max_cosets must be an int, got {cap!r}"
+
+    @pytest.mark.parametrize("cap, message", [
+        (0, "max_cosets must be >= 1"),
+        (-5, "max_cosets must be >= 1"),
+        (2.5, "max_cosets must be an int, got 2.5"),
+        (True, "max_cosets must be an int, got True"),
+    ])
+    @pytest.mark.parametrize("text", ["gens: a, b", "gens: a\nrels: a^3"], ids=["free", "z3"])
+    def test_realize_backend_checks_the_cap_first(self, text, cap, message):
+        # a presentation without relators needs no coset enumeration, and
+        # its bad cap is refused all the same
+        with pytest.raises(UsageError) as ei:
+            realize_backend(parse_presentation(text), cap)
+        assert str(ei.value) == message
 
     def test_lookahead_recovers_space_on_collapsing_presentation(self):
         # a classic trivial-group presentation whose enumeration overshoots

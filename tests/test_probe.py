@@ -55,6 +55,11 @@ class TestProbeFiniteQuotient:
         with pytest.raises(UsageError, match=message):
             probe_finite_quotient(parse_presentation("gens: a\nrels: a"), **bounds)
 
+    def test_bad_cap_rejected_on_a_free_group(self):
+        # the free group needs no coset enumeration, and was probed anyway
+        with pytest.raises(UsageError, match="max_cosets must be >= 1"):
+            probe_finite_quotient(parse_presentation("gens: a"), rho=1, max_ground=8, max_cosets=0)
+
     def test_radius_precondition(self, pool_presentations):
         with pytest.raises(PreconditionRadius):
             probe_finite_quotient(pool_presentations["z6"], rho=3, max_ground=8)
