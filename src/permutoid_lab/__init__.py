@@ -38,6 +38,7 @@ from .groups import (
     cayley_ball,
     format_presentation,
     free_reduce,
+    group_from_table,
     parse_presentation,
     radius_extension,
     realize_backend,

@@ -63,7 +63,10 @@ def _emit_json(obj, out_path: str | None):
 def _load_backend(args) -> groups.Backend:
     if args.presentation:
         pres = groups.parse_presentation(_read_text(args.presentation))
-        return groups.realize_backend(pres, args.max_cosets)
+        cap = groups.MAX_COSETS if args.max_cosets is None else args.max_cosets
+        return groups.realize_backend(pres, cap)
+    if args.max_cosets is not None:  # an explicit table runs no enumeration
+        raise UsageError("--max-cosets applies only to --presentation")
     group, _ = serialize.realized_group_from_obj(_read_json(args.table))
     return group
 
@@ -223,8 +226,7 @@ def _add_backend_source(p):
     p.add_argument(
         "--max-cosets",
         type=int,
-        default=groups.MAX_COSETS,
-        help="live-coset cap for coset enumeration (default 10000)",
+        help="live-coset cap for coset enumeration of --presentation (default 10000)",
     )
 
 

@@ -28,10 +28,11 @@ nothing more than "inconclusive at this bound".
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import OutOfBounds, RelatorNotKilled, UsageError, require_int
+from .errors import OutOfBounds, ParseError, RelatorNotKilled, UsageError, require_int
 
 
 def _verify(table: list[list[int | None]], relators: Sequence[Sequence[int]]):
@@ -81,7 +82,9 @@ def enumerate_cosets(
     Row gamma, column 2g is the action of generator g, column 2g+1 of its
     inverse.  Raises OutOfBounds when the table cannot be completed within
     ``max_cosets`` live cosets, or after 20 * max_cosets + 1000 coset
-    definitions.
+    definitions, and ParseError, as ``groups.Presentation`` does, on a
+    relator letter that is not an int (a bool is not one) in
+    ``range(2 * num_gens)``.
 
     Early finish: while no coset has died, ``holes`` counts undefined
     entries.  When a closed row leaves no hole and no dead coset, the table
@@ -92,6 +95,13 @@ def enumerate_cosets(
     """
     require_cap(max_cosets)
     width = 2 * num_gens
+    # types first: True == 1 and 1.0 == 1, so the value set would take them
+    if not set(map(type, chain.from_iterable(relators))) <= {int}:
+        x = next(x for x in chain.from_iterable(relators) if type(x) is not int)
+        raise ParseError("BadLetter", f"letter {x!r} is not an int")
+    if not set(chain.from_iterable(relators)) <= set(range(width)):
+        x = next(x for x in chain.from_iterable(relators) if not 0 <= x < width)
+        raise ParseError("UnknownGenerator", f"letter {x} out of range")
     max_definitions = 20 * max_cosets + 1000
     table: list[list[int | None]] = [[None] * width]
     p = [0]

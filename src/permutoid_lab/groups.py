@@ -4,11 +4,12 @@ A word is a tuple of int letters: 2g is generator g and 2g + 1 its
 inverse, so x ^ 1 is the inverse of letter x, and x is also the column of
 coset tables and ball edges that multiplies by it.  A backend answers one
 question: where does an element go when multiplied on the right by letter
-x.  A finite group realized by coset enumeration (or loaded as an explicit
-multiplication table) answers it by a table lookup, a free group by
-appending to or cancelling from a reduced word.  On top of that sit Cayley
-balls, which keep only the handles, edges and parents their breadth-first
-search built, the permutoids of left multiplications by ball elements, the
+x.  A finite group answers it by a lookup in its coset table over the
+trivial subgroup, which coset enumeration returns and to which an explicit
+multiplication table is reduced; a free group by appending to or
+cancelling from a reduced word.  On top of that sit Cayley balls, which
+keep only the handles, edges and parents their breadth-first search built,
+the permutoids of left multiplications by ball elements, the
 triangulation of a presentation, and the universal group of a permutoid.
 """
 
@@ -237,69 +238,89 @@ def _generated_group(gens: Sequence[Sequence[int]], degree: int, cap: int) -> se
 
 @dataclass(frozen=True)
 class RealizedGroup:
-    """A finite group given by its full multiplication table.
+    """A finite group given by its coset table over the trivial subgroup.
 
-    Element 0 is the identity; ``table[i][j]`` is the product i*j.
-    Construction checks that every entry and generator image is an int
-    (``bool`` and ``float`` are refused), that the table is a Latin square
-    with two-sided inverses, that (a*b)*c = a*(b*c) for every a and c and
-    every b among the generator images and their inverses (Light's test),
-    and that the generator images generate (their Cayley ball of radius n
-    holds all n elements: a group of order n has diameter below n).  Light's
-    test compares whole rows: row a*b against row a composed with row b,
-    through one ``itemgetter`` per b (see :func:`_perm_compose`).  The elements b
-    passing it are closed under products, so together the last two checks
-    prove the whole table associative, exactly and in O(n^2) per generator.
+    ``steps[h][x]`` is element h times letter x (column 2g is generator g,
+    2g + 1 its inverse); element 0 is the identity.  Construction checks,
+    exactly, that the rows share one even width, that every column is a
+    permutation with int entries, that column 2g + 1 inverts column 2g, and
+    that the group G of the generator columns acts regularly: a
+    breadth-first search from 0 over them reaches all n points, and at
+    every point alpha each generator column x composed after t[alpha] is
+    t[alpha * x], where t[beta] composes the columns along the search
+    tree's word to beta.  By Schreier's lemma the t[alpha * x]^-1 x t[alpha]
+    generate the stabiliser of 0, which is then trivial, so G, transitive,
+    is regular of order n.  Element j is t[j], the one member of G taking 0
+    to j, and ``table[i][j]`` = i * j is t[j](i).  From coset enumeration
+    this certifies a group of order n in which the relators hold, a
+    quotient of the presented group; that it is the whole group rests on
+    the enumeration.
     """
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    generator_images: tuple[int, ...]
+    steps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        require_int(self.order, "order")
         # tuples, so the checked table cannot change afterwards and the group hashes
-        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
-        object.__setattr__(self, "generator_images", tuple(self.generator_images))
-        n = self.order
-        if n < 1 or len(self.table) != n or any(len(row) != n for row in self.table):
-            raise UsageError(f"multiplication table is not {n}x{n}")
+        object.__setattr__(self, "steps", tuple(map(tuple, self.steps)))
+        steps, n = self.steps, len(self.steps)
+        if len(set(map(len, steps))) != 1 or len(steps[0]) % 2:
+            raise UsageError("step table rows do not share one even width")
+        columns = list(zip(*steps))
         points = set(range(n))
-        for i, column in enumerate(zip(*self.table)):
-            if self.table[0][i] != i or self.table[i][0] != i:
-                raise UsageError("element 0 is not an identity")
-            if not _is_permutation(self.table[i], points):
-                raise UsageError(f"row {i} is not a permutation")
-            if set(column) != points:
-                raise UsageError(f"column {i} is not a permutation")
-        for i, j in enumerate(self.inverses):
-            if self.table[j][i] != 0:
-                raise UsageError(f"element {i} has mismatched one-sided inverses")
-        if any(not (type(g) is int and 0 <= g < n) for g in self.generator_images):
-            raise UsageError("generator image out of range")
-        table = self.table
-        middles = sorted({h for g in self.generator_images for h in (g, self.inverses[g])})
-        # one getter per middle b takes row a to the row of a*(b*c) over c;
-        # at n = 1 it would return a bare value, and the table is associative
-        getters = [(b, itemgetter(*table[b])) for b in middles] if n > 1 else []
-        for a in range(n):
-            row = table[a]
-            for b, getter in getters:
-                # (a*b)*c and a*(b*c) for every c at once
-                left, right = tuple(table[row[b]]), getter(row)
-                if left != right:
-                    c = next(c for c in range(n) if left[c] != right[c])
-                    raise UsageError(f"associativity fails at ({a},{b},{c})")
-        if cayley_ball(self, n).size != n:
+        for x, column in enumerate(columns):
+            if not _is_permutation(column, points):
+                raise UsageError(f"step column {x} is not a permutation")
+        for x in range(1, len(columns), 2):
+            if _perm_compose(columns[x - 1], columns[x]) != tuple(range(n)):
+                raise UsageError(f"step column {x} is not the inverse of column {x - 1}")
+        reached, _, broken = self._search(columns)
+        if len(reached) != n:
             raise UsageError("generator images do not generate the group")
+        if broken is not None:
+            raise UsageError("the group does not act regularly: generator %d at element %d "
+                             "gives a non-trivial Schreier generator" % (broken[1] >> 1, broken[0]))
+
+    def _search(self, columns) -> tuple[list[int], list, tuple[int, int] | None]:
+        """Breadth-first search from 0 over the generator columns: the points
+        in the order reached, t, and the first (alpha, x) at which column x
+        composed after t[alpha] is not t[alpha * x] (None if there is none)."""
+        steps = self.steps
+        t: list = [None] * len(steps)
+        t[0] = tuple(range(len(steps)))
+        reached = [0]
+        broken = None
+        for alpha in reached:
+            row = steps[alpha]
+            for x in range(0, len(columns), 2):
+                moved = _perm_compose(columns[x], t[alpha])
+                beta = row[x]
+                if t[beta] is None:
+                    t[beta] = moved
+                    reached.append(beta)
+                elif moved != t[beta] and broken is None:
+                    broken = alpha, x
+        return reached, t, broken
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """``table[i][j]`` is the product i * j: column j is t[j]."""
+        return tuple(zip(*self._search(list(zip(*self.steps)))[1]))
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:
         return tuple(row.index(0) for row in self.table)
 
     @property
+    def order(self) -> int:
+        return len(self.steps)
+
+    @property
     def num_generators(self) -> int:
-        return len(self.generator_images)
+        return len(self.steps[0]) // 2
+
+    @property
+    def generator_images(self) -> tuple[int, ...]:
+        return self.steps[0][0::2]
 
     @property
     def identity_handle(self) -> int:
@@ -307,8 +328,54 @@ class RealizedGroup:
 
     def step(self, h: int, x: int) -> int:
         """The element h times column x's letter (handles are element indices)."""
-        g = self.generator_images[x >> 1]
-        return self.table[h][self.inverses[g] if x & 1 else g]
+        return self.steps[h][x]
+
+
+def group_from_table(order: int, table, generator_images) -> RealizedGroup:
+    """Check an explicit multiplication table and reduce it to its steps.
+
+    Element 0 is the identity; ``table[i][j]`` is the product i*j.  Every
+    entry and generator image must be an int (``bool`` and ``float`` are
+    refused), the table a Latin square with two-sided inverses, and
+    (a*b)*c = a*(b*c) for every a and c and every b among the generator
+    images and their inverses (Light's test, which compares row a*b with
+    row a composed with row b through one ``itemgetter`` per b).  The b
+    passing it are closed under products, so with :class:`RealizedGroup`'s
+    generation check they prove the whole table associative, exactly and in
+    O(n^2) per generator.  Row h of the steps is h*g, h*g^-1 per image g.
+    """
+    require_int(order, "order")
+    n, table, images = order, tuple(map(tuple, table)), tuple(generator_images)
+    if n < 1 or len(table) != n or any(len(row) != n for row in table):
+        raise UsageError(f"multiplication table is not {n}x{n}")
+    points = set(range(n))
+    for i, column in enumerate(zip(*table)):
+        if table[0][i] != i or table[i][0] != i:
+            raise UsageError("element 0 is not an identity")
+        if not _is_permutation(table[i], points):
+            raise UsageError(f"row {i} is not a permutation")
+        if set(column) != points:
+            raise UsageError(f"column {i} is not a permutation")
+    inverses = tuple(row.index(0) for row in table)
+    for i, j in enumerate(inverses):
+        if table[j][i] != 0:
+            raise UsageError(f"element {i} has mismatched one-sided inverses")
+    if any(not (type(g) is int and 0 <= g < n) for g in images):
+        raise UsageError("generator image out of range")
+    middles = sorted({h for g in images for h in (g, inverses[g])})
+    # one getter per middle b takes row a to the row of a*(b*c) over c;
+    # at n = 1 it would return a bare value, and the table is associative
+    getters = [(b, itemgetter(*table[b])) for b in middles] if n > 1 else []
+    for a in range(n):
+        row = table[a]
+        for b, getter in getters:
+            # (a*b)*c and a*(b*c) for every c at once
+            left, right = tuple(table[row[b]]), getter(row)
+            if left != right:
+                c = next(c for c in range(n) if left[c] != right[c])
+                raise UsageError(f"associativity fails at ({a},{b},{c})")
+    letters = [y for g in images for y in (g, inverses[g])]
+    return RealizedGroup(tuple(tuple(row[y] for y in letters) for row in table))
 
 
 @dataclass(frozen=True)
@@ -335,26 +402,13 @@ def todd_coxeter(p: Presentation, max_cosets: int) -> RealizedGroup:
     """Realize the group of a finite presentation by coset enumeration.
 
     Deterministic (HLT with lookahead, first-in-first-out coset definition
-    order).  The multiplication table is built column by column in scan
-    order: the column of a coset is its parent's column moved by one table
-    letter.  Raises OutOfBounds when enumeration does not complete within
+    order).  The standardized coset table, in which every relator closes at
+    every coset, is the group's steps, and :class:`RealizedGroup` checks that
+    they act regularly: a group of order n in which the relators hold.
+    Raises OutOfBounds when enumeration does not complete within
     ``max_cosets`` live cosets -- which is never a proof of infiniteness.
     """
-    table = coset.enumerate_cosets(len(p.generators), p.relators, max_cosets)
-    n = len(table)
-    # cols[j][i] is the product i * j; coset j is first reached as alpha * x,
-    # so its column is table column x composed after alpha's
-    columns = list(zip(*table))
-    cols: list[tuple[int, ...] | None] = [None] * n
-    cols[0] = tuple(range(n))
-    for alpha in range(n):
-        for x in range(2 * len(p.generators)):
-            beta = table[alpha][x]
-            if cols[beta] is None:
-                cols[beta] = _perm_compose(columns[x], cols[alpha])
-    mult = tuple(zip(*cols))
-    images = tuple(table[0][2 * g] for g in range(len(p.generators)))
-    return RealizedGroup(n, mult, images)
+    return RealizedGroup(coset.enumerate_cosets(len(p.generators), p.relators, max_cosets))
 
 
 def realize_backend(p: Presentation, max_cosets: int = MAX_COSETS) -> Backend:

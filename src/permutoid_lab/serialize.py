@@ -19,7 +19,7 @@ from .develop import (
     ProbeReport,
 )
 from .errors import FormatError
-from .groups import FiniteQuotientEvidence, RealizedGroup
+from .groups import FiniteQuotientEvidence, RealizedGroup, group_from_table
 from .pseudogroup import Pseudogroup, RigidDevelopment, check_pseudogroup
 
 
@@ -158,7 +158,7 @@ def realized_group_from_obj(obj) -> tuple[RealizedGroup, tuple[str, ...]]:
     for name in names:
         if type(images[name]) is not int:
             raise FormatError("group table: generator images must be integers")
-    group = RealizedGroup(order, tuple(rows), tuple(images[name] for name in names))
+    group = group_from_table(order, rows, tuple(images[name] for name in names))
     return group, names
 
 

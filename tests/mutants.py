@@ -90,6 +90,14 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     (COSET, "                refused = True\n", "                return standard\n", "tests/test_coset.py"),
     # enumerate_cosets: try the early finish again after a refusal
     (COSET, "                refused = True\n", "                pass\n", "tests/test_coset.py"),
+    # enumerate_cosets: read relator letters by value only
+    # (test_enumerate_cosets_rejects_bad_letters[bool])
+    (COSET, "if not set(map(type, chain.from_iterable(relators))) <= {int}:", "if False:",
+     "tests/test_groups.py"),
+    # enumerate_cosets: take letters outside the columns
+    # (test_enumerate_cosets_rejects_bad_letters[negative])
+    (COSET, "if not set(chain.from_iterable(relators)) <= set(range(width)):", "if False:",
+     "tests/test_groups.py"),
     # _verify: the column pass records no relator that does not close
     (COSET, "if image != identity:", "if False:", "tests/test_composition.py"),
     # _verify: name the first relator that fails, not the least coset
@@ -120,8 +128,17 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     (GROUPS, "self.parents[end][0] < size", "self.parents[end][0] <= size", "tests/test_groups.py"),
     # cayley_ball: expand one distance too few (test_infinite_cyclic_ball_sizes)
     (GROUPS, "for _ in range(radius):", "for _ in range(radius - 1):", "tests/test_groups.py"),
-    # RealizedGroup: skip the generation test (test_rejects_non_generating_images)
-    (GROUPS, "if cayley_ball(self, n).size != n:", "if False:", "tests/test_groups.py"),
+    # RealizedGroup: skip the generation test (TestRegularAction::test_rejects[intransitive])
+    (GROUPS, "if len(reached) != n:", "if False:", "tests/test_groups.py"),
+    # RealizedGroup: compare t[alpha * x] with itself (TestRegularAction::test_rejects[s3-on-3-points])
+    (GROUPS, "elif moved != t[beta] and broken is None:", "elif t[beta] != t[beta] and broken is None:",
+     "tests/test_groups.py"),
+    # RealizedGroup: drop the inverse-column check (TestRegularAction::test_rejects[not-the-inverse])
+    (GROUPS, "if _perm_compose(columns[x - 1], columns[x]) != tuple(range(n)):", "if False:",
+     "tests/test_groups.py"),
+    # RealizedGroup._search: search over all but the last generator column
+    (GROUPS, "for x in range(0, len(columns), 2):", "for x in range(0, len(columns) - 2, 2):",
+     "tests/test_groups.py"),
     # _perm_compose: send degree 1 to itemgetter, which returns a bare value
     (GROUPS, "if len(g) > 1:", "if len(g) > 0:", "tests/test_composition.py"),
     # _is_permutation: stop checking that entries are ints
@@ -150,7 +167,7 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # Presentation: accept a bool letter (test_direct_construction_rejects[BadLetter-bool-index])
     (GROUPS, "if type(x) is not int:", "if not isinstance(x, int):", "tests/test_groups.py"),
     # RealizedGroup: keep list inputs as given (test_list_inputs_stored_as_tuples)
-    (GROUPS, '        object.__setattr__(self, "table", tuple(map(tuple, self.table)))\n', "",
+    (GROUPS, '        object.__setattr__(self, "steps", tuple(map(tuple, self.steps)))\n', "",
      "tests/test_groups.py"),
     # group_permutations: close the maps unchecked (test_group_raises_coded_errors[short-entry])
     (PSEUDOGROUP, "group = _generated_group(_as_permutations(self.maps, m), m, m)",
@@ -233,6 +250,8 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # the search bounds: let --max-size be left out (test_develop_requires_max_size)
     (CLI, "\"--max-size\", type=int, required=True", "\"--max-size\", type=int, required=False",
      "tests/test_cli.py"),
+    # cameron: accept --max-cosets with --table, which never reads it (test_exit_code_table)
+    (CLI, "if args.max_cosets is not None:", "if False:", "tests/test_cli.py"),
     # run_cli: let an unwritable report escape as a traceback (test_unwritable_report_exit_three)
     (CLI, "except (UsageError, OSError) as exc:", "except UsageError as exc:", "tests/test_cli.py"),
 ]

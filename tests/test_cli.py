@@ -534,6 +534,9 @@ class TestCliContract:
             (["probe-finite-quotient", "--presentation", z3, "--radius", "1", "--max-size", "4"], 3),
             (["cameron", "--presentation", z3, "--radius", "1", "--max-cosets", "-5"], 3),    # bad cap
             (["cameron", "--presentation", free, "--radius", "1", "--max-cosets", "-5"], 3),  # bad cap, no relators
+            (["cameron", "--table", files("z2.json", {"order": 2, "table": [[0, 1], [1, 0]],
+                                                      "generator_images": {"a": 1}}),
+              "--radius", "1", "--max-cosets", "0"], 3),       # a cap on no enumeration
             (["probe-finite-quotient", "--presentation", free, "--radius", "1", "--max-size", "4",
               "--max-cosets", "0"], 3),
             (["develop", remark], 3),                                 # missing flag

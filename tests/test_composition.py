@@ -2,7 +2,7 @@
 
 ``_perm_compose`` composes with one ``itemgetter``, ``coset._verify``
 traces each relator through whole columns, Light's test in
-``RealizedGroup`` compares whole rows through one getter per middle
+``group_from_table`` compares whole rows through one getter per middle
 element, and ``verify_development`` composes whole maps.  Each earlier
 version, which took one Python step per point, is copied here as an
 oracle.  On every input below both must pass, or raise the same exception
@@ -32,9 +32,9 @@ from permutoid_lab.errors import (
 )
 from permutoid_lab.groups import (
     FreeGroup,
-    RealizedGroup,
     _perm_compose,
     cameron_permutoid,
+    group_from_table,
     parse_presentation,
     todd_coxeter,
 )
@@ -67,7 +67,8 @@ def oracle_coset_verify(table, relators):
 
 
 def oracle_realized_group(n, table, generator_images):
-    """The construction checks of ``RealizedGroup`` as they were."""
+    """The construction checks of ``RealizedGroup`` as they were when it
+    took a multiplication table; ``group_from_table`` runs them now."""
     if n < 1 or len(table) != n or any(len(row) != n for row in table):
         raise UsageError(f"multiplication table is not {n}x{n}")
     everything = list(range(n))
@@ -211,7 +212,7 @@ class TestLightsTest:
                     table = tuple(map(tuple, table))
                 images = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
                 expected = outcome(oracle_realized_group, n, table, images)
-                assert outcome(RealizedGroup, n, table, images) == expected, (text, table, images)
+                assert outcome(group_from_table, n, table, images) == expected, (text, table, images)
                 if expected is None:
                     kinds["accepted"] += 1
                 elif expected[2].startswith("associativity fails at "):

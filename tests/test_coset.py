@@ -7,8 +7,9 @@ multiplication table rebuilt by tracing each coset's representative word.
 The engine under test, ``enumerate_cosets``, is one function that resumes
 at the coset where the cap stopped it, renumbers only once and stops early
 once its table is complete with no dead coset and verifies, and
-``todd_coxeter`` builds its table column by column.  Both must return the
-same tables, or raise the same exceptions, on every presentation and cap.
+``RealizedGroup.table`` builds the multiplication table column by column
+from the coset table.  Both must return the same tables, or raise the same
+exceptions, on every presentation and cap.
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 
 from permutoid_lab import coset
 from permutoid_lab.coset import enumerate_cosets
-from permutoid_lab.errors import OutOfBounds, PermutoidLabError, RelatorNotKilled
+from permutoid_lab.errors import OutOfBounds, ParseError, PermutoidLabError, RelatorNotKilled
 from permutoid_lab.groups import (
     Presentation,
     cameron_permutoid,
@@ -364,9 +365,13 @@ class TestAgainstEarlierEngine:
     def test_no_generators(self, relators):
         # with no column, the table is complete before row 0 is closed: a
         # finish tried then would return [[]] for the relator [0], which
-        # names a column that does not exist
+        # names a column that does not exist; the oracle meets that letter
+        # as an IndexError, and the engine refuses it before enumerating
         for cap in (1, 5):
             expected, _ = oracle_enumerate(0, relators, cap)
+            if relators == [[0]]:
+                assert expected[1] is IndexError
+                expected = ("error", ParseError, "letter 0 out of range", {})
             assert enumerate_outcome(0, relators, cap) == expected, cap
 
     @pytest.mark.parametrize("name", [*POOL_PRESENTATIONS, *BENCH_PRESENTATIONS])

@@ -14,6 +14,7 @@ from permutoid_lab.groups import (
     cayley_ball,
     format_presentation,
     free_reduce,
+    group_from_table,
     parse_presentation,
     realize_backend,
     render_word,
@@ -197,6 +198,25 @@ class TestToddCoxeter:
             enumerate_cosets(1, [], cap)
         assert str(ei.value) == f"max_cosets must be an int, got {cap!r}"
 
+    @pytest.mark.parametrize(
+        "num_gens, relators, code, message",
+        [
+            # -1 would be read as column 1 and give Z3's table
+            (1, [[-1, -1, -1]], "UnknownGenerator", "letter -1 out of range"),
+            (1, [[2]], "UnknownGenerator", "letter 2 out of range"),
+            (0, [[0]], "UnknownGenerator", "letter 0 out of range"),
+            # True == 1, so the values alone would take it for letter 1
+            (1, [[0, 0], [1, True]], "BadLetter", "letter True is not an int"),
+            (1, [[1.0, 1.0]], "BadLetter", "letter 1.0 is not an int"),
+            (1, [[[0]]], "BadLetter", "letter [0] is not an int"),
+        ],
+        ids=["negative", "past-the-columns", "no-columns", "bool", "float", "list"],
+    )
+    def test_enumerate_cosets_rejects_bad_letters(self, num_gens, relators, code, message):
+        with pytest.raises(ParseError) as ei:
+            enumerate_cosets(num_gens, relators, 10)
+        assert (ei.value.code, str(ei.value)) == (code, message)
+
     @pytest.mark.parametrize("cap, message", [
         (0, "max_cosets must be >= 1"),
         (-5, "max_cosets must be >= 1"),
@@ -248,13 +268,19 @@ class TestAgainstSympy:
 
 
 class TestRealizedGroupChecks:
+    """``group_from_table`` checks an explicit multiplication table."""
+
     def test_list_inputs_stored_as_tuples(self):
+        steps = [[1, 1], [0, 0]]
+        g = RealizedGroup(steps)
+        assert hash(g) == hash(RealizedGroup(((1, 1), (0, 0))))
+        steps[0][0] = 0
+        assert g.steps == ((1, 1), (0, 0))
         rows, images = [[0, 1], [1, 0]], [1]
-        g = RealizedGroup(2, rows, images)
-        assert hash(g) == hash(RealizedGroup(2, ((0, 1), (1, 0)), (1,)))
+        h = group_from_table(2, rows, images)
         rows[0][1], rows[1][1], images[0] = 0, 1, 0
-        assert g.table == ((0, 1), (1, 0)) and g.generator_images == (1,)
-        assert (g.step(0, 0), g.step(1, 0)) == (1, 0)
+        assert h == g and h.table == ((0, 1), (1, 0)) and h.generator_images == (1,)
+        assert (h.step(0, 0), h.step(1, 0)) == (1, 0)
 
     def test_rejects_broken_associativity(self):
         # Latin square with identity that is not a group table
@@ -266,7 +292,7 @@ class TestRealizedGroupChecks:
             (4, 3, 1, 2, 0),
         )
         with pytest.raises(UsageError):
-            RealizedGroup(5, table, (1,))
+            group_from_table(5, table, (1,))
 
     @pytest.mark.parametrize(
         "order, table, images, message",
@@ -282,7 +308,7 @@ class TestRealizedGroupChecks:
     )
     def test_rejects_malformed_input(self, order, table, images, message):
         with pytest.raises(UsageError, match=message):
-            RealizedGroup(order, table, images)
+            group_from_table(order, table, images)
 
     @pytest.mark.parametrize(
         "table, images, message",
@@ -295,23 +321,24 @@ class TestRealizedGroupChecks:
     )
     def test_rejects_non_int_entries(self, table, images, message):
         # True == 1 and 1.0 == 1, so only the type tells these from Z2's table
-        RealizedGroup(2, ((0, 1), (1, 0)), (1,))
+        group_from_table(2, ((0, 1), (1, 0)), (1,))
         with pytest.raises(UsageError, match=message):
-            RealizedGroup(2, table, images)
+            group_from_table(2, table, images)
 
     def test_rejects_non_generating_images(self):
         table = tuple(
             tuple((i + j) % 4 for j in range(4)) for i in range(4)
         )
-        with pytest.raises(UsageError):
-            RealizedGroup(4, table, (2,))
+        with pytest.raises(UsageError, match="generator images do not generate the group"):
+            group_from_table(4, table, (2,))
 
     def test_accepts_z4_with_generator(self):
         table = tuple(
             tuple((i + j) % 4 for j in range(4)) for i in range(4)
         )
-        g = RealizedGroup(4, table, (1,))
+        g = group_from_table(4, table, (1,))
         assert g.inverses == (0, 3, 2, 1)
+        assert g.steps == ((1, 3), (2, 0), (3, 1), (0, 2))
 
     def test_rejects_z400_with_a_swapped_intercalate(self):
         # Z400's table stays a Latin square with identity and inverses when
@@ -322,7 +349,7 @@ class TestRealizedGroupChecks:
         for i, j in ((1, 1), (1, 201), (201, 1), (201, 201)):
             table[i][j] = (table[i][j] + 200) % n
         with pytest.raises(UsageError, match=r"associativity fails at \(1,1,2\)"):
-            RealizedGroup(n, tuple(map(tuple, table)), (1,))
+            group_from_table(n, tuple(map(tuple, table)), (1,))
 
     def test_agrees_with_brute_force_on_perturbed_tables(self):
         rng = random.Random(1729)
@@ -335,7 +362,7 @@ class TestRealizedGroupChecks:
                 images = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
                 expected = brute_force_is_group(table, images)
                 try:
-                    RealizedGroup(n, tuple(map(tuple, table)), images)
+                    group_from_table(n, tuple(map(tuple, table)), images)
                     accepted = True
                 except UsageError:
                     accepted = False
@@ -347,6 +374,53 @@ class TestRealizedGroupChecks:
                 else:
                     kinds["other"] += 1
         assert min(kinds.values()) >= 20, kinds
+
+
+class TestRegularAction:
+    """``RealizedGroup`` checks that its generator columns act regularly."""
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            # S3 on 3 points, a = (0 1) and b = (0 1 2): transitive, order 6
+            (((1, 1, 1, 2), (0, 0, 2, 0), (2, 2, 0, 1)),
+             "the group does not act regularly: generator 1 at element 0 "
+             "gives a non-trivial Schreier generator"),
+            # Z2 on two orbits of two points
+            (((1, 1), (0, 0), (3, 3), (2, 2)), "generator images do not generate the group"),
+            # Z3 whose inverse column repeats the generator's
+            (((1, 1), (2, 2), (0, 0)), "step column 1 is not the inverse of column 0"),
+            (((True, 1), (0, 0)), "step column 0 is not a permutation"),
+            (((1, 1.0), (0, 0)), "step column 1 is not a permutation"),
+            (((1, 1), (0,)), "step table rows do not share one even width"),
+            (((0,),), "step table rows do not share one even width"),
+            ((), "step table rows do not share one even width"),
+        ],
+        ids=["s3-on-3-points", "intransitive", "not-the-inverse", "bool-entry", "float-entry",
+             "ragged", "odd-width", "no-rows"],
+    )
+    def test_rejects(self, steps, message):
+        with pytest.raises(UsageError) as ei:
+            RealizedGroup(steps)
+        assert str(ei.value) == message
+
+    def test_a_later_element_breaks_regularity(self):
+        # D4 on 4 points, a = (0 1)(2 3) and b = (0 2): every tree edge out
+        # of element 0 holds, and b at element 1 fixes 1 where a does not
+        a, b = (1, 0, 3, 2), (2, 1, 0, 3)
+        with pytest.raises(UsageError, match="generator 1 at element 1 "):
+            RealizedGroup(tuple((a[h], a[h], b[h], b[h]) for h in range(4)))
+
+    def test_trivial_group_without_generators(self):
+        g = RealizedGroup(((),))
+        assert (g.order, g.num_generators, g.generator_images, g.table) == (1, 0, (), ((0,),))
+
+    @pytest.mark.parametrize("name", sorted(POOL_PRESENTATIONS))
+    def test_the_table_reduces_to_the_steps(self, name):
+        g = todd_coxeter(parse_presentation(POOL_PRESENTATIONS[name]), 1000)
+        assert "table" not in vars(g) and "inverses" not in vars(g)
+        assert group_from_table(g.order, g.table, g.generator_images).steps == g.steps
+        assert "table" in vars(g)
 
 
 SMALL_GROUPS = [f"gens: a\nrels: a^{n}" for n in range(1, 17)] + [
@@ -530,7 +604,7 @@ class TestCayleyBall:
         # prefix sizes and labels read off the parents are the old ones
         cases = [(g, range(1, saturating_radius(g) + 2)) for g in pool_groups.values()]
         cases += [(FreeGroup(k), range(1, 7 - k)) for k in (1, 2, 3)]
-        cases.append((RealizedGroup(1, ((0,),), ()), range(1, 4)))
+        cases.append((RealizedGroup(((),)), range(1, 4)))
         for group, radii in cases:
             for radius in radii:
                 ball = cayley_ball(group, radius)
