@@ -41,20 +41,35 @@ def _verify(table: list[list[int | None]], relators: Sequence[Sequence[int]]):
 
     Each relator is traced from every coset at once, as a composition of
     whole columns: the getter of column x takes the images so far to their
-    images under x, so the getters run in reversed relator order.  The
-    failure named is the least (coset, relator) over the relators that do
-    not close, each at the first coset it moves.  A one-coset table passes
-    once complete, since all its entries are 0.
+    images under x, so the getters run in reversed relator order.  When
+    column x ^ 1 after column x is the identity, both are bijections and
+    each is the other's checked inverse; a relator whose last letter has
+    one closes exactly when its other letters compose to it, in L - 2
+    getters.  Any other relator, or one failing that test, is traced in
+    full.  The failure named is the least (coset, relator) over the
+    relators that do not close, each at the first coset it moves.  A
+    one-coset table passes once complete, since all its entries are 0.
     """
     for gamma, row in enumerate(table):
         if None in row:
             raise OutOfBounds(f"coset {gamma} has an undefined image", coset=gamma)
     if len(table) == 1:  # an itemgetter of one point returns a bare value
         return
-    getters = [itemgetter(*column) for column in zip(*table)]
+    columns = list(zip(*table))
+    getters = [itemgetter(*column) for column in columns]
     identity = tuple(range(len(table)))
+    inverse: list = [None] * len(columns)
+    for x in range(0, len(columns), 2):
+        if getters[x](columns[x + 1]) == identity:
+            inverse[x], inverse[x + 1] = columns[x + 1], columns[x]
     failures = []
     for r, rel in enumerate(relators):
+        if len(rel) > 1 and inverse[rel[-1]] is not None:
+            image = columns[rel[-2]]
+            for x in rel[-3::-1]:
+                image = getters[x](image)
+            if image == inverse[rel[-1]]:
+                continue
         image = identity
         for x in reversed(rel):
             image = getters[x](image)
@@ -84,7 +99,8 @@ def enumerate_cosets(
     ``max_cosets`` live cosets, or after 20 * max_cosets + 1000 coset
     definitions, and ParseError, as ``groups.Presentation`` does, on a
     relator letter that is not an int (a bool is not one) in
-    ``range(2 * num_gens)``.
+    ``range(2 * num_gens)``, after UsageError on a ``num_gens`` that is
+    not an int >= 0.
 
     Early finish: while no coset has died, ``holes`` counts undefined
     entries.  When a closed row leaves no hole and no dead coset, the table
@@ -93,6 +109,9 @@ def enumerate_cosets(
     find its row full, so the rest of the loop would change nothing, not
     even the definition count.
     """
+    require_int(num_gens, "num_gens")
+    if num_gens < 0:
+        raise UsageError("num_gens must be >= 0")
     require_cap(max_cosets)
     width = 2 * num_gens
     # types first: True == 1 and 1.0 == 1, so the value set would take them
@@ -225,20 +244,23 @@ def enumerate_cosets(
 
     def standardize() -> list[list[int]]:
         """Renumber live cosets in breadth-first order of (coset, letter)."""
-        new_of = {0: 0}
+        root = [rep(k) for k in range(len(table))]
+        new_of = [-1] * len(table)
+        new_of[0] = 0
         order = [0]
         for gamma in order:
-            for x in range(width):
-                beta = rep(table[gamma][x])
-                if beta not in new_of:
-                    new_of[beta] = len(new_of)
+            for beta in table[gamma]:
+                beta = root[beta]
+                if new_of[beta] < 0:
+                    new_of[beta] = len(order)
                     order.append(beta)
-        if len(new_of) != live:
+        if len(order) != live:
             raise OutOfBounds(
-                f"coset table has {live - len(new_of)} cosets unreachable from coset 0",
-                unreachable=live - len(new_of),
+                f"coset table has {live - len(order)} cosets unreachable from coset 0",
+                unreachable=live - len(order),
             )
-        return [[new_of[rep(beta)] for beta in table[gamma]] for gamma in order]
+        renumber = [new_of[k] for k in root]
+        return [[renumber[beta] for beta in table[gamma]] for gamma in order]
 
     alpha = 0
     refused = False  # whether an early finish was tried and refused

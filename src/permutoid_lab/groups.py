@@ -244,17 +244,28 @@ class RealizedGroup:
     2g + 1 its inverse); element 0 is the identity.  Construction checks,
     exactly, that the rows share one even width, that every column is a
     permutation with int entries, that column 2g + 1 inverts column 2g, and
-    that the group G of the generator columns acts regularly: a
-    breadth-first search from 0 over them reaches all n points, and at
-    every point alpha each generator column x composed after t[alpha] is
-    t[alpha * x], where t[beta] composes the columns along the search
-    tree's word to beta.  By Schreier's lemma the t[alpha * x]^-1 x t[alpha]
-    generate the stabiliser of 0, which is then trivial, so G, transitive,
-    is regular of order n.  Element j is t[j], the one member of G taking 0
-    to j, and ``table[i][j]`` = i * j is t[j](i).  From coset enumeration
-    this certifies a group of order n in which the relators hold, a
-    quotient of the presented group; that it is the whole group rests on
-    the enumeration.
+    that the group G of the generator columns acts regularly.  A
+    breadth-first search from 0 over the generator columns must reach all
+    n points, so G is transitive.  Then, while the orbit of 0 under the
+    maps L built so far misses a point, the least point beta it misses gets
+    an L, built along the search tree: L(0) = beta, and L(alpha * x) =
+    L(alpha) * x.  Each L must commute with every generator column (Dixon &
+    Mortimer, "Permutation Groups", Thm 4.2A):
+
+    - A map that commutes with the generators commutes with G, so every
+      member of G that fixes 0 fixes each M(0), M composed of L's.  Once
+      those cover all n points, G is regular of order n.
+    - In a regular G, L is left multiplication by beta, which commutes
+      with every right multiplication, so no regular group is refused.
+    - The L's lie in the centralizer of the transitive G, which acts
+      semiregularly, so the orbit of 0 is as large as the group of the
+      L's.  Each new beta lies outside it, so that group at least doubles:
+      at most log2 n L's are built.
+
+    Element j is the one member of G taking 0 to j, and ``table[i][j]`` =
+    i * j.  From coset enumeration this certifies a group of order n in
+    which the relators hold, a quotient of the presented group; that it is
+    the whole group rests on the enumeration.
     """
 
     steps: tuple[tuple[int, ...], ...]
@@ -273,38 +284,55 @@ class RealizedGroup:
         for x in range(1, len(columns), 2):
             if _perm_compose(columns[x - 1], columns[x]) != tuple(range(n)):
                 raise UsageError(f"step column {x} is not the inverse of column {x - 1}")
-        reached, _, broken = self._search(columns)
-        if len(reached) != n:
+        tree = self._tree()
+        if len(tree) != n - 1:
             raise UsageError("generator images do not generate the group")
-        if broken is not None:
-            raise UsageError("the group does not act regularly: generator %d at element %d "
-                             "gives a non-trivial Schreier generator" % (broken[1] >> 1, broken[0]))
+        generators = [(column, itemgetter(*column)) for column in columns[0::2]]
+        orbit, seen, maps = [0], bytearray(n), []
+        seen[0] = 1
+        while len(orbit) < n:
+            beta = seen.index(0)
+            left = [beta] * n  # left[0] is beta, and the tree sets every other point
+            for alpha, x, image in tree:
+                left[image] = steps[left[alpha]][x]
+            left_first = itemgetter(*left)
+            for g, (column, column_first) in enumerate(generators):
+                if column_first(left) != left_first(column):
+                    raise UsageError("the group does not act regularly: left multiplication by "
+                                     f"element {beta} does not commute with generator {g}")
+            maps.append(left)
+            for point in orbit:  # grows as it is read, so it ends closed under every L
+                for m in maps:
+                    if not seen[m[point]]:
+                        seen[m[point]] = 1
+                        orbit.append(m[point])
 
-    def _search(self, columns) -> tuple[list[int], list, tuple[int, int] | None]:
-        """Breadth-first search from 0 over the generator columns: the points
-        in the order reached, t, and the first (alpha, x) at which column x
-        composed after t[alpha] is not t[alpha * x] (None if there is none)."""
+    def _tree(self) -> list[tuple[int, int, int]]:
+        """The edges (alpha, x, beta) of a breadth-first search from 0 over
+        the generator columns, beta = alpha * x, in the order found."""
         steps = self.steps
-        t: list = [None] * len(steps)
-        t[0] = tuple(range(len(steps)))
-        reached = [0]
-        broken = None
+        seen = bytearray(len(steps))
+        seen[0] = 1
+        reached, tree = [0], []
         for alpha in reached:
             row = steps[alpha]
-            for x in range(0, len(columns), 2):
-                moved = _perm_compose(columns[x], t[alpha])
+            for x in range(0, len(row), 2):
                 beta = row[x]
-                if t[beta] is None:
-                    t[beta] = moved
+                if not seen[beta]:
+                    seen[beta] = 1
                     reached.append(beta)
-                elif moved != t[beta] and broken is None:
-                    broken = alpha, x
-        return reached, t, broken
+                    tree.append((alpha, x, beta))
+        return tree
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
-        """``table[i][j]`` is the product i * j: column j is t[j]."""
-        return tuple(zip(*self._search(list(zip(*self.steps)))[1]))
+        """``table[i][j]`` is the product i * j: column j is t[j], right
+        multiplication by j, and t[alpha * x] is column x after t[alpha]."""
+        columns = list(zip(*self.steps))
+        t: list = [tuple(range(self.order))] * self.order
+        for alpha, x, beta in self._tree():
+            t[beta] = _perm_compose(columns[x], t[alpha])
+        return tuple(zip(*t))
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:
@@ -404,7 +432,8 @@ def todd_coxeter(p: Presentation, max_cosets: int) -> RealizedGroup:
     Deterministic (HLT with lookahead, first-in-first-out coset definition
     order).  The standardized coset table, in which every relator closes at
     every coset, is the group's steps, and :class:`RealizedGroup` checks that
-    they act regularly: a group of order n in which the relators hold.
+    they act regularly, through at most log2 n maps that must commute with
+    every generator column: a group of order n in which the relators hold.
     Raises OutOfBounds when enumeration does not complete within
     ``max_cosets`` live cosets -- which is never a proof of infiniteness.
     """
@@ -611,14 +640,11 @@ def triangulate(p: Presentation, m: int, max_cosets: int = MAX_COSETS) -> Presen
 
 def universal_group(P: Permutoid) -> Presentation:
     """The group presented by one generator ``p<i>`` per element i and one
-    relation p q = r per derived witness triple (identity triples included)."""
-    relators = []
-    seen = set()
-    for i, j, k in witness_triples(P):
-        w = free_reduce((2 * i, 2 * j, 2 * k + 1))
-        if w and w not in seen:
-            seen.add(w)
-            relators.append(w)
+    relation p q = r per derived witness triple (identity triples included).
+    The word (2i, 2j, 2k + 1) reduces only when j == k, to (2i,)."""
+    relators = dict.fromkeys(
+        (2 * i,) if j == k else (2 * i, 2 * j, 2 * k + 1) for i, j, k in witness_triples(P)
+    )
     names = tuple("p%d" % i for i in range(len(P.elements)))
     return Presentation(names, tuple(relators))
 

@@ -90,6 +90,9 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     (COSET, "                refused = True\n", "                return standard\n", "tests/test_coset.py"),
     # enumerate_cosets: try the early finish again after a refusal
     (COSET, "                refused = True\n", "                pass\n", "tests/test_coset.py"),
+    # enumerate_cosets: take a negative generator count
+    # (test_enumerate_cosets_rejects_bad_generator_counts[negative])
+    (COSET, "if num_gens < 0:", "if False:", "tests/test_groups.py"),
     # enumerate_cosets: read relator letters by value only
     # (test_enumerate_cosets_rejects_bad_letters[bool])
     (COSET, "if not set(map(type, chain.from_iterable(relators))) <= {int}:", "if False:",
@@ -98,6 +101,9 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # (test_enumerate_cosets_rejects_bad_letters[negative])
     (COSET, "if not set(chain.from_iterable(relators)) <= set(range(width)):", "if False:",
      "tests/test_groups.py"),
+    # _verify: take column x ^ 1 as the inverse of column x unchecked
+    # (TestCosetVerify::test_random_pool_tables_with_one_entry_changed)
+    (COSET, "if getters[x](columns[x + 1]) == identity:", "if True:", "tests/test_composition.py"),
     # _verify: the column pass records no relator that does not close
     (COSET, "if image != identity:", "if False:", "tests/test_composition.py"),
     # _verify: name the first relator that fails, not the least coset
@@ -129,15 +135,27 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # cayley_ball: expand one distance too few (test_infinite_cyclic_ball_sizes)
     (GROUPS, "for _ in range(radius):", "for _ in range(radius - 1):", "tests/test_groups.py"),
     # RealizedGroup: skip the generation test (TestRegularAction::test_rejects[intransitive])
-    (GROUPS, "if len(reached) != n:", "if False:", "tests/test_groups.py"),
-    # RealizedGroup: compare t[alpha * x] with itself (TestRegularAction::test_rejects[s3-on-3-points])
-    (GROUPS, "elif moved != t[beta] and broken is None:", "elif t[beta] != t[beta] and broken is None:",
+    (GROUPS, "if len(tree) != n - 1:", "if False:", "tests/test_groups.py"),
+    # RealizedGroup: compare L after a generator with itself
+    # (TestRegularAction::test_rejects[s3-on-3-points])
+    (GROUPS, "if column_first(left) != left_first(column):",
+     "if column_first(left) != column_first(left):",
      "tests/test_groups.py"),
+    # RealizedGroup: test commutation on all generators but the last
+    # (TestRegularAction::test_only_the_last_generator_fails_to_commute)
+    (GROUPS, "in enumerate(generators):", "in enumerate(generators[:-1]):", "tests/test_groups.py"),
+    # RealizedGroup: accept after the first L
+    # (TestRegularAction::test_a_later_left_multiplication_is_refused)
+    (GROUPS, "            maps.append(left)\n", "            break\n", "tests/test_groups.py"),
     # RealizedGroup: drop the inverse-column check (TestRegularAction::test_rejects[not-the-inverse])
     (GROUPS, "if _perm_compose(columns[x - 1], columns[x]) != tuple(range(n)):", "if False:",
      "tests/test_groups.py"),
-    # RealizedGroup._search: search over all but the last generator column
-    (GROUPS, "for x in range(0, len(columns), 2):", "for x in range(0, len(columns) - 2, 2):",
+    # RealizedGroup._tree: search over all but the last generator column
+    (GROUPS, "for x in range(0, len(row), 2):", "for x in range(0, len(row) - 2, 2):",
+     "tests/test_groups.py"),
+    # universal_group: build (2i, 2j, 2k + 1) unreduced, so words that reduce
+    # alike are kept apart (TestUniversalGroupRelators)
+    (GROUPS, "(2 * i,) if j == k else (2 * i, 2 * j, 2 * k + 1)", "(2 * i, 2 * j, 2 * k + 1)",
      "tests/test_groups.py"),
     # _perm_compose: send degree 1 to itemgetter, which returns a bare value
     (GROUPS, "if len(g) > 1:", "if len(g) > 0:", "tests/test_composition.py"),

@@ -197,6 +197,16 @@ class TestCosetVerify:
                 kinds["passed" if expected is None else expected[1]] += 1
         assert min(kinds.values()) >= 20 and one_coset > 0, (kinds, one_coset)
 
+    @pytest.mark.parametrize("relators", [[[0, 0]], [[1, 0, 0]], [[0, 1]], [[0, 0], [1, 0]]],
+                             ids=["a-a", "inverse-last-but-closes", "a-a-inverse", "second-fails"])
+    def test_a_column_its_partner_does_not_invert(self, relators):
+        # Z2 with its inverse column set to the identity: a a closes, though
+        # column 1 does not invert column 0, so no relator may be read as
+        # composing to column 1's partner
+        table = [[1, 0], [0, 1]]
+        assert outcome(_verify, table, relators) == outcome(oracle_coset_verify, table, relators)
+        assert (outcome(_verify, table, relators) is None) == (relators in ([[0, 0]], [[1, 0, 0]]))
+
 
 class TestLightsTest:
     def test_perturbed_tables(self):

@@ -1,10 +1,12 @@
 """Words, presentations, coset enumeration, Cayley balls."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from permutoid_lab.coset import _verify, enumerate_cosets
+from permutoid_lab.core import validate_permutoid, witness_triples
 from permutoid_lab.errors import OutOfBounds, ParseError, RelatorNotKilled, UsageError
 from permutoid_lab.groups import (
     FreeGroup,
@@ -19,6 +21,7 @@ from permutoid_lab.groups import (
     realize_backend,
     render_word,
     todd_coxeter,
+    universal_group,
 )
 
 from conftest import POOL_PRESENTATIONS, saturating_radius
@@ -217,6 +220,18 @@ class TestToddCoxeter:
             enumerate_cosets(num_gens, relators, 10)
         assert (ei.value.code, str(ei.value)) == (code, message)
 
+    @pytest.mark.parametrize("num_gens, relators, message", [
+        (-1, [], "num_gens must be >= 0"),
+        (1.5, [], "num_gens must be an int, got 1.5"),
+        (True, [[0, 0]], "num_gens must be an int, got True"),
+        # checked before the letters, which a negative count would refuse too
+        (-1, [[0]], "num_gens must be >= 0"),
+    ], ids=["negative", "float", "bool", "before-the-letters"])
+    def test_enumerate_cosets_rejects_bad_generator_counts(self, num_gens, relators, message):
+        with pytest.raises(UsageError) as ei:
+            enumerate_cosets(num_gens, relators, 5)
+        assert str(ei.value) == message
+
     @pytest.mark.parametrize("cap, message", [
         (0, "max_cosets must be >= 1"),
         (-5, "max_cosets must be >= 1"),
@@ -384,8 +399,8 @@ class TestRegularAction:
         [
             # S3 on 3 points, a = (0 1) and b = (0 1 2): transitive, order 6
             (((1, 1, 1, 2), (0, 0, 2, 0), (2, 2, 0, 1)),
-             "the group does not act regularly: generator 1 at element 0 "
-             "gives a non-trivial Schreier generator"),
+             "the group does not act regularly: left multiplication by element 1 "
+             "does not commute with generator 0"),
             # Z2 on two orbits of two points
             (((1, 1), (0, 0), (3, 3), (2, 2)), "generator images do not generate the group"),
             # Z3 whose inverse column repeats the generator's
@@ -405,11 +420,46 @@ class TestRegularAction:
         assert str(ei.value) == message
 
     def test_a_later_element_breaks_regularity(self):
-        # D4 on 4 points, a = (0 1)(2 3) and b = (0 2): every tree edge out
-        # of element 0 holds, and b at element 1 fixes 1 where a does not
+        # D4 on 4 points, a = (0 1)(2 3) and b = (0 2): the L built for
+        # element 1 commutes with a, and b, which fixes 1, does not fix L(1)
         a, b = (1, 0, 3, 2), (2, 1, 0, 3)
-        with pytest.raises(UsageError, match="generator 1 at element 1 "):
+        with pytest.raises(UsageError) as ei:
             RealizedGroup(tuple((a[h], a[h], b[h], b[h]) for h in range(4)))
+        assert str(ei.value) == ("the group does not act regularly: left multiplication by "
+                                 "element 1 does not commute with generator 1")
+
+    def test_a_later_left_multiplication_is_refused(self):
+        # D4 on the square 0 2 1 3: r = (0 2 1 3) and s = (2 3), which fixes
+        # 0 and the opposite vertex 1.  L for element 1 is r^2, central, so
+        # it commutes; its orbit {0, 1} misses 2, and no map taking 0 to 2
+        # commutes with s, which fixes 0 but not 2
+        r, r_inverse, s = (2, 3, 1, 0), (3, 2, 0, 1), (0, 1, 3, 2)
+        with pytest.raises(UsageError) as ei:
+            RealizedGroup(tuple((r[h], r_inverse[h], s[h], s[h]) for h in range(4)))
+        assert str(ei.value) == ("the group does not act regularly: left multiplication by "
+                                 "element 2 does not commute with generator 0")
+
+    def test_only_the_last_generator_fails_to_commute(self):
+        # D4 on 4 points, r = (0 1 2 3) and s = (0 1)(2 3): the search tree
+        # follows r alone, so L for element 1 is r, which commutes with r and
+        # covers every point; only s, the last generator, refuses it
+        r, r_inverse, s = (1, 2, 3, 0), (3, 0, 1, 2), (1, 0, 3, 2)
+        with pytest.raises(UsageError) as ei:
+            RealizedGroup(tuple((r[h], r_inverse[h], s[h], s[h]) for h in range(4)))
+        assert str(ei.value) == ("the group does not act regularly: left multiplication by "
+                                 "element 1 does not commute with generator 1")
+
+    def test_construction_memory_is_linear(self):
+        # a few lists of n entries; a transversal of n permutations of
+        # degree n would peak near 32 MB here
+        steps = enumerate_cosets(1, [[0] * 2000], 10_000)
+        tracemalloc.start()
+        try:
+            RealizedGroup(steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
     def test_trivial_group_without_generators(self):
         g = RealizedGroup(((),))
@@ -421,6 +471,38 @@ class TestRegularAction:
         assert "table" not in vars(g) and "inverses" not in vars(g)
         assert group_from_table(g.order, g.table, g.generator_images).steps == g.steps
         assert "table" in vars(g)
+
+
+class TestUniversalGroupRelators:
+    """``universal_group`` reduces each word (2i, 2j, 2k + 1) as it builds it."""
+
+    @staticmethod
+    def reduced_words(P):
+        """The triples' words through ``free_reduce``, empty and repeated
+        words dropped, in the order of their first triple."""
+        words = []
+        for i, j, k in witness_triples(P):
+            w = free_reduce((2 * i, 2 * j, 2 * k + 1))
+            if w and w not in words:
+                words.append(w)
+        return tuple(words)
+
+    @pytest.mark.parametrize("name", sorted(POOL_PRESENTATIONS))
+    def test_pool_ball_permutoids(self, name, pool_groups):
+        group = pool_groups[name]
+        lengths = set()
+        for rho in range(1, saturating_radius(group) + 2):
+            P = cameron_permutoid(group, rho).permutoid
+            relators = universal_group(P).relators
+            assert relators == self.reduced_words(P), rho
+            lengths.update(map(len, relators))
+        assert lengths == {1, 3}
+
+    def test_free_ball_and_the_remark_permutoid(self):
+        free = cameron_permutoid(FreeGroup(2), 1).permutoid
+        remark = validate_permutoid(2, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
+        for P in (free, remark):
+            assert universal_group(P).relators == self.reduced_words(P)
 
 
 SMALL_GROUPS = [f"gens: a\nrels: a^{n}" for n in range(1, 17)] + [
