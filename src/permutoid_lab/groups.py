@@ -67,7 +67,8 @@ class Presentation:
     """A finite group presentation.  Relators are words, stored freely
     reduced; relators that reduce to the empty word are dropped with a
     warning.  Each letter must be an int x with 0 <= x < 2 * len(generators)
-    (2g for generator g, 2g + 1 for its inverse)."""
+    (2g for generator g, 2g + 1 for its inverse), checked as
+    ``coset.enumerate_cosets`` checks it, by ``coset.read_relators``."""
 
     generators: tuple[str, ...]
     relators: tuple[tuple[int, ...], ...]
@@ -84,13 +85,7 @@ class Presentation:
             if not _NAME_RE.match(name):
                 raise ParseError("BadGeneratorName", f"invalid generator name {name!r}")
         kept = []
-        width = 2 * len(self.generators)
-        for w in self.relators:
-            for x in w:
-                if type(x) is not int:
-                    raise ParseError("BadLetter", f"letter {x!r} is not an int")
-                if not 0 <= x < width:
-                    raise ParseError("UnknownGenerator", f"letter {x} out of range")
+        for w in coset.read_relators(self.relators, 2 * len(self.generators)):
             r = free_reduce(w)
             if not r:
                 warnings.warn("dropping relator that freely reduces to the empty word")
@@ -525,12 +520,20 @@ class CameronPermutoid:
     order), so rho is ``ball.radius // 2``; element i (for i < |inner
     ball|) is left multiplication by ball element i restricted to the inner
     ball, except element 0 which is the identity on the whole ground set.
-    ``labels`` gives a geodesic word per element.
     """
 
     permutoid: Permutoid
     ball: CayleyBall
-    labels: tuple[str, ...]
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """A geodesic word per element, read off the ball's parents: an
+        element's word is its parent's plus one letter."""
+        words: list[tuple[int, ...]] = [()]
+        for p, letter in self.ball.parents[1:len(self.permutoid.elements)]:
+            words.append(words[p] + (letter,))
+        names = ["a%d" % g for g in range(len(self.ball.edges[0]) // 2)]
+        return tuple(render_word(w, names) for w in words)
 
     def element_for_generator(self, g: int) -> int:
         """Index of the element that is left multiplication by generator g,
@@ -556,12 +559,6 @@ def cameron_permutoid(group: Backend, rho: int) -> CameronPermutoid:
     ball = cayley_ball(group, 2 * rho)
     inner = ball.prefix_size(rho)
     edges, parents = ball.edges, ball.parents
-    words: list[tuple[int, ...]] = [()]
-    for p, letter in parents[1:inner]:
-        words.append(words[p] + (letter,))
-    names = ["a%d" % g for g in range(group.num_generators)]
-    labels = tuple(render_word(w, names) for w in words)
-
     elements: list = [identity_map(ball.size)]
     for b in range(1, inner):
         row = [b]
@@ -571,7 +568,7 @@ def cameron_permutoid(group: Backend, rho: int) -> CameronPermutoid:
         elements.append(tuple(enumerate(row)))
 
     # element 0 is the identity, so it is the permutoid's identity index
-    return CameronPermutoid(validate_permutoid(ball.size, elements), ball, labels)
+    return CameronPermutoid(validate_permutoid(ball.size, elements), ball)
 
 
 def radius_extension(group: Backend, rho_small: int, rho_big: int) -> Morphism:
@@ -614,6 +611,7 @@ def triangulate(p: Presentation, m: int, max_cosets: int = MAX_COSETS) -> Presen
     product is the identity are collected (not only freely reduced ones);
     they are stored reduced and deduplicated, which presents the same group.
     """
+    require_int(m, "m")
     if m < 1 or 2 * m <= p.max_relator_length:
         raise PreconditionRadius(
             f"need m > {p.max_relator_length}/2 and m >= 1, got m={m}"

@@ -80,32 +80,42 @@ MUTANTS: list[tuple[str, str, str, str]] = [
             "                    merge(mu, table[nu][x ^ 1], queue)\n", "", "tests/test_coset.py"),
     # close_row: pass over a relator whose trace from alpha stops undefined
     (COSET, "if f == alpha:", "if f == alpha or f is None:", "tests/test_coset.py"),
-    # enumerate_cosets: a deduction leaves the hole count as it was, so the
-    # early finish never fires
-    (COSET, "                holes -= 2\n", "", "tests/test_coset.py"),
-    # enumerate_cosets: try the early finish on a table with holes
-    (COSET, "if not holes and live == len(table) and not refused:",
-     "if live == len(table) and not refused:", "tests/test_coset.py"),
-    # enumerate_cosets: return the table of a refused early finish
-    (COSET, "                refused = True\n", "                return standard\n", "tests/test_coset.py"),
+    # enumerate_cosets: the completeness pointer also passes a live row with
+    # a hole outside its first column (ignoring any one column would be no
+    # mutant: columns x and x ^ 1 hold equally many holes)
+    (COSET, "or None not in table[full]", "or table[full][0] is not None", "tests/test_coset.py"),
+    # enumerate_cosets: try the early finish without the pointer test
+    (COSET, "if full == len(table) and not refused:", "if not refused:", "tests/test_coset.py"),
+    # enumerate_cosets: stop at a refused early finish
+    (COSET, "                refused = True\n", "                raise\n", "tests/test_coset.py"),
     # enumerate_cosets: try the early finish again after a refusal
     (COSET, "                refused = True\n", "                pass\n", "tests/test_coset.py"),
     # enumerate_cosets: take a negative generator count
     # (test_enumerate_cosets_rejects_bad_generator_counts[negative])
     (COSET, "if num_gens < 0:", "if False:", "tests/test_groups.py"),
-    # enumerate_cosets: read relator letters by value only
+    # read_relators: read relator letters by value only
     # (test_enumerate_cosets_rejects_bad_letters[bool])
     (COSET, "if not set(map(type, chain.from_iterable(relators))) <= {int}:", "if False:",
      "tests/test_groups.py"),
-    # enumerate_cosets: take letters outside the columns
+    # read_relators: take letters outside the columns
     # (test_enumerate_cosets_rejects_bad_letters[negative])
     (COSET, "if not set(chain.from_iterable(relators)) <= set(range(width)):", "if False:",
      "tests/test_groups.py"),
     # _verify: take column x ^ 1 as the inverse of column x unchecked
     # (TestCosetVerify::test_random_pool_tables_with_one_entry_changed)
     (COSET, "if getters[x](columns[x + 1]) == identity:", "if True:", "tests/test_composition.py"),
+    # _verify: compare a relator's L - 2 getters with the identity, not with
+    # its last letter's inverse column
+    (COSET, "image, target = columns[rel[-2]], inverse[rel[-1]]", "image, target = columns[rel[-2]], identity",
+     "tests/test_composition.py"),
     # _verify: the column pass records no relator that does not close
-    (COSET, "if image != identity:", "if False:", "tests/test_composition.py"),
+    (COSET, "if image != target:", "if False:", "tests/test_composition.py"),
+    # _verify: name the first coset a relator's L - 2 getters move, not the
+    # first where they differ from its last letter's inverse column
+    (COSET, "if image[g] != target[g]", "if image[g] != g", "tests/test_composition.py"),
+    # read_relators: check the letters of relators read in place, which a
+    # one-shot iterable gives up to the check
+    (COSET, "    relators = tuple(map(tuple, relators))\n", "", "tests/test_groups.py"),
     # _verify: name the first relator that fails, not the least coset
     (COSET, "gamma, r = min(failures)", "gamma, r = failures[0]", "tests/test_composition.py"),
     # Close-by-One: accept every join
@@ -182,8 +192,9 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # _generated_group: close over the generators only (test_five_cycle)
     (GROUPS, "                group.add(y)\n                frontier.append(y)\n",
      "                group.add(y)\n", "tests/test_cameron.py"),
-    # Presentation: accept a bool letter (test_direct_construction_rejects[BadLetter-bool-index])
-    (GROUPS, "if type(x) is not int:", "if not isinstance(x, int):", "tests/test_groups.py"),
+    # read_relators: read letters by value, so a bool passes as 0 or 1
+    # (test_direct_construction_rejects[BadLetter-bool-index])
+    (COSET, "<= {int}:", "<= {int, bool}:", "tests/test_groups.py"),
     # RealizedGroup: keep list inputs as given (test_list_inputs_stored_as_tuples)
     (GROUPS, '        object.__setattr__(self, "steps", tuple(map(tuple, self.steps)))\n', "",
      "tests/test_groups.py"),
@@ -258,6 +269,9 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # Presentation: hash the names before checking that they are str
     # (test_direct_construction_rejects[BadGeneratorName-list])
     (GROUPS, "            if not isinstance(name, str):\n", "            if False:\n", "tests/test_groups.py"),
+    # triangulate: enumerate before reading m
+    # (test_non_int_radius_is_refused_before_enumerating)
+    (GROUPS, '    require_int(m, "m")\n', "", "tests/test_cameron.py"),
     # Permutoid: accept a member that is not a partial permutation
     # (test_direct_construction_rejects_a_member_of_another_type)
     (CORE, "            if not isinstance(el, PartialPermutation):\n", "            if False:\n",

@@ -57,6 +57,13 @@ class TestCameronPermutoid:
         assert len(P.elements[2].pairs) == 3
         assert set(cam.labels) == {"1", "a0", "a0^-1"}
 
+    def test_labels_are_built_when_read(self, pool_groups):
+        cam = cameron_permutoid(pool_groups["s3"], 2)
+        assert "labels" not in vars(cam)
+        labels = cam.labels
+        assert labels[0] == "1" and len(labels) == len(cam.permutoid.elements)
+        assert cam.labels is labels
+
     def test_trivial_group_gives_trivial_permutoid(self):
         g = todd_coxeter(parse_presentation("gens: a\nrels: a"), 10)
         for rho in (1, 2, 3):
@@ -173,6 +180,18 @@ class TestTriangulate:
     def test_relators_have_length_at_most_three(self, pool_presentations):
         t = triangulate(pool_presentations["z4"], 3)
         assert all(1 <= len(r) <= 3 for r in t.relators)
+
+    @pytest.mark.parametrize("m", ["2", None, 2.5, True], ids=["str", "none", "float", "bool"])
+    def test_non_int_radius_is_refused_before_enumerating(self, monkeypatch, pool_presentations, m):
+        # "2" and None would break the comparison, 2.5 would be refused only
+        # by the ball after the enumeration, and True would read as 1
+        def enumerate_nothing(*args):
+            raise AssertionError("triangulate enumerated cosets before checking m")
+
+        monkeypatch.setattr(groups, "todd_coxeter", enumerate_nothing)
+        with pytest.raises(UsageError) as ei:
+            triangulate(pool_presentations["z3"], m)
+        assert str(ei.value) == f"m must be an int, got {m!r}"
 
 
 class TestUniversalGroup:

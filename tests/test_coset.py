@@ -6,7 +6,7 @@ restarted from coset 0 after each lookahead, and ``todd_coxeter``'s
 multiplication table rebuilt by tracing each coset's representative word.
 The engine under test, ``enumerate_cosets``, is one function that resumes
 at the coset where the cap stopped it, renumbers only once and stops early
-once its table is complete with no dead coset and verifies, and
+once every live row is full and the table verifies, and
 ``RealizedGroup.table`` builds the multiplication table column by column
 from the coset table.  Both must return the same tables, or raise the same
 exceptions, on every presentation and cap.
@@ -47,12 +47,12 @@ ABANDONING = [
     (2, [[0, 1], [1, 0], [0, 2, 0, 3, 0, 1, 1]], 200),
 ]
 
-# presentations whose table is once complete with no dead coset while a
-# relator does not close: the early finish is refused, and a coincidence
-# follows.  The third's relators are the Schreier generators of a subgroup
-# of index 4 whose normalizer holds coset 1, so after row 0 builds its
-# Schreier graph, row 1 closes every relator too and a retried finish would
-# run again before the coincidence at row 2.
+# presentations whose table is once complete while a relator does not
+# close: the early finish is refused, and a coincidence follows.  The
+# third's relators are the Schreier generators of a subgroup of index 4
+# whose normalizer holds coset 1, so after row 0 builds its Schreier graph,
+# row 1 closes every relator too and a retried finish would run again
+# before the coincidence at row 2.
 REFUSING = [
     (3, [[2, 3, 0, 2, 1], [0, 2, 4], [0, 4, 1, 2, 2, 3, 2, 4], [1, 0, 2, 2, 5, 4, 0, 1, 5, 1], [1, 3, 0, 5, 5]]),
     (2, [[1, 0, 3, 1, 2, 3, 2], [2, 2, 3, 0, 2], [1, 1]]),
@@ -408,9 +408,9 @@ def _calls(code_names, run):
 
 
 class TestEarlyFinish:
-    """A table that is complete with no dead coset is standardized and
-    verified at once; when every relator closes, the loop's remaining rows
-    would change nothing, so they are not closed."""
+    """A table whose live rows are all full is standardized and verified
+    at once, dead rows or none; when every relator closes, the loop's
+    remaining rows would change nothing, so they are not closed."""
 
     def test_a5_universal_group_closes_one_row(self):
         num_gens, relators = universal_relators("a5", 10)
@@ -420,6 +420,26 @@ class TestEarlyFinish:
         assert len(table) == 60
         # without the finish, the loop closes all 60 rows
         assert counts == {"close_row": 1, "_verify": 1}
+
+    def test_a5_universal_group_finishes_after_a_coincidence(self):
+        # two cosets merge through coincidences; the finish fires all the same
+        num_gens, relators = universal_relators("a5", 5)
+        counts, table = _calls(
+            ("close_row", "_verify", "coincidence"),
+            lambda: enumerate_cosets(num_gens, relators, 10_000),
+        )
+        assert len(table) == 60 and counts["coincidence"] > 0
+        assert counts["close_row"] < 60 and counts["_verify"] == 1
+
+    @pytest.mark.parametrize("name, order", [("s4", 24), ("a5", 60), ("psl27", 168)])
+    def test_base_groups_close_fewer_rows_than_their_order(self, name, order):
+        p = parse_presentation(BENCH_PRESENTATIONS[name])
+        relators = [list(r) for r in p.relators]
+        counts, table = _calls(
+            ("close_row", "_verify"), lambda: enumerate_cosets(len(p.generators), relators, 1000)
+        )
+        assert len(table) == order
+        assert counts["close_row"] < order and counts["_verify"] == 1
 
     @pytest.mark.parametrize("num_gens, relators", REFUSING)
     def test_a_refused_finish_is_tried_once(self, num_gens, relators):

@@ -27,6 +27,13 @@ from permutoid_lab.groups import (
 from conftest import POOL_PRESENTATIONS, saturating_radius
 
 
+def _letter_error(num_gens, relators):
+    """(code, message) of the ParseError enumerate_cosets raises."""
+    with pytest.raises(ParseError) as ei:
+        enumerate_cosets(num_gens, relators, 10)
+    return ei.value.code, str(ei.value)
+
+
 class TestFreeReduce:
     def test_cancels_adjacent_inverse_pair(self):
         w = (0, 1, 2)
@@ -123,6 +130,14 @@ class TestParsePresentation:
         with pytest.raises(ParseError) as ei:
             Presentation(generators, relators)
         assert ei.value.code == code
+        if code in ("UnknownGenerator", "BadLetter"):
+            # the letter check is shared with coset enumeration
+            assert _letter_error(len(generators), relators) == (code, str(ei.value))
+
+    def test_one_shot_relators_are_read_once(self):
+        p = Presentation(("a",), [iter([0, 0])])
+        assert p.relators == ((0, 0),)
+        assert todd_coxeter(p, 10).table == ((0, 1), (1, 0))
 
     def test_comments_and_blank_lines(self):
         p = parse_presentation("# cyclic\n\ngens: a\nrels: a^3\n")
@@ -212,13 +227,24 @@ class TestToddCoxeter:
             (1, [[0, 0], [1, True]], "BadLetter", "letter True is not an int"),
             (1, [[1.0, 1.0]], "BadLetter", "letter 1.0 is not an int"),
             (1, [[[0]]], "BadLetter", "letter [0] is not an int"),
+            # types first: a letter that is not an int is named before an
+            # int out of range that comes earlier
+            (1, ((5, True),), "BadLetter", "letter True is not an int"),
+            (1, ((0,), (7,), ("x",)), "BadLetter", "letter 'x' is not an int"),
         ],
-        ids=["negative", "past-the-columns", "no-columns", "bool", "float", "list"],
+        ids=["negative", "past-the-columns", "no-columns", "bool", "float", "list",
+             "bool-after-a-bad-int", "str-after-a-bad-int"],
     )
     def test_enumerate_cosets_rejects_bad_letters(self, num_gens, relators, code, message):
-        with pytest.raises(ParseError) as ei:
-            enumerate_cosets(num_gens, relators, 10)
-        assert (ei.value.code, str(ei.value)) == (code, message)
+        assert _letter_error(num_gens, relators) == (code, message)
+        # a presentation needs a generator, so it cannot have no columns
+        if num_gens:
+            with pytest.raises(ParseError) as ei:
+                Presentation(tuple("abc"[:num_gens]), relators)
+            assert (ei.value.code, str(ei.value)) == (code, message)
+
+    def test_enumerate_cosets_reads_one_shot_relators_once(self):
+        assert enumerate_cosets(1, (r for r in [[0, 0]]), 10) == [[1, 1], [0, 0]]
 
     @pytest.mark.parametrize("num_gens, relators, message", [
         (-1, [], "num_gens must be >= 0"),
